@@ -1,5 +1,5 @@
 //! Bench for the **persistent worker pool**: spawn-per-call (the legacy
-//! `crossbeam`-scope cost model — a fresh OS thread per job) vs the
+//! scoped-thread cost model — a fresh OS thread per job) vs the
 //! process-wide pool, across the three parallel hot paths at threads
 //! {1, 2, 4, 8}:
 //!

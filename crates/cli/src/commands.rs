@@ -224,7 +224,7 @@ struct TraceFlags {
 /// `--serve-metrics`.
 fn tracing_setup(
     args: &Args,
-) -> Result<(TraceFlags, Option<kgfd_obs::MetricsServer>), Box<dyn Error>> {
+) -> Result<(TraceFlags, Option<kgfd_serve::MetricsServer>), Box<dyn Error>> {
     let trace_out = optional_value(args, "trace-out")?;
     let flame_out = optional_value(args, "flame-out")?;
     let serve = optional_value(args, "serve-metrics")?;
@@ -234,7 +234,7 @@ fn tracing_setup(
     }
     let server = match serve {
         Some(addr) => {
-            let server = kgfd_obs::MetricsServer::start(&addr)
+            let server = kgfd_serve::MetricsServer::start(&addr)
                 .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
             // Announce the bound address so `--serve-metrics 127.0.0.1:0`
             // (ephemeral port) is usable by whoever wants to scrape us.
@@ -260,7 +260,7 @@ fn tracing_setup(
 /// or failure) so a failing run still leaves its partial trace behind.
 fn finish_tracing(
     flags: &TraceFlags,
-    server: Option<kgfd_obs::MetricsServer>,
+    server: Option<kgfd_serve::MetricsServer>,
 ) -> Result<(), Box<dyn Error>> {
     if let Some(server) = server {
         server.shutdown();

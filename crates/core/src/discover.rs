@@ -311,11 +311,7 @@ fn run_discovery(
 
     let mut facts = Vec::new();
     let mut per_relation = Vec::with_capacity(outcomes.len());
-    let mut generation = Duration::ZERO;
-    let mut evaluation = Duration::ZERO;
     for outcome in outcomes {
-        generation += outcome.breakdown.generation;
-        evaluation += outcome.breakdown.evaluation;
         facts.extend(outcome.facts);
         per_relation.push(outcome.breakdown);
     }
@@ -327,8 +323,6 @@ fn run_discovery(
         facts,
         per_relation,
         preparation,
-        generation,
-        evaluation,
         total: total_span.finish(),
     })
 }
@@ -771,16 +765,20 @@ mod tests {
     #[test]
     fn span_derived_phase_durations_fit_inside_the_total() {
         let (data, model) = trained_toy();
-        // Sequential run: with relations processed in parallel the summed
-        // per-relation spans legitimately exceed the wall-clock total.
         let mut cfg = quick_config(StrategyKind::UniformRandom);
-        cfg.threads = 1;
-        let report = discover_facts(model.as_ref(), &data.train, &cfg);
-        assert!(report.preparation + report.generation + report.evaluation <= report.total);
-        let per_rel_gen: Duration = report.per_relation.iter().map(|r| r.generation).sum();
-        let per_rel_eval: Duration = report.per_relation.iter().map(|r| r.evaluation).sum();
-        assert_eq!(per_rel_gen, report.generation);
-        assert_eq!(per_rel_eval, report.evaluation);
+        for threads in [1, 4] {
+            cfg.threads = threads;
+            let report = discover_facts(model.as_ref(), &data.train, &cfg);
+            assert!(report.preparation <= report.total, "threads={threads}");
+            // Per-relation times are busy time; only a sequential run lays
+            // them end to end inside the wall clock.
+            let busy: Duration = report
+                .per_relation
+                .iter()
+                .map(|r| r.generation + r.evaluation)
+                .sum();
+            assert!(threads > 1 || report.preparation + busy <= report.total);
+        }
     }
 
     #[test]

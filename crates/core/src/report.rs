@@ -29,9 +29,9 @@ pub struct RelationBreakdown {
     pub pruned: usize,
     /// Generation-loop iterations used (≤ `max_iterations`).
     pub iterations: usize,
-    /// Time in the sampling/mesh-grid loop.
+    /// Busy time in the sampling/mesh-grid loop for this relation.
     pub generation: Duration,
-    /// Time ranking candidates against corruptions.
+    /// Busy time ranking this relation's candidates against corruptions.
     pub evaluation: Duration,
 }
 
@@ -52,11 +52,9 @@ pub struct DiscoveryReport {
     /// coefficients) — the superlinear part that separates the two runtime
     /// groups of Figure 2.
     pub preparation: Duration,
-    /// Total time in candidate generation.
-    pub generation: Duration,
-    /// Total time ranking candidates.
-    pub evaluation: Duration,
-    /// Wall-clock for the whole run.
+    /// Wall-clock for the whole run. Relations may run in parallel, so the
+    /// per-relation busy times in [`Self::per_relation`] can add up to
+    /// more than this.
     pub total: Duration,
 }
 
@@ -114,8 +112,6 @@ mod tests {
                 .collect(),
             per_relation: vec![],
             preparation: Duration::ZERO,
-            generation: Duration::ZERO,
-            evaluation: Duration::ZERO,
             total,
         }
     }

@@ -48,7 +48,6 @@ use crate::{
     load_model, save_model, KgeModel, ModelKind, OptimizerState, ParamTable, StopSignal,
     TrainConfig, TrainOutcome, TrainSession,
 };
-use bytes::{BufMut, BytesMut};
 use kgfd_kg::{KgError, Result, TripleStore};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -115,40 +114,35 @@ impl TrainCheckpoint {
     /// Serializes to the "KGCK" v1 layout, CRC-32 footer included.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf =
-            BytesMut::with_capacity(64 + self.epoch_losses.len() * 8 + self.model_bytes.len() + 64);
-        buf.put_slice(MAGIC);
-        buf.put_u8(CHECKPOINT_VERSION);
-        buf.put_u64_le(self.fingerprint);
-        buf.put_u64_le(self.epochs_done);
-        for w in self.rng_state {
-            buf.put_u64_le(w);
+            Vec::with_capacity(64 + self.epoch_losses.len() * 8 + self.model_bytes.len() + 64);
+        buf.extend_from_slice(MAGIC);
+        buf.push(CHECKPOINT_VERSION);
+        let words = [self.fingerprint, self.epochs_done]
+            .into_iter()
+            .chain(self.rng_state)
+            .chain([self.epoch_losses.len() as u64])
+            .chain(self.epoch_losses.iter().map(|l| l.to_bits()))
+            .chain([self.model_bytes.len() as u64]);
+        for w in words {
+            buf.extend_from_slice(&w.to_le_bytes());
         }
-        buf.put_u64_le(self.epoch_losses.len() as u64);
-        for &l in &self.epoch_losses {
-            buf.put_u64_le(l.to_bits());
-        }
-        buf.put_u64_le(self.model_bytes.len() as u64);
-        buf.put_slice(&self.model_bytes);
+        buf.extend_from_slice(&self.model_bytes);
         match &self.optimizer {
-            OptimizerState::Sgd => buf.put_u8(OPT_TAG_SGD),
+            OptimizerState::Sgd => buf.push(OPT_TAG_SGD),
             OptimizerState::Adagrad { accum } => {
-                buf.put_u8(OPT_TAG_ADAGRAD);
+                buf.push(OPT_TAG_ADAGRAD);
                 put_table_block(&mut buf, accum);
             }
             OptimizerState::Adam { t, m, v } => {
-                buf.put_u8(OPT_TAG_ADAM);
-                buf.put_u64_le(*t);
+                buf.push(OPT_TAG_ADAM);
+                buf.extend_from_slice(&t.to_le_bytes());
                 put_table_block(&mut buf, m);
-                for table in v {
-                    for &x in table.data() {
-                        buf.put_f32_le(x);
-                    }
-                }
+                v.iter().for_each(|table| put_table_data(&mut buf, table));
             }
         }
         let checksum = crate::crc32(&buf);
-        buf.put_u32_le(checksum);
-        buf.to_vec()
+        buf.extend_from_slice(&checksum.to_le_bytes());
+        buf
     }
 
     /// Parses and verifies a "KGCK" checkpoint. Any structural defect —
@@ -231,16 +225,18 @@ impl TrainCheckpoint {
     }
 }
 
-fn put_table_block(buf: &mut BytesMut, tables: &[ParamTable]) {
-    buf.put_u8(tables.len() as u8);
+fn put_table_block(buf: &mut Vec<u8>, tables: &[ParamTable]) {
+    buf.push(tables.len() as u8);
     for t in tables {
-        buf.put_u64_le(t.rows() as u64);
-        buf.put_u64_le(t.cols() as u64);
+        buf.extend_from_slice(&(t.rows() as u64).to_le_bytes());
+        buf.extend_from_slice(&(t.cols() as u64).to_le_bytes());
     }
-    for t in tables {
-        for &x in t.data() {
-            buf.put_f32_le(x);
-        }
+    tables.iter().for_each(|t| put_table_data(buf, t));
+}
+
+fn put_table_data(buf: &mut Vec<u8>, table: &ParamTable) {
+    for &x in table.data() {
+        buf.extend_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -519,7 +515,7 @@ impl<'a> TrainSession<'a> {
             epochs_done: self.epochs_done() as u64,
             rng_state: self.rng_state(),
             epoch_losses: self.epoch_losses().to_vec(),
-            model_bytes: save_model(self.model()).to_vec(),
+            model_bytes: save_model(self.model()),
             optimizer: self.optimizer_state(),
         }
     }
@@ -590,7 +586,7 @@ mod tests {
             epochs_done: 9,
             rng_state: [1, 2, 3, 4],
             epoch_losses: vec![0.5, 0.25, 0.125],
-            model_bytes: save_model(model.as_ref()).to_vec(),
+            model_bytes: save_model(model.as_ref()),
             optimizer,
         }
     }

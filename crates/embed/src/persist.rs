@@ -10,7 +10,8 @@
 //! | crc32 u32                                             ← integrity footer
 //! ```
 //!
-//! All integers little-endian (via the `bytes` crate). The config block is
+//! All integers little-endian (`to_le_bytes` into a `Vec<u8>` on write,
+//! `from_le_bytes` on bounds-checked slices on read). The config block is
 //! produced by [`KgeModel::config`] — `flags` bit 0 encodes TransE's
 //! distance (0 = L1, 1 = L2); all other bits must be zero. The trailing
 //! CRC-32 (IEEE, the zlib polynomial) covers every preceding byte, and the
@@ -28,8 +29,7 @@
 
 use crate::model::ModelConfig;
 use crate::models::Distance;
-use crate::{KgeModel, ModelKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::{KgeModel, ModelKind, Parameters};
 use kgfd_kg::{KgError, Result};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -90,32 +90,46 @@ fn flags_of(config: &ModelConfig) -> u8 {
 /// CRC-32 footer). The configuration comes from [`KgeModel::config`], so
 /// every kind — including TransE with either distance — round-trips through
 /// the one generic path.
-pub fn save_model(model: &dyn KgeModel) -> Bytes {
+pub fn save_model(model: &dyn KgeModel) -> Vec<u8> {
     let config = model.config();
     let params = model.params();
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         FIXED_HEADER_LEN + params.num_tables() * TABLE_ENTRY_LEN + params.num_parameters() * 4 + 4,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u8(FORMAT_VERSION);
-    buf.put_u8(config.kind.tag());
-    buf.put_u8(flags_of(&config));
-    buf.put_u64_le(config.num_entities as u64);
-    buf.put_u64_le(config.num_relations as u64);
-    buf.put_u64_le(config.dim as u64);
-    buf.put_u8(params.num_tables() as u8);
-    for table in params.tables() {
-        buf.put_u64_le(table.rows() as u64);
-        buf.put_u64_le(table.cols() as u64);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&[FORMAT_VERSION, config.kind.tag(), flags_of(&config)]);
+    put_header_tail(&mut buf, &config, params);
+    put_payload(&mut buf, params);
+    let checksum = crc32(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+/// Appends the shape fields shared by v1 and v2: `N u64 | K u64 | dim u64
+/// | num_tables u8 | { rows u64, cols u64 }*`.
+fn put_header_tail(buf: &mut Vec<u8>, config: &ModelConfig, params: &Parameters) {
+    for n in [config.num_entities, config.num_relations, config.dim] {
+        buf.extend_from_slice(&(n as u64).to_le_bytes());
     }
+    buf.push(params.num_tables() as u8);
+    for table in params.tables() {
+        buf.extend_from_slice(&(table.rows() as u64).to_le_bytes());
+        buf.extend_from_slice(&(table.cols() as u64).to_le_bytes());
+    }
+}
+
+/// Appends every table's f32 data, little-endian, in table order.
+fn put_payload(buf: &mut Vec<u8>, params: &Parameters) {
     for table in params.tables() {
         for &v in table.data() {
-            buf.put_f32_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    let checksum = crc32(&buf);
-    buf.put_u32_le(checksum);
-    buf.freeze()
+}
+
+/// Little-endian `u64` at `at`; the caller has bounds-checked the slice.
+fn u64_at(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
 }
 
 fn corrupt(msg: impl Into<String>) -> KgError {
@@ -165,11 +179,10 @@ fn parse_header(full: &[u8]) -> Result<Header> {
             full.len()
         )));
     }
-    let mut data = &full[5..];
-    let kind_tag = data.get_u8();
+    let kind_tag = full[5];
     let kind = ModelKind::from_tag(kind_tag)
         .ok_or_else(|| corrupt(format!("unknown model kind tag {kind_tag}")))?;
-    let flags = data.get_u8();
+    let flags = full[6];
     if flags & !KNOWN_FLAGS != 0 {
         return Err(corrupt(format!("unknown flag bits {flags:#010b}")));
     }
@@ -178,10 +191,10 @@ fn parse_header(full: &[u8]) -> Result<Header> {
             "distance flag set on non-TransE model ({kind})"
         )));
     }
-    let n = data.get_u64_le() as usize;
-    let k = data.get_u64_le() as usize;
-    let dim = data.get_u64_le() as usize;
-    let num_tables = data.get_u8() as usize;
+    let n = u64_at(full, 7) as usize;
+    let k = u64_at(full, 15) as usize;
+    let dim = u64_at(full, 23) as usize;
+    let num_tables = full[31] as usize;
 
     let header_len = FIXED_HEADER_LEN + num_tables * TABLE_ENTRY_LEN;
     if full.len() < header_len {
@@ -192,9 +205,10 @@ fn parse_header(full: &[u8]) -> Result<Header> {
     }
     let mut shapes = Vec::with_capacity(num_tables);
     let mut payload_len = 0usize;
-    for _ in 0..num_tables {
-        let rows = data.get_u64_le() as usize;
-        let cols = data.get_u64_le() as usize;
+    for entry in 0..num_tables {
+        let at = FIXED_HEADER_LEN + entry * TABLE_ENTRY_LEN;
+        let rows = u64_at(full, at) as usize;
+        let cols = u64_at(full, at + 8) as usize;
         let cells = rows
             .checked_mul(cols)
             .and_then(|c| c.checked_mul(4))
@@ -229,7 +243,7 @@ fn parse_header(full: &[u8]) -> Result<Header> {
 
 /// Builds the model described by `header` and fills its tables from
 /// `payload` (exactly the f32 data, already length-checked).
-fn materialize(header: &Header, mut payload: &[u8]) -> Result<Box<dyn KgeModel>> {
+fn materialize(header: &Header, payload: &[u8]) -> Result<Box<dyn KgeModel>> {
     let mut model = header.config.build(0);
     let params = model.params_mut();
     if params.num_tables() != header.shapes.len() {
@@ -240,6 +254,9 @@ fn materialize(header: &Header, mut payload: &[u8]) -> Result<Box<dyn KgeModel>>
             params.num_tables()
         )));
     }
+    let mut values = payload
+        .chunks_exact(4)
+        .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
     for (i, &(rows, cols)) in header.shapes.iter().enumerate() {
         let table = params.table_mut(i);
         if table.rows() != rows || table.cols() != cols {
@@ -249,8 +266,8 @@ fn materialize(header: &Header, mut payload: &[u8]) -> Result<Box<dyn KgeModel>>
                 table.cols()
             )));
         }
-        for v in table.data_mut() {
-            *v = payload.get_f32_le();
+        for (v, stored) in table.data_mut().iter_mut().zip(&mut values) {
+            *v = stored;
         }
     }
     Ok(model)
@@ -380,26 +397,11 @@ mod tests {
 
     /// Writes v1 bytes (the legacy format) for compatibility tests.
     fn save_v1(model: &dyn KgeModel, flags: u8) -> Vec<u8> {
-        let params = model.params();
-        let mut buf = BytesMut::with_capacity(1024);
-        buf.put_slice(MAGIC);
-        buf.put_u8(1);
-        buf.put_u8(model.kind().tag());
-        buf.put_u8(flags);
-        buf.put_u64_le(model.num_entities() as u64);
-        buf.put_u64_le(model.num_relations() as u64);
-        buf.put_u64_le(model.dim() as u64);
-        buf.put_u8(params.num_tables() as u8);
-        for table in params.tables() {
-            buf.put_u64_le(table.rows() as u64);
-            buf.put_u64_le(table.cols() as u64);
-        }
-        for table in params.tables() {
-            for &v in table.data() {
-                buf.put_f32_le(v);
-            }
-        }
-        buf.to_vec()
+        let mut buf = MAGIC.to_vec();
+        buf.extend_from_slice(&[1, model.kind().tag(), flags]);
+        put_header_tail(&mut buf, &model.config(), model.params());
+        put_payload(&mut buf, model.params());
+        buf
     }
 
     #[test]
@@ -456,7 +458,7 @@ mod tests {
     #[test]
     fn trailing_garbage_is_rejected() {
         let model = new_model(ModelKind::ComplEx, 3, 1, 8, 0);
-        let mut bytes = save_model(model.as_ref()).to_vec();
+        let mut bytes = save_model(model.as_ref());
         bytes.push(0);
         let err = load_model(&bytes).err().expect("trailing garbage accepted");
         assert!(err.to_string().contains("trailing"), "{err}");
@@ -467,7 +469,7 @@ mod tests {
         let model = new_model(ModelKind::DistMult, 3, 1, 8, 7);
         let bytes = save_model(model.as_ref());
         for i in 0..bytes.len() {
-            let mut corrupt = bytes.to_vec();
+            let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
             assert!(
                 load_model(&corrupt).is_err(),
@@ -479,7 +481,7 @@ mod tests {
     #[test]
     fn unsupported_version_is_typed() {
         let model = new_model(ModelKind::DistMult, 3, 1, 8, 0);
-        let mut bytes = save_model(model.as_ref()).to_vec();
+        let mut bytes = save_model(model.as_ref());
         bytes[4] = 9;
         assert!(matches!(
             load_model(&bytes),
@@ -514,7 +516,7 @@ mod tests {
     #[test]
     fn unknown_flag_bits_are_rejected() {
         let model = TransE::new(4, 2, 8, Distance::L2, 1);
-        let mut bytes = save_model(&model).to_vec();
+        let mut bytes = save_model(&model);
         bytes[6] |= 0b1000_0000;
         // Fix up the footer so only the flag check can reject it.
         let crc = crc32(&bytes[..bytes.len() - 4]);

@@ -94,7 +94,7 @@ fn main() {
     }
     let server = serve_metrics.map(|addr| {
         kgfd_obs::set_phase("repro:start");
-        match kgfd_obs::MetricsServer::start(&addr) {
+        match kgfd_serve::MetricsServer::start(&addr) {
             Ok(server) => {
                 if !quiet {
                     eprintln!("serving metrics on http://{}", server.local_addr());

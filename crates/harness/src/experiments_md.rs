@@ -455,6 +455,7 @@ mod tests {
             kgfd_embed::ModelKind::TransE,
             kgfd_embed::ModelKind::DistMult,
         ];
+        let _log = crate::recovery_log_lock();
         let grid = run_grid(Scale::Mini, &grid_options);
         let sweep = run_sweep(Scale::Mini, &SweepOptions::for_scale(Scale::Mini));
         let md = render(Scale::Mini, &grid, &sweep);

@@ -238,6 +238,7 @@ mod tests {
         options.datasets = vec![DatasetRef::Wn18rr];
         options.models = vec![ModelKind::DistMult];
         options.strategies = vec![StrategyKind::UniformRandom, StrategyKind::EntityFrequency];
+        let _log = crate::recovery_log_lock();
         let results = run_grid(Scale::Mini, &options);
         assert_eq!(results.cells.len(), 2);
         for cell in &results.cells {

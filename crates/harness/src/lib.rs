@@ -23,6 +23,16 @@ mod output;
 mod sweep;
 mod zoo;
 
+/// Serializes the unit tests that write or drain the process-wide recovery
+/// log: the zoo's eviction tests, and every grid or sweep run, whose cell
+/// manifests drain it.
+#[cfg(test)]
+fn recovery_log_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use experiment::{paper_grid, DatasetRef, GridPoint, Scale};
 pub use experiments_md::render as render_experiments_md;
 pub use grid::{run_grid, GridCell, GridOptions, GridResults};

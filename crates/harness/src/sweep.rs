@@ -217,6 +217,7 @@ mod tests {
             train_threads: 1,
             ..SweepOptions::for_scale(Scale::Mini)
         };
+        let _log = crate::recovery_log_lock();
         let results = run_sweep(Scale::Mini, &options);
         assert_eq!(results.cells.len(), 4);
         assert!(results.at(StrategyKind::UniformRandom, 10, 5).is_some());
@@ -234,6 +235,7 @@ mod tests {
             train_threads: 1,
             ..SweepOptions::for_scale(Scale::Mini)
         };
+        let _log = crate::recovery_log_lock();
         let results = run_sweep(Scale::Mini, &options);
         let small = results
             .at(StrategyKind::ClusteringTriangles, 10, 1_000_000)

@@ -307,6 +307,7 @@ mod tests {
 
     #[test]
     fn corrupt_cache_entry_is_evicted_retrained_and_rewritten() {
+        let _log = crate::recovery_log_lock();
         let dataset = DatasetRef::Yago310;
         let data = dataset.load(Scale::Mini);
         let path = cache_path(dataset, ModelKind::ComplEx, Scale::Mini);
@@ -337,6 +338,7 @@ mod tests {
 
     #[test]
     fn shape_mismatched_cache_entry_is_evicted() {
+        let _log = crate::recovery_log_lock();
         let dataset = DatasetRef::CodexL;
         let data = dataset.load(Scale::Mini);
         let path = cache_path(dataset, ModelKind::DistMult, Scale::Mini);
@@ -356,6 +358,7 @@ mod tests {
     /// checkpoints away.
     #[test]
     fn zoo_resumes_a_half_finished_training_run() {
+        let _log = crate::recovery_log_lock();
         let dataset = DatasetRef::Yago310;
         let data = dataset.load(Scale::Mini);
         let kind = ModelKind::DistMult;

@@ -21,9 +21,10 @@
 //! [`Span::child_for_thread`] / [`SpanHandle::enter`]), finished spans land
 //! in a lock-free process [`TraceCollector`] (opt-in via
 //! [`enable_tracing`]), the tree exports as Chrome trace-event JSON and
-//! collapsed-stack flamegraph text ([`export`]), and a dependency-free
-//! [`MetricsServer`] serves live `/metrics` (Prometheus), `/healthz`, and
-//! `/trace` endpoints.
+//! collapsed-stack flamegraph text ([`export`]). The live endpoint that
+//! serves them over HTTP lives in `kgfd-serve`; this crate supplies its
+//! content: [`prometheus_text`], [`current_phase`], and
+//! [`top_spans_json`].
 //!
 //! Metric and span names follow `<crate>.<phase>.<name>`, e.g.
 //! `embed.train.epoch_loss` or `discover.generation.duration_us`.
@@ -43,7 +44,6 @@ pub mod export;
 mod manifest;
 mod metrics;
 mod observer;
-mod serve;
 mod span;
 mod trace;
 
@@ -53,15 +53,14 @@ pub use export::{
 };
 pub use manifest::{DatasetShape, PoolPhase, PoolSummary, RunManifest};
 pub use metrics::{
-    counter, gauge, histogram, registry, Counter, Gauge, Histogram, HistogramSummary,
-    MetricsSnapshot, Registry,
+    counter, gauge, histogram, prometheus_text, registry, Counter, Gauge, Histogram,
+    HistogramSummary, MetricsSnapshot, Registry,
 };
 pub use observer::{
-    clock_us, drain_recoveries, emit, error, info, metric, observer, progress, record_recovery,
-    run_id, scoped, set_observer, warn, Fanout, JsonlSink, NullObserver, Observer, ScopedObserver,
-    StderrProgress,
+    clock_us, current_phase, drain_recoveries, emit, error, info, metric, observer, progress,
+    record_recovery, run_id, scoped, set_observer, set_phase, warn, Fanout, JsonlSink,
+    NullObserver, Observer, ScopedObserver, StderrProgress,
 };
-pub use serve::{current_phase, prometheus_text, set_phase, MetricsServer};
 pub use span::{emit_span_aggregate, Span};
 pub use trace::{
     collector, current_span, current_span_handle, disable as disable_tracing,

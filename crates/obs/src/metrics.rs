@@ -1,4 +1,5 @@
-//! Global metrics registry: counters, gauges, and log-bucketed histograms.
+//! Global metrics registry: counters, gauges, and log-bucketed histograms,
+//! plus their Prometheus text rendering ([`prometheus_text`]).
 //!
 //! All hot-path operations (`inc`, `set`, `record`) are lock-free atomics;
 //! the registry lock is taken only on first use of a metric name and when
@@ -7,10 +8,9 @@
 //! covering 2⁻¹⁶ .. 2⁴⁸ — sub-microsecond to multi-day when recording
 //! microseconds.
 
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Sub-buckets per power of two.
 const SUBDIV: usize = 16;
@@ -227,49 +227,50 @@ pub struct Registry {
     histograms: RwLock<HashMap<String, Arc<Histogram>>>,
 }
 
+/// Read access to one metric map. A panic while holding a registry lock
+/// cannot leave a map half-updated (every write is one `entry` or `clear`),
+/// so poisoning is recovered.
+fn read<T>(map: &RwLock<HashMap<String, Arc<T>>>) -> RwLockReadGuard<'_, HashMap<String, Arc<T>>> {
+    map.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The metric named `name` in `map`, created on first use.
+fn get_or_create<T: Default>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    if let Some(m) = read(map).get(name) {
+        return Arc::clone(m);
+    }
+    let mut map = map.write().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(name.to_string()).or_default())
+}
+
 impl Registry {
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
-            return Arc::clone(c);
-        }
-        Arc::clone(self.counters.write().entry(name.to_string()).or_default())
+        get_or_create(&self.counters, name)
     }
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
-            return Arc::clone(g);
-        }
-        Arc::clone(self.gauges.write().entry(name.to_string()).or_default())
+        get_or_create(&self.gauges, name)
     }
 
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
-            return Arc::clone(h);
-        }
-        Arc::clone(self.histograms.write().entry(name.to_string()).or_default())
+        get_or_create(&self.histograms, name)
     }
 
     /// Serializable snapshot of every registered metric, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
+            counters: read(&self.counters)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
+            gauges: read(&self.gauges)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .read()
+            histograms: read(&self.histograms)
                 .iter()
                 .map(|(k, v)| (k.clone(), v.summary()))
                 .collect(),
@@ -278,9 +279,12 @@ impl Registry {
 
     /// Drops every registered metric (test isolation).
     pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
+        fn clear<T>(map: &RwLock<HashMap<String, Arc<T>>>) {
+            map.write().unwrap_or_else(PoisonError::into_inner).clear();
+        }
+        clear(&self.counters);
+        clear(&self.gauges);
+        clear(&self.histograms);
     }
 }
 
@@ -315,6 +319,69 @@ pub fn gauge(name: &str) -> Arc<Gauge> {
 /// Shorthand for `registry().histogram(name)`.
 pub fn histogram(name: &str) -> Arc<Histogram> {
     registry().histogram(name)
+}
+
+/// Maps a metric name onto the Prometheus identifier charset
+/// (`[a-zA-Z0-9_:]`); everything else — notably the `.` separators of the
+/// `<crate>.<phase>.<name>` convention — becomes `_`.
+fn prometheus_name(name: &str) -> String {
+    name.chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
+                c
+            } else {
+                '_'
+            }
+        })
+        .collect()
+}
+
+fn format_value(v: f64) -> String {
+    if v.is_nan() {
+        "NaN".to_string()
+    } else if v == f64::INFINITY {
+        "+Inf".to_string()
+    } else if v == f64::NEG_INFINITY {
+        "-Inf".to_string()
+    } else {
+        format!("{v}")
+    }
+}
+
+/// Renders the whole registry as Prometheus text exposition format. Output
+/// order is deterministic: counters, then gauges, then histograms, each
+/// sorted by name (the registry snapshot is BTreeMap-backed).
+pub fn prometheus_text() -> String {
+    let reg = registry();
+    let snap = reg.snapshot();
+    let mut out = String::new();
+    for (name, value) in &snap.counters {
+        let n = prometheus_name(name);
+        out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
+    }
+    for (name, value) in &snap.gauges {
+        let n = prometheus_name(name);
+        out.push_str(&format!("# TYPE {n} gauge\n{n} {}\n", format_value(*value)));
+    }
+    for name in snap.histograms.keys() {
+        let n = prometheus_name(name);
+        out.push_str(&format!("# TYPE {n} histogram\n"));
+        // Buckets come from the live histogram (the snapshot carries only
+        // the quantile summary). The histogram may have gained samples
+        // since the snapshot; `_count`/`_sum` are re-read alongside the
+        // buckets so the series stays self-consistent.
+        let h = reg.histogram(name);
+        for (le, cumulative) in h.cumulative_buckets() {
+            out.push_str(&format!(
+                "{n}_bucket{{le=\"{}\"}} {cumulative}\n",
+                format_value(le)
+            ));
+        }
+        out.push_str(&format!("{n}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+        out.push_str(&format!("{n}_sum {}\n", format_value(h.sum())));
+        out.push_str(&format!("{n}_count {}\n", h.count()));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -2,11 +2,10 @@
 //! (run id, monotonic clock, current observer).
 
 use crate::event::{Event, Level, Payload};
-use parking_lot::{Mutex, RwLock};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant, SystemTime};
 
 /// A consumer of pipeline [`Event`]s.
@@ -62,7 +61,7 @@ impl StderrProgress {
 
     /// True when a rate-limited line may be printed now.
     fn admit(&self) -> bool {
-        let mut last = self.last.lock();
+        let mut last = self.last.lock().unwrap_or_else(PoisonError::into_inner);
         match *last {
             Some(t) if t.elapsed() < self.interval => false,
             _ => {
@@ -176,7 +175,7 @@ impl JsonlSink {
 impl Observer for JsonlSink {
     fn event(&self, event: &Event) {
         if let Ok(line) = serde_json::to_string(event) {
-            let mut out = self.out.lock();
+            let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
             if let Err(err) = writeln!(out, "{line}").and_then(|()| out.flush()) {
                 self.note_failure(&err);
             }
@@ -184,7 +183,8 @@ impl Observer for JsonlSink {
     }
 
     fn flush(&self) {
-        if let Err(err) = self.out.lock().flush() {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Err(err) = out.flush() {
             self.note_failure(&err);
         }
     }
@@ -234,6 +234,7 @@ fn default_observer() -> Arc<dyn Observer> {
 pub fn observer() -> Arc<dyn Observer> {
     OBSERVER
         .read()
+        .unwrap_or_else(PoisonError::into_inner)
         .as_ref()
         .map(Arc::clone)
         .unwrap_or_else(default_observer)
@@ -241,7 +242,11 @@ pub fn observer() -> Arc<dyn Observer> {
 
 /// Installs `o` as the process observer, returning the previous one.
 pub fn set_observer(o: Arc<dyn Observer>) -> Arc<dyn Observer> {
-    OBSERVER.write().replace(o).unwrap_or_else(default_observer)
+    OBSERVER
+        .write()
+        .unwrap_or_else(PoisonError::into_inner)
+        .replace(o)
+        .unwrap_or_else(default_observer)
 }
 
 /// Installs `o` until the returned guard drops, then restores the previous
@@ -293,14 +298,31 @@ static RECOVERIES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Appends one recovery action to the process-wide recovery log.
 pub fn record_recovery(text: impl Into<String>) {
-    RECOVERIES.lock().push(text.into());
+    RECOVERIES
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(text.into());
 }
 
 /// Takes (and clears) the recovery log. Called by
 /// [`crate::RunManifest::emit`]; each recovery appears in exactly one
 /// manifest.
 pub fn drain_recoveries() -> Vec<String> {
-    std::mem::take(&mut *RECOVERIES.lock())
+    std::mem::take(&mut *RECOVERIES.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// The pipeline phase reported by the live `/healthz` endpoint.
+static PHASE: Mutex<Option<String>> = Mutex::new(None);
+
+/// Declares the pipeline phase reported by `GET /healthz` (e.g.
+/// `"train"`, `"discover"`, `"grid:cell lcwa_uniform/transe"`).
+pub fn set_phase(phase: impl Into<String>) {
+    *PHASE.lock().unwrap_or_else(PoisonError::into_inner) = Some(phase.into());
+}
+
+/// The phase last declared with [`set_phase`], if any.
+pub fn current_phase() -> Option<String> {
+    PHASE.lock().unwrap_or_else(PoisonError::into_inner).clone()
 }
 
 /// Wraps `payload` in an [`Event`] (run id + timestamp) and delivers it to

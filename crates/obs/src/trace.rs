@@ -4,7 +4,7 @@
 //! Every [`crate::Span`] carries a process-unique [`SpanId`] and a
 //! `parent` id taken from the top of a **thread-local span stack** at
 //! creation time, so spans opened while another span is live nest under it
-//! with no explicit plumbing. Work dispatched to other threads (crossbeam
+//! with no explicit plumbing. Work dispatched to other threads (pool
 //! training workers, `BatchRanker` query-group workers) re-establishes the
 //! link with an explicit handoff: the dispatching side captures a
 //! [`SpanHandle`] (`Copy + Send`) and the worker either enters it
@@ -20,6 +20,7 @@
 use crate::event::Field;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Process-unique identifier of one span. Ids are never reused; `0` is
 /// reserved (no valid span has it).
@@ -162,7 +163,7 @@ pub struct TraceCollector {
     /// Serializes the cold readers ([`TraceCollector::drain`] frees nodes,
     /// [`TraceCollector::snapshot`] walks them) against each other. `record`
     /// never takes it.
-    reader_lock: parking_lot::Mutex<()>,
+    reader_lock: Mutex<()>,
 }
 
 impl Default for TraceCollector {
@@ -171,7 +172,7 @@ impl Default for TraceCollector {
             head: AtomicPtr::new(std::ptr::null_mut()),
             len: AtomicUsize::new(0),
             enabled: AtomicBool::new(false),
-            reader_lock: parking_lot::Mutex::new(()),
+            reader_lock: Mutex::new(()),
         }
     }
 }
@@ -226,7 +227,10 @@ impl TraceCollector {
     /// creation order, so the result is sorted by id for determinism even
     /// when threads interleaved their pushes).
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let _readers = self.reader_lock.lock();
+        let _readers = self
+            .reader_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut head = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
         let mut records = Vec::new();
         while !head.is_null() {
@@ -245,7 +249,10 @@ impl TraceCollector {
     /// first. Used by the live `/trace` endpoint, which must not steal the
     /// records from the end-of-run export.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let _readers = self.reader_lock.lock();
+        let _readers = self
+            .reader_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut records = Vec::new();
         let mut head = self.head.load(Ordering::Acquire);
         while !head.is_null() {

@@ -4,28 +4,30 @@
 use kgfd_obs::{
     registry, scoped, span, DatasetShape, Event, Field, JsonlSink, Level, Payload, RunManifest,
 };
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Tests that install a process observer must not interleave.
 static OBSERVER_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    OBSERVER_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn counters_are_atomic_under_concurrent_writers() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
     let before = registry().counter("test.atomic.hits").get();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..THREADS {
-            s.spawn(|_| {
+            s.spawn(|| {
                 let c = registry().counter("test.atomic.hits");
                 for _ in 0..PER_THREAD {
                     c.inc();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let after = registry().counter("test.atomic.hits").get();
     assert_eq!(after - before, THREADS as u64 * PER_THREAD);
 }
@@ -36,17 +38,16 @@ fn histograms_are_consistent_under_concurrent_writers() {
     const PER_THREAD: usize = 5_000;
     let h = registry().histogram("test.atomic.latency");
     let before = h.count();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let h = Arc::clone(&h);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..PER_THREAD {
                     h.record((t * PER_THREAD + i + 1) as f64);
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(h.count() - before, (THREADS * PER_THREAD) as u64);
     let expected: f64 = (1..=THREADS * PER_THREAD).map(|v| v as f64).sum();
     assert!((h.sum() - expected).abs() < 1e-6 * expected);
@@ -54,7 +55,7 @@ fn histograms_are_consistent_under_concurrent_writers() {
 
 #[test]
 fn jsonl_sink_lines_round_trip_through_the_event_schema() {
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("kgfd-obs-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("roundtrip.jsonl");
@@ -157,7 +158,7 @@ fn failing_sink_writes_do_not_panic_and_surface_a_recovery() {
         eprintln!("skipping: /dev/full not available on this platform");
         return;
     }
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
     // Clear any recoveries left over from other tests in this process.
     let _ = kgfd_obs::drain_recoveries();
     {
@@ -186,7 +187,7 @@ fn fanout_keeps_delivering_past_a_failing_sink() {
         eprintln!("skipping: /dev/full not available on this platform");
         return;
     }
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
     let _ = kgfd_obs::drain_recoveries();
     let dir = std::env::temp_dir().join(format!("kgfd-obs-fanout-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -210,7 +211,7 @@ fn fanout_keeps_delivering_past_a_failing_sink() {
 
 #[test]
 fn dropping_a_sink_leaves_no_truncated_final_line() {
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("kgfd-obs-dropflush-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("dropflush.jsonl");
@@ -238,7 +239,7 @@ fn dropping_a_sink_leaves_no_truncated_final_line() {
 
 #[test]
 fn spans_feed_duration_histograms() {
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
     let _guard = scoped(Arc::new(kgfd_obs::NullObserver));
     let before = registry().histogram("test.span.duration_us").count();
     {
@@ -259,7 +260,7 @@ fn spans_feed_duration_histograms() {
 
 #[test]
 fn scoped_observer_restores_the_previous_observer() {
-    let _serial = OBSERVER_LOCK.lock();
+    let _serial = serial();
 
     struct CountingObserver(std::sync::atomic::AtomicUsize);
     impl kgfd_obs::Observer for CountingObserver {

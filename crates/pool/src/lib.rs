@@ -1,10 +1,10 @@
 //! `kgfd-pool` — the process-wide deterministic worker pool.
 //!
 //! Every hot path in this workspace fans work out to a fixed number of
-//! workers and reduces the results in a fixed order. Before this crate each
-//! fan-out paid OS-thread spawn/join costs on *every call* (the vendored
-//! `crossbeam::thread::scope` is `std::thread::scope` underneath): once per
-//! mini-batch in training, once per ranking pass, once per discovery run.
+//! workers and reduces the results in a fixed order. A scoped-thread
+//! fan-out (`std::thread::scope`) pays OS-thread spawn/join costs on *every
+//! call*: once per mini-batch in training, once per ranking pass, once per
+//! discovery run.
 //! The pool here is spawned **once** for the whole process and hands out
 //! persistent workers instead.
 //!
@@ -475,7 +475,7 @@ impl<'env> PoolScope<'env> {
 /// Runs `f` with a [`PoolScope`] through which borrowing jobs can be
 /// dispatched to the persistent pool. Every spawned job completes before
 /// this returns; a panic in an unjoined job is resumed here (matching
-/// `crossbeam::thread::scope(...).expect(...)` semantics).
+/// `std::thread::scope` semantics).
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: FnOnce(&PoolScope<'env>) -> R,

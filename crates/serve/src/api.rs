@@ -41,18 +41,24 @@ impl ApiError {
 /// a stable machine-readable tag; `detail` is for humans.
 pub fn error_body(err: &ApiError) -> Vec<u8> {
     let (tag, detail) = match err {
-        ApiError::BadRequest(d) => ("bad_request", d.clone()),
-        ApiError::UnknownModel(d) => ("unknown_model", d.clone()),
+        ApiError::BadRequest(d) => ("bad_request", d.as_str()),
+        ApiError::UnknownModel(d) => ("unknown_model", d.as_str()),
         ApiError::DeadlineExceeded => (
             "deadline_exceeded",
-            "the request deadline expired before the answer was ready".to_string(),
+            "the request deadline expired before the answer was ready",
         ),
-        ApiError::Internal(d) => ("internal", d.clone()),
+        ApiError::Internal(d) => ("internal", d.as_str()),
     };
+    error_json(tag, detail)
+}
+
+/// Renders `{"error": tag, "detail": detail}`, the body of every refusal.
+pub(crate) fn error_json(tag: &str, detail: &str) -> Vec<u8> {
     render(&json!({"error": tag, "detail": detail}))
 }
 
-fn render(v: &Value) -> Vec<u8> {
+/// Renders one JSON response body: compact, newline-terminated.
+pub(crate) fn render(v: &Value) -> Vec<u8> {
     let mut bytes = serde_json::to_string(v)
         .expect("response values contain no non-serializable data")
         .into_bytes();

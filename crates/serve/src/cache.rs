@@ -16,9 +16,8 @@
 //! independent of any ambient `RandomState`.
 
 use fxhash::FxBuildHasher;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a hit replays: the status is always 200 (only successful answers
 /// are cached), so just the body bytes.
@@ -65,7 +64,7 @@ impl ResponseCache {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let found = inner
@@ -94,7 +93,7 @@ impl ResponseCache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         if inner.map.len() >= self.capacity
@@ -123,12 +122,18 @@ impl ResponseCache {
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The cache state. Every update leaves the map consistent (a panic
+    /// can at worst skip a recency tick), so poisoning is recovered.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Minimal HTTP/1.1 request parsing and response writing over raw
-//! `TcpStream`s — the same dependency-free approach as
-//! `kgfd_obs::MetricsServer`, extended with request bodies.
+//! `TcpStream`s: the workspace's one request-head parser and one response
+//! writer, shared by [`crate::Server`] and [`crate::MetricsServer`].
 //!
 //! The split matters for the acceptor/worker design: the acceptor reads
 //! only the *head* (request line + headers, bounded), which is enough to
@@ -11,10 +11,20 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
+
+/// How long a peer may take to deliver request head or body segments, or
+/// to accept the response.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Cap on the request line + headers; a peer that cannot finish its
 /// headers in this budget is malformed.
 const MAX_HEAD_BYTES: usize = 8192;
+
+/// `Content-Type` of JSON responses.
+pub const JSON: &str = "application/json";
+/// `Content-Type` of the Prometheus text exposition format.
+pub const PROMETHEUS_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// The routed portion of a request: everything before the body.
 #[derive(Debug)]
@@ -29,10 +39,20 @@ pub struct RequestHead {
     pub body_prefix: Vec<u8>,
 }
 
-/// Reads the head of one request. Returns `None` for connections that
-/// close or misbehave before completing their headers (probes, port
-/// scanners) — those are dropped without a response.
-pub fn read_head(stream: &mut TcpStream) -> Option<RequestHead> {
+/// Why [`read_head`] produced no request.
+#[derive(Debug, PartialEq, Eq)]
+pub enum HeadError {
+    /// The peer closed or stalled before completing its headers, or sent
+    /// no request line (probes, port scanners): drop without a response.
+    Incomplete,
+    /// `Content-Length` is not one plain decimal `usize` (non-numeric,
+    /// signed, overflowing, or repeated with different values): answer
+    /// `400`, since the body's extent is unknown.
+    BadContentLength,
+}
+
+/// Reads the head of one request.
+pub fn read_head(stream: &mut TcpStream) -> Result<RequestHead, HeadError> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     let header_end = loop {
@@ -40,31 +60,43 @@ pub fn read_head(stream: &mut TcpStream) -> Option<RequestHead> {
             break pos;
         }
         if buf.len() >= MAX_HEAD_BYTES {
-            return None;
+            return Err(HeadError::Incomplete);
         }
         match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
+            Ok(0) | Err(_) => return Err(HeadError::Incomplete),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
         }
     };
     let head_text = String::from_utf8_lossy(&buf[..header_end]).into_owned();
     let mut lines = head_text.lines();
-    let request_line = lines.next()?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next()?.to_ascii_uppercase();
-    let path = parts.next()?.to_string();
-    let content_length = lines
-        .filter_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .next()
-        .unwrap_or(0);
-    Some(RequestHead {
-        method,
-        path,
-        content_length,
+    let mut request_line = lines.next().unwrap_or("").split_whitespace();
+    let (Some(method), Some(path)) = (request_line.next(), request_line.next()) else {
+        return Err(HeadError::Incomplete);
+    };
+    let mut content_length = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            continue;
+        };
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        let parsed = value
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| value.parse::<usize>().ok())
+            .flatten()
+            .ok_or(HeadError::BadContentLength)?;
+        if content_length.is_some_and(|seen| seen != parsed) {
+            return Err(HeadError::BadContentLength);
+        }
+        content_length = Some(parsed);
+    }
+    Ok(RequestHead {
+        method: method.to_ascii_uppercase(),
+        path: path.to_string(),
+        content_length: content_length.unwrap_or(0),
         body_prefix: buf[header_end + 4..].to_vec(),
     })
 }
@@ -92,15 +124,33 @@ pub fn read_body(stream: &mut TcpStream, head: &RequestHead) -> Option<Vec<u8>> 
     (body.len() == head.content_length).then_some(body)
 }
 
-/// Reads and discards up to `limit` bytes of an unread request body.
+/// Cap on how much of a refused request's body is drained before closing.
+const REFUSAL_DRAIN_BYTES: usize = 64 * 1024;
+
+/// Reads and discards the body of a request that is refused without being
+/// read (bounded, under the stream's read timeout).
 ///
-/// Refusal paths (shed, oversized, draining, expired) answer without ever
-/// reading the body — but closing a socket with unread data in its receive
-/// buffer makes the kernel send RST, which can destroy the refusal
-/// response before the peer reads it. Draining first (bounded, under the
-/// stream's read timeout) lets the peer finish its upload and then read
-/// the refusal cleanly.
-pub fn discard_body(stream: &mut TcpStream, limit: usize) {
+/// Refusal paths (shed, oversized, draining, expired, unroutable) answer
+/// without ever reading the body — but closing a socket with unread data in
+/// its receive buffer makes the kernel send RST, which can destroy the
+/// refusal response before the peer reads it. Draining first lets the peer
+/// finish its upload and then read the refusal cleanly.
+pub fn discard_unread(stream: &mut TcpStream, head: &RequestHead) {
+    let unread = head.content_length.saturating_sub(head.body_prefix.len());
+    discard(stream, unread.min(REFUSAL_DRAIN_BYTES));
+}
+
+/// Reads and discards whatever the peer has already sent (bounded) without
+/// waiting for more: the drain for a refused request whose body length is
+/// unknown ([`HeadError::BadContentLength`]).
+pub fn discard_buffered(stream: &mut TcpStream) {
+    if stream.set_nonblocking(true).is_ok() {
+        discard(stream, REFUSAL_DRAIN_BYTES);
+        let _ = stream.set_nonblocking(false);
+    }
+}
+
+fn discard(stream: &mut TcpStream, limit: usize) {
     let mut remaining = limit;
     let mut chunk = [0u8; 4096];
     while remaining > 0 {
@@ -142,37 +192,29 @@ impl Status {
     }
 }
 
-/// Writes one complete response and flushes it. Errors are swallowed: a
-/// peer that hung up mid-response is its own problem, not the server's.
+/// Writes one complete response (head and body in a single write) and
+/// flushes it. Errors are swallowed: a peer that hung up mid-response is
+/// its own problem, not the server's.
 pub fn respond(
     stream: &mut TcpStream,
     status: Status,
+    content_type: &str,
     extra_headers: &[(&str, String)],
     body: &[u8],
 ) {
-    let mut headers = String::new();
-    for (name, value) in extra_headers {
-        headers.push_str(&format!("{name}: {value}\r\n"));
-    }
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n",
+    let mut head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n",
         status.0,
         status.reason(),
         body.len(),
     );
-    let _ = stream.write_all(body);
-    let _ = stream.flush();
-}
-
-/// Writes a Prometheus-text response (the one non-JSON route).
-pub fn respond_text(stream: &mut TcpStream, body: &str) {
-    let _ = write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    let _ = stream.flush();
+    for (name, value) in extra_headers {
+        head.push_str(&format!("{name}: {value}\r\n"));
+    }
+    head.push_str("Connection: close\r\n\r\n");
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    let _ = stream.write_all(&response).and_then(|()| stream.flush());
 }
 
 #[cfg(test)]
@@ -180,7 +222,7 @@ mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
 
-    fn roundtrip(request: &[u8]) -> Option<RequestHead> {
+    fn roundtrip(request: &[u8]) -> Result<RequestHead, HeadError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
@@ -208,8 +250,53 @@ mod tests {
 
     #[test]
     fn garbage_head_is_dropped() {
-        assert!(roundtrip(b"\r\n\r\n").is_none());
-        assert!(roundtrip(b"no newline ever").is_none());
+        assert_eq!(roundtrip(b"\r\n\r\n").unwrap_err(), HeadError::Incomplete);
+        assert_eq!(
+            roundtrip(b"no newline ever").unwrap_err(),
+            HeadError::Incomplete
+        );
+    }
+
+    fn content_length(values: &[&str]) -> Result<usize, HeadError> {
+        let mut request = String::from("POST /v1/score HTTP/1.1\r\n");
+        for v in values {
+            request.push_str(&format!("Content-Length: {v}\r\n"));
+        }
+        request.push_str("\r\n");
+        roundtrip(request.as_bytes()).map(|head| head.content_length)
+    }
+
+    #[test]
+    fn overflowing_content_length_is_rejected() {
+        assert_eq!(
+            content_length(&["99999999999999999999999"]),
+            Err(HeadError::BadContentLength)
+        );
+    }
+
+    #[test]
+    fn non_numeric_content_length_is_rejected() {
+        assert_eq!(content_length(&["abc"]), Err(HeadError::BadContentLength));
+        assert_eq!(content_length(&[""]), Err(HeadError::BadContentLength));
+        assert_eq!(content_length(&["5 5"]), Err(HeadError::BadContentLength));
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected() {
+        // `usize::from_str` would accept the `+`; HTTP does not.
+        assert_eq!(content_length(&["+5"]), Err(HeadError::BadContentLength));
+        assert_eq!(content_length(&["-5"]), Err(HeadError::BadContentLength));
+    }
+
+    #[test]
+    fn conflicting_duplicate_content_lengths_are_rejected() {
+        assert_eq!(
+            content_length(&["5", "6"]),
+            Err(HeadError::BadContentLength)
+        );
+        // Identical repeats name one length and stay acceptable.
+        assert_eq!(content_length(&["5", "5"]), Ok(5));
+        assert_eq!(content_length(&[]), Ok(0));
     }
 
     #[test]

@@ -18,7 +18,13 @@
 //! | `POST /v1/reload`  | Hot-reload a model from its file                |
 //! | `GET /healthz`     | Liveness (served inline, never queued)          |
 //! | `GET /metrics`     | Prometheus text of the obs registry             |
+//! | `GET /trace`       | Top spans by self time from the live collector  |
 //! | `GET /v1/models`   | Loaded models with kind/dim/generation          |
+//!
+//! The three observability `GET` routes are also what [`MetricsServer`]
+//! serves on its own port for `kgfd --serve-metrics` and
+//! `repro --serve-metrics`; both listeners share one route function and
+//! the one HTTP parser and writer in [`http`].
 //!
 //! The architecture (bounded queue, `429` load shedding, per-request
 //! deadlines, seeded response cache, graceful drain) is documented on
@@ -32,11 +38,13 @@
 pub mod api;
 pub mod cache;
 pub mod http;
+mod metrics;
 pub mod registry;
 pub mod server;
 pub mod signal;
 
 pub use cache::ResponseCache;
+pub use metrics::MetricsServer;
 pub use registry::{GraphContext, ModelEntry, ModelRegistry};
 pub use server::{ServeConfig, ServeStats, Server};
 pub use signal::{install_termination_handler, request_termination, termination_requested};

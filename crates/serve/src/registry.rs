@@ -16,11 +16,10 @@
 
 use kgfd_embed::{read_model_file, KgeModel};
 use kgfd_kg::{KgError, KnownTriples, TripleStore, Vocabulary};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// The graph every request is interpreted against.
 pub struct GraphContext {
@@ -103,7 +102,10 @@ impl ModelRegistry {
             generation,
             model,
         });
-        self.models.write().insert(name.to_string(), entry);
+        self.models
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(name.to_string(), entry);
         kgfd_obs::counter("serve.model_loads").inc();
         Ok(generation)
     }
@@ -112,7 +114,6 @@ impl ModelRegistry {
     /// new generation makes every cached response for the model stale.
     pub fn reload(&self, name: &str) -> Result<u64, KgError> {
         let path = self
-            .models
             .read()
             .get(name)
             .map(|e| e.path.clone())
@@ -123,22 +124,28 @@ impl ModelRegistry {
     /// The current entry for `name`, if loaded. In-flight requests holding
     /// an older `Arc` finish against the parameters they started with.
     pub fn get(&self, name: &str) -> Option<Arc<ModelEntry>> {
-        self.models.read().get(name).cloned()
+        self.read().get(name).cloned()
     }
 
     /// Loaded model names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.models.read().keys().cloned().collect()
+        self.read().keys().cloned().collect()
     }
 
     /// Number of loaded models.
     pub fn len(&self) -> usize {
-        self.models.read().len()
+        self.read().len()
     }
 
     /// True when no model is loaded.
     pub fn is_empty(&self) -> bool {
-        self.models.read().is_empty()
+        self.read().is_empty()
+    }
+
+    /// Read access to the model table. Writers only ever insert a complete
+    /// entry, so a poisoned lock still guards a consistent map.
+    fn read(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<ModelEntry>>> {
+        self.models.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -11,11 +11,12 @@
 //!
 //! **Acceptor.** One thread owns the (non-blocking) listener. It reads only
 //! the request *head* under a short timeout, then: answers `GET` routes
-//! (`/healthz`, `/metrics`, `/v1/models`) inline — liveness never queues
-//! behind model work — and either enqueues a `POST` or sheds it with `429
-//! Retry-After` when `max_inflight` requests are already admitted.
-//! Oversized and unroutable requests are refused inline (`413` / `404`)
-//! without reading their bodies.
+//! (`/healthz`, `/metrics`, `/trace` — shared with
+//! [`crate::MetricsServer`] — and `/v1/models`) inline, so liveness never
+//! queues behind model work, and either enqueues a `POST` or sheds it with
+//! `429 Retry-After` when `max_inflight` requests are already admitted.
+//! Oversized, unroutable, and bad-`Content-Length` requests are refused
+//! inline (`413` / `404` / `400`) without being admitted.
 //!
 //! **Workers.** A fixed pool of `workers` threads pops requests, finishes
 //! the body read, and dispatches to the handlers in [`crate::api`]. Model
@@ -38,18 +39,16 @@
 
 use crate::api::{self, ApiError};
 use crate::cache::ResponseCache;
-use crate::http::{self, RequestHead, Status};
+use crate::http::{self, HeadError, RequestHead, Status};
+use crate::metrics;
 use crate::registry::ModelRegistry;
 use serde_json::json;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// How long a peer may take to deliver request head or body segments.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
 /// Acceptor poll interval while the listener has nothing to accept.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
@@ -113,7 +112,6 @@ struct Shared {
     draining: AtomicBool,
     /// Set by `shutdown` once drained: threads exit.
     stop: AtomicBool,
-    started: Instant,
 }
 
 impl Shared {
@@ -193,7 +191,6 @@ impl Server {
             inflight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            started: Instant::now(),
         });
         let mut worker_handles = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -299,28 +296,40 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 
 /// Routes one fresh connection: inline GETs, admission control for POSTs.
 fn admit(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let Some(head) = http::read_head(&mut stream) else {
-        return; // probe / malformed head: drop silently, like kgfd_obs
+    let _ = stream.set_read_timeout(Some(http::IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(http::IO_TIMEOUT));
+    let head = match http::read_head(&mut stream) {
+        Ok(head) => head,
+        // Probe / malformed head: drop silently.
+        Err(HeadError::Incomplete) => return,
+        // The body's extent is unknown, so the size check cannot run:
+        // refuse before admission.
+        Err(HeadError::BadContentLength) => {
+            kgfd_obs::counter("serve.requests").inc();
+            http::discard_buffered(&mut stream);
+            let body = metrics::bad_content_length();
+            finish(&mut stream, Status(400), &[], &body);
+            return;
+        }
     };
     kgfd_obs::counter("serve.requests").inc();
 
+    if let Some((content_type, body)) = metrics::observe_route(&head, || health(shared)) {
+        kgfd_obs::counter("serve.responses.2xx").inc();
+        http::respond(&mut stream, Status(200), content_type, &[], &body);
+        return;
+    }
     match (head.method.as_str(), head.path.as_str()) {
-        ("GET", "/healthz") => finish(&mut stream, Status(200), &[], &healthz_body(shared)),
-        ("GET", "/metrics") => {
-            kgfd_obs::counter("serve.responses.2xx").inc();
-            http::respond_text(&mut stream, &kgfd_obs::prometheus_text());
-        }
         ("GET", "/v1/models") => finish(&mut stream, Status(200), &[], &models_body(shared)),
         ("POST", path) if is_post_route(path, &shared.config) => {
             if shared.draining.load(Ordering::SeqCst) {
-                let body = render_error("draining", "server is draining; not accepting new work");
+                let body =
+                    api::error_json("draining", "server is draining; not accepting new work");
                 refuse(&mut stream, &head, Status(503), &[], &body);
                 return;
             }
             if head.content_length > shared.config.max_body_bytes {
-                let body = render_error(
+                let body = api::error_json(
                     "payload_too_large",
                     &format!(
                         "body of {} bytes exceeds the {}-byte limit",
@@ -339,7 +348,7 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
                 .is_ok();
             if !admitted {
                 kgfd_obs::counter("serve.shed").inc();
-                let body = render_error("overloaded", "max_inflight requests already admitted");
+                let body = api::error_json("overloaded", "max_inflight requests already admitted");
                 refuse(
                     &mut stream,
                     &head,
@@ -357,19 +366,19 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
                 deadline: now + Duration::from_millis(shared.config.deadline_ms),
                 admitted: now,
             };
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             queue.push_back(pending);
             kgfd_obs::gauge("serve.queue_depth").set(queue.len() as f64);
             drop(queue);
             shared.queue_cv.notify_one();
         }
-        _ => {
-            let body = render_error(
-                "not_found",
-                "routes: GET /healthz /metrics /v1/models, POST /v1/score /v1/rank /v1/discover /v1/reload",
-            );
-            refuse(&mut stream, &head, Status(404), &[], &body);
-        }
+        _ => refuse(
+            &mut stream,
+            &head,
+            Status(404),
+            &[],
+            &metrics::not_found(&head),
+        ),
     }
 }
 
@@ -383,7 +392,7 @@ fn is_post_route(path: &str, config: &ServeConfig) -> bool {
 fn worker_loop(shared: &Shared) {
     loop {
         let pending = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut queue = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if let Some(p) = queue.pop_front() {
                     kgfd_obs::gauge("serve.queue_depth").set(queue.len() as f64);
@@ -395,7 +404,7 @@ fn worker_loop(shared: &Shared) {
                 let (q, _) = shared
                     .queue_cv
                     .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
+                    .unwrap_or_else(PoisonError::into_inner);
                 queue = q;
             }
         };
@@ -431,7 +440,7 @@ fn serve_one(shared: &Shared, pending: Pending) {
         return;
     }
     let Some(body) = http::read_body(&mut stream, &head) else {
-        let body = render_error("bad_request", "request body could not be read");
+        let body = api::error_json("bad_request", "request body could not be read");
         finish(&mut stream, Status(400), &[], &body);
         return;
     };
@@ -451,7 +460,7 @@ fn serve_one(shared: &Shared, pending: Pending) {
         kgfd_obs::counter("serve.worker_panics").inc();
         (
             Status(500),
-            render_error("internal", "request handler panicked"),
+            api::error_json("internal", "request handler panicked"),
             None,
         )
     });
@@ -490,16 +499,7 @@ fn route(
             shared
                 .registry
                 .reload(name)
-                .map(|generation| {
-                    let mut bytes = serde_json::to_string(&json!({
-                        "model": name,
-                        "generation": generation,
-                    }))
-                    .expect("literal object")
-                    .into_bytes();
-                    bytes.push(b'\n');
-                    bytes
-                })
+                .map(|generation| api::render(&json!({"model": name, "generation": generation})))
                 .map_err(|e| ApiError::UnknownModel(e.to_string()))
         });
         return match result {
@@ -565,11 +565,7 @@ fn sleep_handler(request: &serde_json::Value, deadline: Instant) -> Result<Vec<u
         }
         std::thread::sleep(Duration::from_millis(5));
     }
-    let mut bytes = serde_json::to_string(&json!({"slept_ms": ms}))
-        .expect("literal object")
-        .into_bytes();
-    bytes.push(b'\n');
-    Ok(bytes)
+    Ok(api::render(&json!({"slept_ms": ms})))
 }
 
 fn status_of(err: &ApiError) -> Status {
@@ -592,14 +588,11 @@ fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-/// Writes the response and records its class counter.
+/// Writes a JSON response and records its class counter.
 fn finish(stream: &mut TcpStream, status: Status, headers: &[(&str, String)], body: &[u8]) {
     kgfd_obs::counter(&format!("serve.responses.{}", status.class())).inc();
-    http::respond(stream, status, headers, body);
+    http::respond(stream, status, http::JSON, headers, body);
 }
-
-/// Cap on how much of a refused request's body is drained before closing.
-const REFUSAL_DRAIN_BYTES: usize = 64 * 1024;
 
 /// Refuses a request whose body was never read: drains the unread bytes
 /// (bounded) so the close does not RST the response away, then answers.
@@ -610,41 +603,22 @@ fn refuse(
     headers: &[(&str, String)],
     body: &[u8],
 ) {
-    let unread = head.content_length.saturating_sub(head.body_prefix.len());
-    http::discard_body(stream, unread.min(REFUSAL_DRAIN_BYTES));
+    http::discard_unread(stream, head);
     finish(stream, status, headers, body);
 }
 
-fn render_error(tag: &str, detail: &str) -> Vec<u8> {
-    let mut bytes = serde_json::to_string(&json!({"error": tag, "detail": detail}))
-        .expect("literal object")
-        .into_bytes();
-    bytes.push(b'\n');
-    bytes
-}
-
-fn healthz_body(shared: &Shared) -> Vec<u8> {
+/// The `/healthz` status and the fields this server adds to it.
+fn health(shared: &Shared) -> (&'static str, serde_json::Value) {
     let status = if shared.draining.load(Ordering::SeqCst) {
         "draining"
     } else {
         "ok"
     };
-    let phase = match kgfd_obs::current_phase() {
-        Some(p) => serde_json::to_value(&p),
-        None => serde_json::Value::Null,
-    };
-    let mut bytes = serde_json::to_string(&json!({
-        "status": status,
-        "run": (kgfd_obs::run_id()),
-        "uptime_s": (shared.started.elapsed().as_secs_f64()),
-        "phase": phase,
+    let extra = json!({
         "inflight": (shared.inflight.load(Ordering::SeqCst) as u64),
         "models": (shared.registry.names()),
-    }))
-    .expect("literal object")
-    .into_bytes();
-    bytes.push(b'\n');
-    bytes
+    });
+    (status, extra)
 }
 
 fn models_body(shared: &Shared) -> Vec<u8> {
@@ -662,9 +636,5 @@ fn models_body(shared: &Shared) -> Vec<u8> {
             }))
         })
         .collect();
-    let mut bytes = serde_json::to_string(&json!({"models": (serde_json::Value::Array(models))}))
-        .expect("literal object")
-        .into_bytes();
-    bytes.push(b'\n');
-    bytes
+    api::render(&json!({"models": (serde_json::Value::Array(models))}))
 }

@@ -176,9 +176,15 @@ fn report_duration_schema_is_identical_between_engines() {
         "fact schema diverged"
     );
 
-    // Sequential run: the streamed phase durations must still telescope.
+    // Sequential run: preparation and the per-relation busy times lie end
+    // to end inside the wall clock.
+    let busy: std::time::Duration = streamed
+        .per_relation
+        .iter()
+        .map(|r| r.generation + r.evaluation)
+        .sum();
     assert!(
-        streamed.preparation + streamed.generation + streamed.evaluation <= streamed.total,
+        streamed.preparation + busy <= streamed.total,
         "streamed phase durations exceed the wall clock"
     );
 }

@@ -94,8 +94,6 @@ fn fixture_report() -> DiscoveryReport {
             evaluation: Duration::new(2, 0),
         }],
         preparation: Duration::from_millis(75),
-        generation: Duration::new(1, 250_000_000),
-        evaluation: Duration::new(2, 0),
         total: Duration::new(3, 325_000_000),
     }
 }

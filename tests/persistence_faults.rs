@@ -14,10 +14,10 @@ use kgfd_embed::{
 };
 use kgfd_harness::{cache_dir, trained_model, trained_model_threaded, DatasetRef, Scale};
 use kgfd_kg::{KgError, Triple};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 // Layout constants of the v2 format, stated independently of the
 // implementation (see DESIGN.md "Persistence format v2") so a drift in
@@ -29,6 +29,10 @@ const FOOTER_LEN: usize = 4;
 /// The recovery log and the process observer are global; tests that evict
 /// cache entries or install observers must not interleave.
 static ZOO_LOCK: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    ZOO_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fixture_model() -> Box<dyn KgeModel> {
     new_model(ModelKind::DistMult, 5, 2, 8, 42)
@@ -151,7 +155,7 @@ fn zoo_cache_path(dataset: DatasetRef, model: ModelKind, scale: Scale) -> PathBu
 
 #[test]
 fn zoo_evicts_truncated_cache_entry_and_retrains_identically() {
-    let _serial = ZOO_LOCK.lock();
+    let _serial = serial();
     let dataset = DatasetRef::CodexL;
     let kind = ModelKind::HolE;
     let data = dataset.load(Scale::Mini);
@@ -181,7 +185,7 @@ fn zoo_evicts_truncated_cache_entry_and_retrains_identically() {
 
 #[test]
 fn zoo_evicts_version_skewed_cache_entry() {
-    let _serial = ZOO_LOCK.lock();
+    let _serial = serial();
     let dataset = DatasetRef::Wn18rr;
     let kind = ModelKind::HolE;
     let data = dataset.load(Scale::Mini);
@@ -206,7 +210,7 @@ fn zoo_evicts_version_skewed_cache_entry() {
 
 #[test]
 fn concurrent_zoo_access_yields_identical_models_and_a_valid_cache() {
-    let _serial = ZOO_LOCK.lock();
+    let _serial = serial();
     let dataset = DatasetRef::Fb15k237;
     let kind = ModelKind::DistMult;
     let data = dataset.load(Scale::Mini);
@@ -238,7 +242,7 @@ fn concurrent_zoo_access_yields_identical_models_and_a_valid_cache() {
 
 #[test]
 fn zoo_recovery_is_visible_in_the_jsonl_run_manifest() {
-    let _serial = ZOO_LOCK.lock();
+    let _serial = serial();
     let dataset = DatasetRef::Yago310;
     let kind = ModelKind::SimplE;
     let data = dataset.load(Scale::Mini);
