@@ -1,6 +1,6 @@
 //! Bench for the **batched, query-deduplicated ranking engine**: batched
-//! (`rank_all`, i.e. `BatchRanker`) vs scalar (`rank_all_scalar`) on two
-//! workload shapes —
+//! (`rank_all`, i.e. `BatchRanker`) vs scalar (`rank_triple` on each triple
+//! with one `RankScratch`) on two workload shapes —
 //!
 //! * **dup-heavy** (discovery-shaped): candidates from a mesh grid, so a
 //!   handful of distinct `(s, r)` / `(r, o)` side queries cover hundreds of
@@ -13,8 +13,9 @@
 //! `cargo test`, which runs bench bodies once in test mode).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kgfd_eval::{rank_all, rank_all_scalar, BatchRanker};
-use kgfd_kg::Triple;
+use kgfd_embed::KgeModel;
+use kgfd_eval::{rank_all, rank_triple, BatchRanker, RankScratch, TripleRanks};
+use kgfd_kg::{KnownTriples, Triple};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -33,6 +34,16 @@ fn unique_workload(num_entities: usize, count: usize) -> Vec<Triple> {
     let n = num_entities as u32;
     (0..count as u32)
         .map(|i| Triple::new(i % n, i / n, (i.wrapping_mul(31).wrapping_add(7)) % n))
+        .collect()
+}
+
+/// The scalar baseline: two full entity sweeps per triple, no work sharing,
+/// one thread.
+fn rank_scalar(model: &dyn KgeModel, triples: &[Triple], known: &KnownTriples) -> Vec<TripleRanks> {
+    let mut scratch = RankScratch::new(model.num_entities());
+    triples
+        .iter()
+        .map(|&t| rank_triple(model, t, Some(known), &mut scratch))
         .collect()
 }
 
@@ -60,7 +71,7 @@ fn bench(c: &mut Criterion) {
     let mut results = Vec::new();
     let mut unique_speedup = f64::INFINITY;
     for (name, triples) in [("dup_heavy", &dup_heavy), ("unique", &unique)] {
-        let scalar_s = best_of_3(|| rank_all_scalar(model.as_ref(), triples, Some(&known), 1));
+        let scalar_s = best_of_3(|| rank_scalar(model.as_ref(), triples, &known));
         let batched_s = best_of_3(|| rank_all(model.as_ref(), triples, Some(&known), 1));
         let (_, stats) =
             BatchRanker::new(model.as_ref(), 1).rank_all_with_stats(triples, Some(&known));
@@ -147,7 +158,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for (name, triples) in [("dup_heavy", &dup_heavy), ("unique", &unique)] {
         group.bench_function(format!("scalar_{name}"), |b| {
-            b.iter(|| black_box(rank_all_scalar(model.as_ref(), triples, Some(&known), 1)))
+            b.iter(|| black_box(rank_scalar(model.as_ref(), triples, &known)))
         });
         group.bench_function(format!("batched_{name}"), |b| {
             b.iter(|| black_box(rank_all(model.as_ref(), triples, Some(&known), 1)))
@@ -160,7 +171,7 @@ fn bench(c: &mut Criterion) {
     for triples in [&dup_heavy, &unique] {
         assert_eq!(
             rank_all(model.as_ref(), triples, Some(&known), 1),
-            rank_all_scalar(model.as_ref(), triples, Some(&known), 1),
+            rank_scalar(model.as_ref(), triples, &known),
             "batched and scalar engines diverged"
         );
     }

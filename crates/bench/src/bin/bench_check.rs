@@ -1,21 +1,23 @@
 //! `bench-check` — the CI regression gate over the committed bench
-//! baselines (`BENCH_pool.json`, `BENCH_ranking.json`).
+//! baseline `BENCH_ranking.json`.
 //!
 //! Compares a freshly generated bench summary against the committed
 //! baseline and fails (exit 1) when a tracked metric regressed beyond the
-//! tolerance. Only *ratio* metrics are compared — pool-vs-spawn speedup,
-//! batched-vs-scalar speedup, dedup ratio — because absolute wall-clock
-//! numbers are machine-dependent while within-run ratios are comparable
-//! between the committed baseline's machine and the CI runner.
+//! tolerance. Only *ratio* metrics are compared — batched-vs-scalar
+//! speedup, dedup ratio — because absolute wall-clock numbers are
+//! machine-dependent while within-run ratios are comparable between the
+//! committed baseline's machine and the CI runner.
 //!
 //! ```text
-//! bench-check --baseline BENCH_pool.json --fresh target/BENCH_pool.json
+//! bench-check --baseline BENCH_ranking.json --fresh target/BENCH_ranking.json
 //!             [--tolerance 0.15] [--self-test-slowdown 1.2]
 //! ```
 //!
 //! `--self-test-slowdown F` divides every fresh speedup by `F` before
-//! comparing — CI uses it to prove the gate actually fails on a synthetic
-//! 20% slowdown (`F = 1.2`) before trusting its green result.
+//! comparing. CI compares the baseline with itself under `F = 1.2`: every
+//! speedup ratio is then exactly 1/1.2 = 0.833, below the 0.85 floor, so
+//! the gate must fail, which proves it can before its green result is
+//! trusted.
 
 use serde_json::Value;
 use std::process::ExitCode;
@@ -95,7 +97,6 @@ fn run() -> Result<ExitCode, String> {
         ));
     }
     let mut metrics = match kind {
-        "pool" => pool_metrics(&baseline, &fresh),
         "ranking" => ranking_metrics(&baseline, &fresh),
         other => return Err(format!("unknown bench kind {other:?}")),
     };
@@ -163,41 +164,6 @@ fn run() -> Result<ExitCode, String> {
 fn load(path: &str) -> Result<Value, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     serde_json::from_slice(&bytes).map_err(|e| format!("{path}: invalid JSON: {e}"))
-}
-
-/// `BENCH_pool.json`: one speedup per (phase, threads) cell.
-fn pool_metrics(baseline: &Value, fresh: &Value) -> Vec<Metric> {
-    let rows = |doc: &Value| -> Vec<(String, u64, f64)> {
-        doc.get("phases")
-            .and_then(Value::as_array)
-            .map(|phases| {
-                phases
-                    .iter()
-                    .filter_map(|p| {
-                        Some((
-                            p.get("phase")?.as_str()?.to_string(),
-                            p.get("threads")?.as_u64()?,
-                            p.get("speedup")?.as_f64()?,
-                        ))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let fresh_rows = rows(fresh);
-    rows(baseline)
-        .into_iter()
-        .map(|(phase, threads, speedup)| Metric {
-            name: format!("pool.{phase}.t{threads}.speedup"),
-            baseline: speedup,
-            fresh: fresh_rows
-                .iter()
-                .find(|(p, t, _)| *p == phase && *t == threads)
-                .map(|&(_, _, s)| s),
-            lower_only: true,
-            is_speedup: true,
-        })
-        .collect()
 }
 
 /// `BENCH_ranking.json`: batched-vs-scalar speedup (drop-only) and the

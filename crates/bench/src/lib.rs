@@ -2,6 +2,8 @@
 //! zoo-trained models (disk-cached, so repeated `cargo bench` runs skip
 //! training).
 
+#![forbid(unsafe_code)]
+
 use kgfd_embed::KgeModel;
 use kgfd_harness::{trained_model, DatasetRef, Scale};
 use kgfd_kg::Dataset;

@@ -110,7 +110,7 @@ EXIT CODES:
   0 success            1 runtime error       2 usage error
   3 corrupt model file (bad magic, checksum mismatch, truncation)
   4 unsupported model format version
-  5 model file needs migration (v1 TransE: retrain and re-save)
+  5 model file needs migration (format v1 model file: retrain and re-save)
   6 training interrupted by --deadline; checkpoint saved, rerun with --resume
 ";
 

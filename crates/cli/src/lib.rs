@@ -16,6 +16,7 @@
 //! Command logic lives in [`commands::run`] and returns strings, so the
 //! whole surface is unit-testable without process spawning.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

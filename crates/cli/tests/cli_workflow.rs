@@ -1,7 +1,7 @@
 //! End-to-end CLI workflow tests: generate → stats → train → eval →
 //! discover → audit, all through the library surface the binary wraps.
 
-use kgfd_cli::{run, Args};
+use kgfd_cli::{exit_code, run, Args};
 
 fn args(line: &str) -> Args {
     Args::parse(line.split_whitespace().map(String::from)).unwrap()
@@ -65,6 +65,52 @@ fn full_workflow_on_toy_dataset() {
         out.contains("inverse pairs") || out.contains("no inverse pairs"),
         "{out}"
     );
+
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `exit_code` gives each persistence failure its own process exit code:
+/// 3 for a corrupt file, 4 for an unknown format version, 5 for a retired
+/// v1 file that needs retraining. The messages for 3 and 5 name the file.
+#[test]
+fn damaged_model_files_map_to_distinct_exit_codes() {
+    let dir = tempdir("exit-codes");
+    let d = dir.display();
+    run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
+    let model = dir.join("model.kgfd");
+    run(&args(&format!(
+        "train --train {d}/train.tsv --model complex --dim 8 --epochs 2 --seed 4 --out {}",
+        model.display()
+    )))
+    .unwrap();
+    let bytes = std::fs::read(&model).unwrap();
+
+    let with_byte = |at: usize, value: u8| {
+        let mut copy = bytes.clone();
+        copy[at] = value;
+        copy
+    };
+    // The last 4 bytes are the CRC-32 footer; the 4 before them are payload.
+    let payload = bytes.len() - 8;
+    // Byte 4 is the format version.
+    let cases = [
+        ("flipped.kgfd", with_byte(payload, !bytes[payload]), 3),
+        ("version9.kgfd", with_byte(4, 9), 4),
+        ("version1.kgfd", with_byte(4, 1), 5),
+    ];
+    for (name, copy, code) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, &copy).unwrap();
+        let err = run(&args(&format!(
+            "eval --train {d}/train.tsv --test {d}/test.tsv --model-file {}",
+            path.display()
+        )))
+        .expect_err("a damaged model file must fail eval");
+        assert_eq!(exit_code(err.as_ref()), code, "{name}: {err}");
+        if code != 4 {
+            assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+    }
 
     let _ = std::fs::remove_dir_all(dir);
 }

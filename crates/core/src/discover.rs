@@ -13,23 +13,18 @@
 //! produced by a [`CandidateStream`] iterator and scored `chunk_size` at a
 //! time, with kept facts held in a bounded [`TopKFacts`] heap — the live
 //! candidate footprint per relation is `chunk_size + top_k`, independent of
-//! `max_candidates`. The original materialize-everything path survives as
-//! [`discover_facts_materialized`], the reference oracle the conformance
-//! suite (`tests/discovery_streaming.rs`) checks the stream against: facts
-//! and ranks are **bit-identical** between the two at any chunk size and
-//! thread count.
+//! `max_candidates`. The conformance suite (`tests/discovery_streaming.rs`)
+//! checks the stream against its own sequential transcription of
+//! Algorithm 1 that materializes every candidate: facts and ranks are
+//! **bit-identical** between the two at any chunk size and thread count.
 
 use crate::streaming::{cached_measures, CandidateStream, TopKFacts};
 use crate::{
-    compute_weights, AliasSampler, CandidateRules, DiscoveredFact, DiscoveryReport, Measures,
-    RelationBreakdown, StrategyKind,
+    CandidateRules, DiscoveredFact, DiscoveryReport, Measures, RelationBreakdown, StrategyKind,
 };
-use fxhash::{FxBuildHasher, FxHashSet};
 use kgfd_embed::KgeModel;
 use kgfd_eval::rank_all;
 use kgfd_kg::{EntityId, KgError, KnownTriples, RelationId, SideIndex, Triple, TripleStore};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Duration;
 
 /// Configuration of one discovery run (the inputs of Algorithm 1).
@@ -78,7 +73,7 @@ pub struct DiscoveryConfig {
     /// `(rank, subject, relation, object)` (see
     /// [`crate::streaming::fact_order`]), held in a bounded heap during the
     /// run. `None` (default) keeps every fact within `top_n` — the paper's
-    /// behaviour, bit-identical to [`discover_facts_materialized`].
+    /// behaviour.
     pub top_k: Option<usize>,
     /// Cooperative wall-clock budget for the run. Checked at every
     /// streaming chunk boundary (the engine's natural preemption points);
@@ -113,14 +108,6 @@ impl Default for DiscoveryConfig {
     }
 }
 
-/// Which candidate path a run uses. The streaming engine is the production
-/// path; the materialized one is the reference oracle.
-#[derive(Clone, Copy)]
-enum Engine {
-    Streaming,
-    Materialized,
-}
-
 /// Runs Algorithm 1: discovers facts absent from `store` that `model` ranks
 /// within `config.top_n` of their corruptions. Candidates stream through
 /// the scorer in `config.chunk_size` batches, so memory per relation is
@@ -150,60 +137,13 @@ pub fn try_discover_facts(
             config.exploration_epsilon
         )));
     }
-    run_discovery(model, store, config, Engine::Streaming)
-}
-
-/// The pre-streaming reference implementation: materializes every candidate
-/// for a relation before ranking (peak memory O(`max_candidates`) per
-/// relation) and keeps every fact within `top_n`, ignoring `chunk_size` and
-/// `top_k`. Kept as the oracle for the differential conformance suite —
-/// with `top_k = None` the streaming engine's output is bit-identical to
-/// this path's.
-pub fn discover_facts_materialized(
-    model: &dyn KgeModel,
-    store: &TripleStore,
-    config: &DiscoveryConfig,
-) -> DiscoveryReport {
-    run_discovery(model, store, config, Engine::Materialized).expect("discovery worker panicked")
-}
-
-/// Maps a pool failure (a panicked relation worker) to the typed error the
-/// discovery API surfaces instead of hanging or aborting the process.
-fn worker_panic_error(e: kgfd_pool::PoolError) -> KgError {
-    KgError::WorkerPanic(e.to_string())
-}
-
-/// Shared orchestration: preparation, the relation fan-out (sequential or
-/// dispatched onto the persistent pool), and report assembly. Identical for
-/// both engines so a conformance divergence can only come from the
-/// per-relation paths.
-fn run_discovery(
-    model: &dyn KgeModel,
-    store: &TripleStore,
-    config: &DiscoveryConfig,
-    engine: Engine,
-) -> Result<DiscoveryReport, KgError> {
     let total_span = kgfd_obs::span!("discover.total", strategy = config.strategy.to_string());
 
     let prep_span = kgfd_obs::span!(
         "discover.preparation",
         strategy = config.strategy.to_string()
     );
-    // The streaming engine shares measure tables across runs via the
-    // (fingerprint, strategy) cache; the oracle recomputes from scratch so
-    // the two paths cannot accidentally share a wrong table.
-    let cached;
-    let owned;
-    let measures: &Measures = match engine {
-        Engine::Streaming => {
-            cached = cached_measures(config.strategy, store);
-            cached.as_ref()
-        }
-        Engine::Materialized => {
-            owned = Measures::compute(config.strategy, store);
-            &owned
-        }
-    };
+    let measures = cached_measures(config.strategy, store);
     let known = KnownTriples::from_slices([store.triples()]);
     let rules = config
         .prune_with_rules
@@ -220,36 +160,19 @@ fn run_discovery(
         .relations
         .clone()
         .unwrap_or_else(|| store.used_relations());
-    // Line 4: the mesh grid is sample_size², so √max_candidates (+10 slack)
-    // entities per side fill the budget in one iteration in expectation.
-    let sample_size = (config.max_candidates as f64).sqrt() as usize + 10;
 
     let run_one = |r: RelationId, rank_threads: usize| -> Result<RelationOutcome, KgError> {
-        match engine {
-            Engine::Streaming => discover_relation_streaming(
-                model,
-                store,
-                config,
-                r,
-                measures,
-                &known,
-                rules.as_ref(),
-                consolidated.as_ref(),
-                rank_threads,
-            ),
-            Engine::Materialized => Ok(discover_relation_materialized(
-                model,
-                store,
-                config,
-                r,
-                measures,
-                &known,
-                rules.as_ref(),
-                consolidated.as_ref(),
-                sample_size,
-                rank_threads,
-            )),
-        }
+        discover_relation_streaming(
+            model,
+            store,
+            config,
+            r,
+            &measures,
+            &known,
+            rules.as_ref(),
+            consolidated.as_ref(),
+            rank_threads,
+        )
     };
 
     // Relations are embarrassingly parallel: each draws from its own
@@ -327,6 +250,12 @@ fn run_discovery(
     })
 }
 
+/// Maps a pool failure (a panicked relation worker) to the typed error the
+/// discovery API surfaces instead of hanging or aborting the process.
+fn worker_panic_error(e: kgfd_pool::PoolError) -> KgError {
+    KgError::WorkerPanic(e.to_string())
+}
+
 /// One relation's share of a discovery run: its kept facts plus the
 /// [`RelationBreakdown`] bookkeeping row.
 struct RelationOutcome {
@@ -338,14 +267,14 @@ struct RelationOutcome {
 /// `chunk_size` candidates from the [`CandidateStream`], rank the chunk,
 /// push survivors into the bounded [`TopKFacts`] heap, repeat until the
 /// stream runs dry. Deterministic given `config.seed` and `r` alone — safe
-/// to run for many relations concurrently — and bit-identical to
-/// [`discover_relation_materialized`] when `top_k` is `None`.
+/// to run for many relations concurrently.
 ///
 /// Observability: each chunk opens trace-only `discover.generation` /
 /// `discover.evaluation` spans (so trace trees nest the ranking kernels
 /// correctly), and the per-phase totals are then emitted as *one* aggregate
-/// SpanEnd event per phase — sinks see exactly the same event shape as the
-/// materialized path. Peak working set is published on the
+/// SpanEnd event per phase, so sinks see one generation and one evaluation
+/// event per relation however many chunks ran. Peak working set is
+/// published on the
 /// `discover.stream.peak_buffer` gauge; per-chunk throughput on the
 /// `discover.stream.chunks` counter and `discover.stream.chunk_candidates`
 /// / `discover.stream.chunk_us` histograms.
@@ -421,8 +350,8 @@ fn discover_relation_streaming(
     // contract (peak ≤ chunk_size + top_k) is asserted against this gauge.
     kgfd_obs::gauge("discover.stream.peak_buffer").set_max(peak_buffer as f64);
 
-    // One aggregate event per phase per relation — same event stream shape
-    // as the materialized path even though the phases interleave per chunk.
+    // One aggregate event per phase per relation, even though the phases
+    // interleave per chunk.
     kgfd_obs::emit_span_aggregate(
         "discover.generation",
         generation,
@@ -450,136 +379,6 @@ fn discover_relation_streaming(
     Ok(RelationOutcome { facts, breakdown })
 }
 
-/// Materialized generation + ranking for a single relation (Algorithm 1
-/// lines 4–15 verbatim) — the oracle implementation, deliberately kept as
-/// an independent transcription of the paper's loop rather than a wrapper
-/// over [`CandidateStream`], so the conformance suite compares two real
-/// implementations.
-#[allow(clippy::too_many_arguments)]
-fn discover_relation_materialized(
-    model: &dyn KgeModel,
-    store: &TripleStore,
-    config: &DiscoveryConfig,
-    r: RelationId,
-    measures: &Measures,
-    known: &KnownTriples,
-    rules: Option<&CandidateRules>,
-    consolidated: Option<&(SideIndex, SideIndex)>,
-    sample_size: usize,
-    rank_threads: usize,
-) -> RelationOutcome {
-    // Independent stream per relation: results do not depend on which
-    // other relations run or in what order.
-    let stream_seed = config
-        .seed
-        .wrapping_add((r.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut rng = StdRng::seed_from_u64(stream_seed);
-
-    let gen_span = kgfd_obs::span!("discover.generation", relation = r.0);
-    let (subject_pool, object_pool) = match consolidated {
-        Some((s_pool, o_pool)) => (s_pool, o_pool),
-        None => (store.subject_index(r), store.object_index(r)),
-    };
-    if subject_pool.is_empty() || object_pool.is_empty() {
-        return RelationOutcome {
-            facts: Vec::new(),
-            breakdown: RelationBreakdown {
-                relation: r,
-                candidates: 0,
-                facts: 0,
-                pruned: 0,
-                iterations: 0,
-                generation: gen_span.finish(),
-                evaluation: Duration::ZERO,
-            },
-        };
-    }
-    let mut s_weights = compute_weights(config.strategy, measures, subject_pool);
-    let mut o_weights = compute_weights(config.strategy, measures, object_pool);
-    if config.exploration_epsilon > 0.0 {
-        mix_uniform(&mut s_weights, config.exploration_epsilon);
-        mix_uniform(&mut o_weights, config.exploration_epsilon);
-    }
-    let s_sampler = AliasSampler::new(&s_weights);
-    let o_sampler = AliasSampler::new(&o_weights);
-
-    let mut local: Vec<Triple> = Vec::with_capacity(config.max_candidates);
-    // Seeded fast-hash dedup: candidate volume is bounded by
-    // `max_candidates`, so pre-size the set to skip rehashing; the seed keeps
-    // bucket layout independent of any ambient hasher randomisation.
-    let mut local_seen: FxHashSet<Triple> = FxHashSet::with_capacity_and_hasher(
-        config.max_candidates * 2,
-        FxBuildHasher::seeded(stream_seed),
-    );
-    let mut iterations = 0usize;
-    let mut pruned = 0usize;
-    while local.len() < config.max_candidates && iterations < config.max_iterations {
-        iterations += 1;
-        let s_samples: Vec<EntityId> = (0..sample_size)
-            .map(|_| subject_pool.entities[s_sampler.sample(&mut rng)])
-            .collect();
-        let o_samples: Vec<EntityId> = (0..sample_size)
-            .map(|_| object_pool.entities[o_sampler.sample(&mut rng)])
-            .collect();
-        // Lines 11–13: mesh grid, filter seen, append.
-        'grid: for &s in &s_samples {
-            for &o in &o_samples {
-                let t = Triple {
-                    subject: s,
-                    relation: r,
-                    object: o,
-                };
-                if store.contains(&t) || !local_seen.insert(t) {
-                    continue;
-                }
-                if let Some(rules) = rules {
-                    if !rules.admits(store, &t) {
-                        pruned += 1;
-                        continue;
-                    }
-                }
-                local.push(t);
-                if local.len() >= config.max_candidates {
-                    break 'grid;
-                }
-            }
-        }
-    }
-    let gen_elapsed = gen_span.finish();
-    kgfd_obs::counter("discover.generation.candidates").add(local.len() as u64);
-    kgfd_obs::counter("discover.generation.pruned").add(pruned as u64);
-
-    // Lines 14–15: rank candidates, keep those within top_n.
-    let eval_span = kgfd_obs::span!("discover.evaluation", relation = r.0);
-    let ranks = rank_all(model, &local, Some(known), rank_threads);
-    let mut facts = Vec::new();
-    for (t, r2) in local.iter().zip(&ranks) {
-        let rank = r2.mean();
-        if rank > config.top_n as f64 {
-            continue;
-        }
-        if let Some((calibration, threshold)) = &config.min_probability {
-            if calibration.probability(model.score(*t)) <= *threshold {
-                continue;
-            }
-        }
-        facts.push(DiscoveredFact { triple: *t, rank });
-    }
-    let eval_elapsed = eval_span.finish();
-    kgfd_obs::counter("discover.evaluation.facts").add(facts.len() as u64);
-
-    let breakdown = RelationBreakdown {
-        relation: r,
-        candidates: local.len(),
-        facts: facts.len(),
-        pruned,
-        iterations,
-        generation: gen_elapsed,
-        evaluation: eval_elapsed,
-    };
-    RelationOutcome { facts, breakdown }
-}
-
 /// Graph-global side pool: every entity occurring on `side` of any triple,
 /// with its global occurrence count.
 fn global_side_index(store: &TripleStore, side: kgfd_kg::Side) -> SideIndex {
@@ -592,15 +391,6 @@ fn global_side_index(store: &TripleStore, side: kgfd_kg::Side) -> SideIndex {
         }
     }
     index
-}
-
-/// `w ← (1 − ε) w + ε / n` — keeps every pool member reachable.
-pub(crate) fn mix_uniform(weights: &mut [f64], epsilon: f64) {
-    let epsilon = epsilon.clamp(0.0, 1.0);
-    let u = epsilon / weights.len() as f64;
-    for w in weights.iter_mut() {
-        *w = (1.0 - epsilon) * *w + u;
-    }
 }
 
 #[cfg(test)]
@@ -645,19 +435,6 @@ mod tests {
                 assert!(fact.rank <= 8.0, "{strategy}: rank above top_n");
                 assert!(fact.rank >= 1.0);
             }
-        }
-    }
-
-    #[test]
-    fn streaming_matches_the_materialized_oracle() {
-        // The root-level conformance suite sweeps every strategy × model ×
-        // thread count; this is the fast in-crate smoke version.
-        let (data, model) = trained_toy();
-        for strategy in [StrategyKind::EntityFrequency, StrategyKind::GraphDegree] {
-            let cfg = quick_config(strategy);
-            let streamed = discover_facts(model.as_ref(), &data.train, &cfg);
-            let oracle = discover_facts_materialized(model.as_ref(), &data.train, &cfg);
-            assert_eq!(streamed.facts, oracle.facts, "{strategy}: facts diverged");
         }
     }
 

@@ -33,6 +33,7 @@
 //! println!("{} facts, MRR {:.3}", report.facts.len(), report.mrr());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod discover;
@@ -44,9 +45,7 @@ mod strategy;
 pub mod streaming;
 mod weights;
 
-pub use discover::{
-    discover_facts, discover_facts_materialized, try_discover_facts, DiscoveryConfig,
-};
+pub use discover::{discover_facts, try_discover_facts, DiscoveryConfig};
 pub use measures::Measures;
 pub use pruning::CandidateRules;
 pub use report::{DiscoveredFact, DiscoveryReport, RelationBreakdown};

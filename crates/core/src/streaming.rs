@@ -4,18 +4,18 @@
 //! Three pieces:
 //!
 //! * [`CandidateStream`] — Algorithm 1's generation loop (lines 4–13) as a
-//!   resumable iterator. It consumes the per-relation RNG stream in exactly
-//!   the order the materialized loop does (all `sample_size` subject draws,
-//!   then all object draws, then the subject-major mesh walk), so the
-//!   sequence of candidates is *bit-identical* to
-//!   [`crate::discover_facts_materialized`] at any chunking.
+//!   resumable iterator. It consumes the per-relation RNG stream in the
+//!   order the paper's loop does (all `sample_size` subject draws, then all
+//!   object draws, then the subject-major mesh walk), so the sequence of
+//!   candidates is the same at any chunking as materializing the whole
+//!   mesh first (`tests/discovery_streaming.rs` checks this).
 //! * [`TopKFacts`] — a bounded max-heap keeping the `k` best facts under
 //!   the total order `(rank, subject, relation, object)` (ranks compared
 //!   with `f64::total_cmp`; the id triple breaks rank ties, and distinct
 //!   triples make the key unique, so the kept set is independent of arrival
 //!   order). Kept facts are emitted in generation order, which makes an
-//!   unbounded heap (`top_k = None`) literally reproduce the materialized
-//!   fact vector.
+//!   unbounded heap (`top_k = None`) reproduce the fact vector of keeping
+//!   every candidate within `top_n`, in the order generated.
 //! * [`cached_measures`] — a process-wide cache of the strategy measure
 //!   tables keyed by `(graph fingerprint, strategy)`, so grid/sweep cells
 //!   that revisit the same graph stop recomputing the superlinear
@@ -41,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// of Algorithm 1 in resumable form. Yields each candidate triple exactly
 /// once (never a triple already in the graph), respects the
 /// `max_candidates` budget and the `max_iterations` bound, and tracks the
-/// same bookkeeping (`iterations`, `pruned`) as the materialized loop.
+/// loop's bookkeeping (`iterations`, `pruned`).
 pub struct CandidateStream<'a> {
     store: &'a TripleStore,
     rules: Option<&'a CandidateRules>,
@@ -68,8 +68,7 @@ impl<'a> CandidateStream<'a> {
     /// Builds the stream for relation `r`: resolves the side pools
     /// (per-relation, or the consolidated graph-global ones), computes the
     /// strategy weights, applies the exploration mix, and seeds the
-    /// relation's independent RNG stream — the exact preparation the
-    /// materialized path performs.
+    /// relation's independent RNG stream.
     ///
     /// Returns [`KgError::NonFiniteWeight`] if the computed weights contain
     /// a NaN or infinity (impossible for the built-in strategies, which
@@ -97,8 +96,8 @@ impl<'a> CandidateStream<'a> {
             let mut s_weights = compute_weights(config.strategy, measures, subject_pool);
             let mut o_weights = compute_weights(config.strategy, measures, object_pool);
             if config.exploration_epsilon > 0.0 {
-                crate::discover::mix_uniform(&mut s_weights, config.exploration_epsilon);
-                crate::discover::mix_uniform(&mut o_weights, config.exploration_epsilon);
+                mix_uniform(&mut s_weights, config.exploration_epsilon);
+                mix_uniform(&mut o_weights, config.exploration_epsilon);
             }
             Some((
                 AliasSampler::try_new(&s_weights)?,
@@ -229,6 +228,15 @@ impl Iterator for CandidateStream<'_> {
     }
 }
 
+/// `w ← (1 − ε) w + ε / n` — keeps every pool member reachable.
+fn mix_uniform(weights: &mut [f64], epsilon: f64) {
+    let epsilon = epsilon.clamp(0.0, 1.0);
+    let u = epsilon / weights.len() as f64;
+    for w in weights.iter_mut() {
+        *w = (1.0 - epsilon) * *w + u;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Bounded top-k fact heap
 // ---------------------------------------------------------------------------
@@ -249,8 +257,7 @@ pub fn fact_order(a: &DiscoveredFact, b: &DiscoveredFact) -> Ordering {
 struct HeapEntry {
     fact: DiscoveredFact,
     /// Arrival number of this fact, used to restore generation order at
-    /// emission so the streaming path's fact vector matches the
-    /// materialized one byte for byte.
+    /// emission.
     seq: usize,
 }
 

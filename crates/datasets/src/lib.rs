@@ -15,6 +15,7 @@
 //! assert!(dataset.train.len() > 1_000);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builtin;

@@ -21,6 +21,7 @@
 //! assert!(model.score(data.train.triples()[0]).is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

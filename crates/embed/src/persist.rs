@@ -19,17 +19,16 @@
 //! implies — so truncation, bit flips, and appended garbage all surface as
 //! [`KgError::Corrupt`] instead of a silently-wrong model.
 //!
-//! ## Format v1 (read-only compatibility)
+//! ## Format v1 (retired)
 //!
-//! Same layout without the CRC footer. v1 had a defect: the generic
-//! `save_model` hard-coded TransE's distance flag to L1, so a v1 TransE
-//! file's flag is untrustworthy — loading one returns
-//! [`KgError::Migration`] (retrain or re-save under v2). Non-TransE v1
-//! files carry no extra configuration and load normally.
+//! v1 was the same layout without the CRC footer, and its generic writer
+//! hard-coded TransE's distance flag to L1. Nothing has written it since
+//! v2, so a file with version byte 1 is not parsed: [`load_model`] returns
+//! [`KgError::Migration`] for every model kind (retrain and re-save).
 
 use crate::model::ModelConfig;
 use crate::models::Distance;
-use crate::{KgeModel, ModelKind, Parameters};
+use crate::{KgeModel, ModelKind};
 use kgfd_kg::{KgError, Result};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -98,16 +97,6 @@ pub fn save_model(model: &dyn KgeModel) -> Vec<u8> {
     );
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&[FORMAT_VERSION, config.kind.tag(), flags_of(&config)]);
-    put_header_tail(&mut buf, &config, params);
-    put_payload(&mut buf, params);
-    let checksum = crc32(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf
-}
-
-/// Appends the shape fields shared by v1 and v2: `N u64 | K u64 | dim u64
-/// | num_tables u8 | { rows u64, cols u64 }*`.
-fn put_header_tail(buf: &mut Vec<u8>, config: &ModelConfig, params: &Parameters) {
     for n in [config.num_entities, config.num_relations, config.dim] {
         buf.extend_from_slice(&(n as u64).to_le_bytes());
     }
@@ -116,15 +105,14 @@ fn put_header_tail(buf: &mut Vec<u8>, config: &ModelConfig, params: &Parameters)
         buf.extend_from_slice(&(table.rows() as u64).to_le_bytes());
         buf.extend_from_slice(&(table.cols() as u64).to_le_bytes());
     }
-}
-
-/// Appends every table's f32 data, little-endian, in table order.
-fn put_payload(buf: &mut Vec<u8>, params: &Parameters) {
     for table in params.tables() {
         for &v in table.data() {
             buf.extend_from_slice(&v.to_le_bytes());
         }
     }
+    let checksum = crc32(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
 }
 
 /// Little-endian `u64` at `at`; the caller has bounds-checked the slice.
@@ -136,9 +124,9 @@ fn corrupt(msg: impl Into<String>) -> KgError {
     KgError::Corrupt(format!("model file: {}", msg.into()))
 }
 
-/// Deserializes a model saved by [`save_model`] (v2, checksummed) or by the
-/// legacy v1 writer (non-TransE only; v1 TransE files are rejected with
-/// [`KgError::Migration`] because their distance flag is untrustworthy).
+/// Deserializes a model saved by [`save_model`] (v2, checksummed). A
+/// retired v1 file is rejected with [`KgError::Migration`] without being
+/// parsed; any other version byte is [`KgError::UnsupportedVersion`].
 pub fn load_model(data: &[u8]) -> Result<Box<dyn KgeModel>> {
     if data.len() < 5 {
         return Err(corrupt(format!(
@@ -150,7 +138,9 @@ pub fn load_model(data: &[u8]) -> Result<Box<dyn KgeModel>> {
         return Err(corrupt("bad magic (not a KGFD model file)"));
     }
     match data[4] {
-        1 => load_v1(data),
+        1 => Err(KgError::Migration(
+            "format v1 model file: retrain the model and save it under format v2".into(),
+        )),
         2 => load_v2(data),
         found => Err(KgError::UnsupportedVersion {
             found,
@@ -159,10 +149,8 @@ pub fn load_model(data: &[u8]) -> Result<Box<dyn KgeModel>> {
     }
 }
 
-/// Parses the config block + table directory shared by v1 and v2 (they
-/// differ only in the presence of the CRC footer). `data` must start at the
-/// config block (offset 5). Returns the config, flags byte, and table
-/// shapes, plus the total header length consumed.
+/// The config block + table directory of a v2 file, parsed from the start
+/// of the file: the config, the table shapes, and the lengths they imply.
 struct Header {
     config: ModelConfig,
     shapes: Vec<(usize, usize)>,
@@ -299,34 +287,6 @@ fn load_v2(data: &[u8]) -> Result<Box<dyn KgeModel>> {
     materialize(&header, &body[header.header_len..])
 }
 
-fn load_v1(data: &[u8]) -> Result<Box<dyn KgeModel>> {
-    let header = parse_header(data)?;
-    if header.config.kind == ModelKind::TransE {
-        // The v1 generic writer hard-coded the distance flag to L1, so the
-        // flag in a v1 TransE file cannot be trusted — a model trained with
-        // L2 would silently reload as L1 and score differently.
-        return Err(KgError::Migration(
-            "v1 TransE model files carry an untrustworthy distance flag; \
-             retrain the model and save it under format v2"
-                .into(),
-        ));
-    }
-    let expected = header.header_len + header.payload_len;
-    if data.len() < expected {
-        return Err(corrupt(format!(
-            "truncated: {} bytes, header implies {expected}",
-            data.len()
-        )));
-    }
-    if data.len() > expected {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the parameter payload",
-            data.len() - expected
-        )));
-    }
-    materialize(&header, &data[header.header_len..])
-}
-
 /// Monotonic suffix so concurrent writers in one process never share a
 /// temp file.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -394,15 +354,6 @@ mod tests {
     use crate::models::TransE;
     use crate::new_model;
     use kgfd_kg::Triple;
-
-    /// Writes v1 bytes (the legacy format) for compatibility tests.
-    fn save_v1(model: &dyn KgeModel, flags: u8) -> Vec<u8> {
-        let mut buf = MAGIC.to_vec();
-        buf.extend_from_slice(&[1, model.kind().tag(), flags]);
-        put_header_tail(&mut buf, &model.config(), model.params());
-        put_payload(&mut buf, model.params());
-        buf
-    }
 
     #[test]
     fn crc32_matches_reference_vector() {
@@ -492,23 +443,38 @@ mod tests {
         ));
     }
 
+    /// A v2 file with its version byte set to 1. A v1 file is rejected
+    /// without being parsed, so the rest of the bytes do not matter.
+    fn as_v1(model: &dyn KgeModel) -> Vec<u8> {
+        let mut bytes = save_model(model);
+        bytes[4] = 1;
+        bytes
+    }
+
     #[test]
-    fn v1_non_transe_files_still_load() {
-        let model = new_model(ModelKind::Rescal, 4, 2, 6, 5);
-        let bytes = save_v1(model.as_ref(), 0);
-        let loaded = load_model(&bytes).unwrap();
-        let t = Triple::new(1u32, 0u32, 2u32);
-        assert_eq!(loaded.score(t).to_bits(), model.score(t).to_bits());
+    fn v1_non_transe_files_require_migration() {
+        for kind in ModelKind::ALL {
+            if kind == ModelKind::TransE {
+                continue;
+            }
+            let model = new_model(kind, 4, 2, 6, 5);
+            assert!(
+                matches!(
+                    load_model(&as_v1(model.as_ref())),
+                    Err(KgError::Migration(_))
+                ),
+                "v1 {kind} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn v1_transe_files_require_migration() {
-        for flags in [0u8, 1u8] {
-            let model = TransE::new(4, 2, 8, Distance::L2, 1);
-            let bytes = save_v1(&model, flags);
+        for distance in [Distance::L1, Distance::L2] {
+            let model = TransE::new(4, 2, 8, distance, 1);
             assert!(
-                matches!(load_model(&bytes), Err(KgError::Migration(_))),
-                "v1 TransE (flags {flags}) must be rejected"
+                matches!(load_model(&as_v1(&model)), Err(KgError::Migration(_))),
+                "v1 TransE ({distance:?}) must be rejected"
             );
         }
     }

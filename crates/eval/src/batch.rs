@@ -1,8 +1,8 @@
 //! The batched, query-deduplicated ranking engine.
 //!
 //! Ranking a triple needs two full entity sweeps — one per corruption side —
-//! and the scalar path ([`crate::rank_all_scalar`]) pays them per triple
-//! even when triples share a side query. Discovery candidates are the
+//! and the scalar path ([`crate::rank_triple`] per triple) pays them per
+//! triple even when triples share a side query. Discovery candidates are the
 //! extreme case: a mesh grid of `√max_candidates` entities per side yields
 //! up to `max_candidates` triples per relation that share only
 //! `~√max_candidates` distinct `(s, r)` object-side and `(r, o)`

@@ -19,6 +19,7 @@
 //! assert!(summary.mrr >= 0.0 && summary.mrr <= 1.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
@@ -36,9 +37,7 @@ pub use calibration::Calibration;
 pub use classification::Thresholds;
 pub use heldout::{score_against_held_out, HeldOutReport};
 pub use metrics::{hits_at, mean_rank, mrr, RankingSummary};
-pub use protocol::{
-    evaluate_per_relation, evaluate_ranking, rank_all, rank_all_scalar, PerRelationSummary,
-};
+pub use protocol::{evaluate_per_relation, evaluate_ranking, rank_all, PerRelationSummary};
 pub use ranking::{rank_triple, rank_with_exclusions, RankScratch, TripleRanks};
 pub use selection::{
     grid_search, train_with_early_stopping, EarlyStopping, SearchResult, SearchSpace,

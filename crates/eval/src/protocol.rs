@@ -1,7 +1,7 @@
 //! The full link-prediction evaluation protocol: rank every test triple
 //! against both corruption sides, filtered, in parallel.
 
-use crate::{rank_triple, RankScratch, RankingSummary, TripleRanks};
+use crate::{RankingSummary, TripleRanks};
 use kgfd_embed::KgeModel;
 use kgfd_kg::{KnownTriples, Triple};
 
@@ -25,9 +25,8 @@ pub fn evaluate_ranking(
 ///
 /// Runs the batched, query-deduplicated engine ([`crate::BatchRanker`]):
 /// duplicate `(s, r)` / `(r, o)` side queries are scored once and shared.
-/// Ranks are identical to the scalar per-triple path
-/// ([`rank_all_scalar`]) — the batched kernels are bit-exact — just
-/// cheaper whenever queries repeat.
+/// Ranks are identical to calling [`crate::rank_triple`] on each triple —
+/// the batched kernels are bit-exact — just cheaper whenever queries repeat.
 pub fn rank_all(
     model: &dyn KgeModel,
     triples: &[Triple],
@@ -48,45 +47,6 @@ pub fn rank_all(
         );
     }
     ranks
-}
-
-/// The pre-batching scalar path: two full entity sweeps per triple with no
-/// work sharing, parallelised over triples. Kept as the differential-test
-/// oracle and benchmark baseline for [`rank_all`].
-pub fn rank_all_scalar(
-    model: &dyn KgeModel,
-    triples: &[Triple],
-    known: Option<&KnownTriples>,
-    threads: usize,
-) -> Vec<TripleRanks> {
-    let threads = threads.max(1);
-    if threads == 1 || triples.len() < 2 * threads {
-        let mut scratch = RankScratch::new(model.num_entities());
-        return triples
-            .iter()
-            .map(|&t| rank_triple(model, t, known, &mut scratch))
-            .collect();
-    }
-
-    let chunk = triples.len().div_ceil(threads);
-    let mut results: Vec<Vec<TripleRanks>> = Vec::new();
-    kgfd_pool::scope(|scope| {
-        let handles: Vec<_> = triples
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move || {
-                    let mut scratch = RankScratch::new(model.num_entities());
-                    part.iter()
-                        .map(|&t| rank_triple(model, t, known, &mut scratch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join());
-        }
-    });
-    results.into_iter().flatten().collect()
 }
 
 /// Link-prediction metrics broken down by relation — the per-relation view

@@ -1,12 +1,14 @@
 //! Differential tests of the batched, query-deduplicated ranking engine:
 //! `BatchRanker` (and `rank_all`, which wraps it) must produce ranks
-//! **identical** to the scalar per-triple oracle `rank_all_scalar`, raw and
-//! filtered, under heavy query duplication and at any thread count. Also
-//! pins the two-pointer merge walk inside `rank_with_exclusions` against an
-//! independent binary-search reference.
+//! **identical** to the sequential scalar oracle (`rank_triple` on each
+//! triple in turn), raw and filtered, under heavy query duplication and at
+//! any thread count. Also pins the two-pointer merge walk inside
+//! `rank_with_exclusions` against an independent binary-search reference.
 
-use kgfd_embed::{new_model, ModelKind};
-use kgfd_eval::{rank_all, rank_all_scalar, rank_with_exclusions, BatchRanker};
+use kgfd_embed::{new_model, KgeModel, ModelKind};
+use kgfd_eval::{
+    rank_all, rank_triple, rank_with_exclusions, BatchRanker, RankScratch, TripleRanks,
+};
 use kgfd_kg::{EntityId, KnownTriples, Triple};
 use proptest::prelude::*;
 
@@ -33,6 +35,20 @@ fn arb_known() -> impl Strategy<Value = Vec<Triple>> {
 
 fn arb_kind() -> impl Strategy<Value = ModelKind> {
     proptest::sample::select(ModelKind::ALL.to_vec())
+}
+
+/// The scalar oracle: `rank_triple` over the triples in order, one scratch
+/// buffer, no batching, no dedup, no pool.
+fn rank_scalar(
+    model: &dyn KgeModel,
+    triples: &[Triple],
+    known: Option<&KnownTriples>,
+) -> Vec<TripleRanks> {
+    let mut scratch = RankScratch::new(model.num_entities());
+    triples
+        .iter()
+        .map(|&t| rank_triple(model, t, known, &mut scratch))
+        .collect()
 }
 
 /// The pre-merge-walk implementation: per-entity binary search into the
@@ -112,13 +128,16 @@ proptest! {
         let model = new_model(kind, N as usize, K as usize, DIM, seed);
         let known = KnownTriples::from_slices([known_triples.as_slice()]);
 
-        let scalar_raw = rank_all_scalar(model.as_ref(), &triples, None, 1);
-        let batched_raw = rank_all(model.as_ref(), &triples, None, 1);
-        prop_assert_eq!(&scalar_raw, &batched_raw, "{}: raw ranks diverged", kind);
-
-        let scalar_filt = rank_all_scalar(model.as_ref(), &triples, Some(&known), 1);
-        let batched_filt = rank_all(model.as_ref(), &triples, Some(&known), 1);
-        prop_assert_eq!(&scalar_filt, &batched_filt, "{}: filtered ranks diverged", kind);
+        let scalar_raw = rank_scalar(model.as_ref(), &triples, None);
+        let scalar_filt = rank_scalar(model.as_ref(), &triples, Some(&known));
+        for threads in [1, 4] {
+            let batched_raw = rank_all(model.as_ref(), &triples, None, threads);
+            prop_assert_eq!(&scalar_raw, &batched_raw,
+                "{}: raw ranks diverged at {} threads", kind, threads);
+            let batched_filt = rank_all(model.as_ref(), &triples, Some(&known), threads);
+            prop_assert_eq!(&scalar_filt, &batched_filt,
+                "{}: filtered ranks diverged at {} threads", kind, threads);
+        }
     }
 
     #[test]
@@ -151,7 +170,7 @@ fn env_thread_count_matches_scalar_oracle() {
 
     let (ranks, stats) =
         BatchRanker::new(model.as_ref(), threads).rank_all_with_stats(&triples, Some(&known));
-    let oracle = rank_all_scalar(model.as_ref(), &triples, Some(&known), threads);
+    let oracle = rank_scalar(model.as_ref(), &triples, Some(&known));
     assert_eq!(ranks, oracle);
     assert_eq!(stats.total_queries, 128);
     assert!(stats.distinct_queries < stats.total_queries);
@@ -167,7 +186,7 @@ fn unique_query_workload_matches_scalar_oracle() {
         .flat_map(|s| (0..K).map(move |r| Triple::new(s, r, (s + r + 1) % N)))
         .collect();
     let (ranks, stats) = BatchRanker::new(model.as_ref(), 2).rank_all_with_stats(&triples, None);
-    let oracle = rank_all_scalar(model.as_ref(), &triples, None, 2);
+    let oracle = rank_scalar(model.as_ref(), &triples, None);
     assert_eq!(ranks, oracle);
     // Object-side queries (s, r) are all distinct by construction.
     assert_eq!(stats.total_queries, 2 * triples.len() as u64);

@@ -26,6 +26,7 @@
 //! assert_eq!(local_triangle_counts(&adj), vec![1, 1, 1]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod adjacency;

@@ -13,6 +13,7 @@
 //! The `repro` binary drives everything:
 //! `cargo run --release -p kgfd-harness --bin repro -- all mini`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiment;

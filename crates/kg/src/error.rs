@@ -29,9 +29,9 @@ pub enum KgError {
         /// Highest version this build understands.
         max_supported: u8,
     },
-    /// A persisted artifact is structurally readable but cannot be migrated
-    /// to the current format safely (e.g. a v1 TransE file whose distance
-    /// flag is untrustworthy); the artifact must be regenerated.
+    /// A persisted artifact is in a retired format that cannot be migrated
+    /// to the current one safely (e.g. a format v1 model file); the
+    /// artifact must be regenerated.
     Migration(String),
     /// A training checkpoint was written under a different training
     /// configuration than the one it is being resumed with. Resuming would

@@ -21,6 +21,7 @@
 //! assert_eq!(store.complement_size(), 3 * 3 * 1 - 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod categories;

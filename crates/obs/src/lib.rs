@@ -19,7 +19,7 @@
 //! v2 adds **hierarchical tracing**: spans carry [`SpanId`]s and parent
 //! links through a thread-local span stack (cross-thread handoff via
 //! [`Span::child_for_thread`] / [`SpanHandle::enter`]), finished spans land
-//! in a lock-free process [`TraceCollector`] (opt-in via
+//! in the process-wide [`TraceCollector`] (opt-in via
 //! [`enable_tracing`]), the tree exports as Chrome trace-event JSON and
 //! collapsed-stack flamegraph text ([`export`]). The live endpoint that
 //! serves them over HTTP lives in `kgfd-serve`; this crate supplies its
@@ -37,6 +37,7 @@
 //! kgfd_obs::metric("discover.generation.candidates", 128.0, vec![]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

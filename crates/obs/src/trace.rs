@@ -1,5 +1,5 @@
 //! Hierarchical trace collection: span identities, the per-thread span
-//! stack, and the lock-free [`TraceCollector`].
+//! stack, and the [`TraceCollector`].
 //!
 //! Every [`crate::Span`] carries a process-unique [`SpanId`] and a
 //! `parent` id taken from the top of a **thread-local span stack** at
@@ -12,15 +12,14 @@
 //! opens) or creates a direct child ([`crate::Span::child_for_thread`]).
 //!
 //! Finished spans are recorded into the process-wide [`TraceCollector`] —
-//! a Treiber stack of heap nodes pushed with a single CAS, so recording
-//! never takes a lock and never blocks another thread. Collection is **off
-//! by default**: until [`enable`] is called, a finished span costs one
-//! atomic load beyond what kgfd-obs v1 paid.
+//! a mutex-guarded vector; recording holds the lock only for one push.
+//! Collection is **off by default**: until [`enable`] is called, a finished
+//! span costs one atomic load and never touches the lock.
 
 use crate::event::Field;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Process-unique identifier of one span. Ids are never reused; `0` is
 /// reserved (no valid span has it).
@@ -147,34 +146,13 @@ pub struct SpanRecord {
     pub thread: u64,
 }
 
-struct Node {
-    record: SpanRecord,
-    next: *mut Node,
-}
-
-/// Lock-free sink of finished spans: a Treiber stack pushed with one CAS
-/// per record, drained wholesale by swapping the head. Hot paths only ever
-/// push; building trees, exports, and summaries happens on drained
-/// snapshots.
+/// Sink of finished spans: an enable flag plus a mutex-guarded vector.
+/// Hot paths only ever push; building trees, exports, and summaries happens
+/// on drained snapshots.
+#[derive(Default)]
 pub struct TraceCollector {
-    head: AtomicPtr<Node>,
-    len: AtomicUsize,
     enabled: AtomicBool,
-    /// Serializes the cold readers ([`TraceCollector::drain`] frees nodes,
-    /// [`TraceCollector::snapshot`] walks them) against each other. `record`
-    /// never takes it.
-    reader_lock: Mutex<()>,
-}
-
-impl Default for TraceCollector {
-    fn default() -> Self {
-        TraceCollector {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            len: AtomicUsize::new(0),
-            enabled: AtomicBool::new(false),
-            reader_lock: Mutex::new(()),
-        }
-    }
+    records: Mutex<Vec<SpanRecord>>,
 }
 
 impl TraceCollector {
@@ -188,9 +166,13 @@ impl TraceCollector {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
+    fn records(&self) -> MutexGuard<'_, Vec<SpanRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of records currently held.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.records().len()
     }
 
     /// `true` when no spans have been recorded (or all were drained).
@@ -198,94 +180,31 @@ impl TraceCollector {
         self.len() == 0
     }
 
-    /// Pushes one finished span. Lock-free; safe from any thread.
+    /// Pushes one finished span; safe from any thread. A no-op while the
+    /// collector is disabled.
     pub fn record(&self, record: SpanRecord) {
         if !self.is_enabled() {
             return;
         }
-        let node = Box::into_raw(Box::new(Node {
-            record,
-            next: std::ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` came from Box::into_raw above and is not yet
-            // shared; writing its `next` field is exclusive access.
-            unsafe { (*node).next = head };
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => head = actual,
-            }
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
+        self.records().push(record);
     }
 
     /// Takes every record collected so far, oldest first (ids ascend with
     /// creation order, so the result is sorted by id for determinism even
     /// when threads interleaved their pushes).
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let _readers = self
-            .reader_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut head = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
-        let mut records = Vec::new();
-        while !head.is_null() {
-            // SAFETY: the swap above made this list exclusively ours; each
-            // node was created by Box::into_raw in `record`.
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-            records.push(node.record);
-        }
-        self.len.fetch_sub(records.len(), Ordering::Relaxed);
+        let mut records = std::mem::take(&mut *self.records());
         records.sort_by_key(|r| r.id);
         records
     }
 
-    /// A copy of every record collected so far without draining, oldest
-    /// first. Used by the live `/trace` endpoint, which must not steal the
-    /// records from the end-of-run export.
+    /// A copy of every record collected so far without draining, in the
+    /// order they were recorded. Used by the live `/trace` endpoint, which
+    /// must not steal the records from the end-of-run export.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let _readers = self
-            .reader_lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut records = Vec::new();
-        let mut head = self.head.load(Ordering::Acquire);
-        while !head.is_null() {
-            // SAFETY: nodes are only freed by `drain`, which holds
-            // `reader_lock` for the whole swap-and-free — so every node
-            // reachable from the head loaded above stays live until this
-            // walk ends. Concurrent `record` calls only push *in front* of
-            // that head and are simply not visited.
-            let node = unsafe { &*head };
-            records.push(node.record.clone());
-            head = node.next;
-        }
-        records.reverse();
-        records
+        self.records().clone()
     }
 }
-
-impl Drop for TraceCollector {
-    fn drop(&mut self) {
-        // Reclaim whatever was never drained. `&mut self` proves no other
-        // thread holds the list.
-        let mut head = *self.head.get_mut();
-        while !head.is_null() {
-            let node = unsafe { Box::from_raw(head) };
-            head = node.next;
-        }
-    }
-}
-
-// SAFETY: all shared state is atomics; nodes are transferred between
-// threads only through Release/Acquire pairs on `head`.
-unsafe impl Send for TraceCollector {}
-unsafe impl Sync for TraceCollector {}
 
 static COLLECTOR: std::sync::OnceLock<TraceCollector> = std::sync::OnceLock::new();
 

@@ -21,10 +21,11 @@
 //! 2. **Ordered reduction at the call site.** Jobs return values through
 //!    [`JobHandle`]s; callers join handles in spawn order (or write to
 //!    disjoint output slots), exactly as the scoped-spawn code did.
-//! 3. **Spawn-per-call equivalence.** [`ExecMode::SpawnPerCall`] runs the
-//!    identical jobs on freshly spawned threads — the pre-pool execution
-//!    strategy. The differential suites run both modes and assert
-//!    bit-identical embeddings, ranks, and discovered facts.
+//!
+//! The reference is serial execution: `threads = 1` runs inline in the
+//! trainer, the ranker and discovery and never touches the pool. The
+//! differential suites compare it against 4 and 8 threads and assert
+//! bit-identical embeddings, ranks, and discovered facts.
 //!
 //! # Nested use
 //!
@@ -51,56 +52,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
-
-/// How [`scope`] executes its jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Dispatch to the persistent process-wide pool (the default).
-    Persistent,
-    /// Spawn one fresh OS thread per job — the pre-pool execution strategy,
-    /// kept as the differential-test oracle and benchmark baseline.
-    SpawnPerCall,
-}
-
-static EXEC_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The current execution mode.
-pub fn exec_mode() -> ExecMode {
-    match EXEC_MODE.load(Ordering::Relaxed) {
-        0 => ExecMode::Persistent,
-        _ => ExecMode::SpawnPerCall,
-    }
-}
-
-/// Sets the execution mode. Results are bit-identical in both modes; this
-/// only switches *where* jobs run. Prefer [`with_exec_mode`] in tests.
-pub fn set_exec_mode(mode: ExecMode) {
-    let v = match mode {
-        ExecMode::Persistent => 0,
-        ExecMode::SpawnPerCall => 1,
-    };
-    EXEC_MODE.store(v, Ordering::Relaxed);
-}
-
-/// Runs `f` under the given execution mode, restoring the previous mode
-/// afterwards (also on panic). Mode flips are serialized process-wide so
-/// concurrent differential tests cannot interleave their toggles.
-pub fn with_exec_mode<R>(mode: ExecMode, f: impl FnOnce() -> R) -> R {
-    static FLIP: Mutex<()> = Mutex::new(());
-    let _serialize = FLIP.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(ExecMode);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_exec_mode(self.0);
-        }
-    }
-    let _restore = Restore(exec_mode());
-    set_exec_mode(mode);
-    f()
-}
 
 /// Errors surfaced by the pool's fallible APIs.
 #[derive(Debug)]
@@ -388,12 +341,10 @@ pub struct PoolScope<'env> {
 }
 
 impl<'env> PoolScope<'env> {
-    /// Spawns `f` as one job. In [`ExecMode::Persistent`] the `k`-th spawn
-    /// of this scope goes to worker `k mod pool_size` (fixed assignment, no
-    /// stealing); in [`ExecMode::SpawnPerCall`] a fresh OS thread is
-    /// spawned, replicating the pre-pool cost model. When already running
-    /// on a pool worker the job executes inline on the current thread (see
-    /// the module docs on nesting).
+    /// Spawns `f` as one job. The `k`-th spawn of this scope goes to worker
+    /// `k mod pool_size` (fixed assignment, no stealing). When already
+    /// running on a pool worker the job executes inline on the current
+    /// thread (see the module docs on nesting).
     pub fn spawn<T, F>(&self, f: F) -> JobHandle<T>
     where
         T: Send + 'env,
@@ -411,39 +362,35 @@ impl<'env> PoolScope<'env> {
             move || slot.fill(catch_unwind(AssertUnwindSafe(f)))
         };
         let job: Box<dyn FnOnce() + Send + 'env> = Box::new(filler);
-        // SAFETY: the scope waits for every spawned job to complete before
-        // returning (both on the normal path and, via a drop guard, when
-        // the scope body unwinds), so all `'env` borrows captured by the
-        // closure strictly outlive its execution. Only the lifetime is
-        // erased; the vtable and layout are unchanged.
+        // SAFETY: only the lifetime is erased; the vtable and layout are
+        // unchanged. The closure borrows `'env` data, and a `PoolScope<'env>`
+        // exists only inside `scope`, which does not return or unwind past
+        // its caller's frame until every job pushed onto `pending` below has
+        // finished running:
+        // - when the scope body returns, `finish` waits for every job;
+        // - when the scope body unwinds, the `Guard` in `scope` is dropped
+        //   and its `wait_all_quiet` waits for every job.
+        // The job is pushed onto `pending` before it is sent, so no job can
+        // run unseen by either wait; every `'env` borrow therefore outlives
+        // the job's execution.
         let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
         self.pending
             .borrow_mut()
             .push(Arc::clone(&slot) as Arc<dyn Completion + Send + Sync + 'env>);
 
-        match exec_mode() {
-            ExecMode::Persistent => {
-                let pool = pool();
-                let worker = self.next.get() % pool.senders.len();
-                self.next.set(self.next.get() + 1);
-                let send = pool.senders[worker]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .send(Job {
-                        run: job,
-                        enqueued: Instant::now(),
-                    });
-                // Workers live for the process lifetime; a closed channel
-                // is unreachable short of worker-thread spawn failure.
-                send.expect("pool worker queue closed");
-            }
-            ExecMode::SpawnPerCall => {
-                std::thread::Builder::new()
-                    .name("kgfd-spawn-per-call".to_string())
-                    .spawn(job)
-                    .expect("failed to spawn per-call thread");
-            }
-        }
+        let pool = pool();
+        let worker = self.next.get() % pool.senders.len();
+        self.next.set(self.next.get() + 1);
+        let send = pool.senders[worker]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .send(Job {
+                run: job,
+                enqueued: Instant::now(),
+            });
+        // Workers live for the process lifetime; a closed channel is
+        // unreachable short of worker-thread spawn failure.
+        send.expect("pool worker queue closed");
         JobHandle { slot }
     }
 
@@ -520,33 +467,6 @@ where
     })
 }
 
-/// [`run`] with worker panics surfaced as [`PoolError::WorkerPanic`]
-/// instead of resumed.
-pub fn try_run<T, F>(jobs: usize, f: F) -> Result<Vec<T>, PoolError>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs <= 1 || on_pool_worker() {
-        if on_pool_worker() {
-            kgfd_obs::counter("pool.jobs.inline").add(jobs as u64);
-        }
-        let mut out = Vec::with_capacity(jobs);
-        for i in 0..jobs {
-            out.push(
-                catch_unwind(AssertUnwindSafe(|| f(i)))
-                    .map_err(|p| PoolError::WorkerPanic(panic_message(p.as_ref())))?,
-            );
-        }
-        return Ok(out);
-    }
-    let f = &f;
-    scope(|s| {
-        let handles: Vec<_> = (0..jobs).map(|i| s.spawn(move || f(i))).collect();
-        handles.into_iter().map(JobHandle::try_join).collect()
-    })
-}
-
 /// Pool scheduling stats for the end-of-run manifest: jobs executed so far
 /// and queue-wait quantiles. (`None` quantiles = no jobs yet.)
 pub fn queue_wait_summary() -> (u64, Option<f64>, Option<f64>) {
@@ -617,10 +537,27 @@ mod tests {
     }
 
     #[test]
-    fn spawn_per_call_mode_matches_persistent_results() {
-        let persistent = with_exec_mode(ExecMode::Persistent, || run(5, |i| i as u64 * 3));
-        let spawned = with_exec_mode(ExecMode::SpawnPerCall, || run(5, |i| i as u64 * 3));
-        assert_eq!(persistent, spawned);
+    fn panicking_scope_body_waits_for_borrowing_jobs() {
+        // The job writes through a borrow ~50 ms after the body has begun
+        // to unwind; the scope must not unwind past `written` before that.
+        let mut written = 0u64;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            scope(|s| {
+                let (_unwinding, unwound) = mpsc::channel::<()>();
+                let slot = &mut written;
+                s.spawn(move || {
+                    // Errs only once the body's sender is dropped, i.e.
+                    // while the body unwinds.
+                    let _ = unwound.recv();
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    *slot = 42;
+                });
+                panic!("scope body");
+            })
+        }));
+        let payload = result.unwrap_err();
+        assert_eq!(written, 42, "the job did not finish before the unwind");
+        assert_eq!(panic_message(payload.as_ref()), "scope body");
     }
 
     #[test]
@@ -647,14 +584,9 @@ mod tests {
     #[test]
     fn pool_records_job_metrics() {
         let before = kgfd_obs::counter("pool.jobs").get();
-        with_exec_mode(ExecMode::Persistent, || {
-            drop(run(4, |i| i));
-        });
-        // Either the jobs ran on workers (counter moved) or this thread was
-        // itself a worker (inline; nothing enqueued). Never both zero *and*
-        // off-worker with multi-job input on a multi-worker pool.
-        if !on_pool_worker() && pool_size() > 1 {
-            assert!(kgfd_obs::counter("pool.jobs").get() > before);
-        }
+        drop(run(4, |i| i));
+        // `run(4, …)` from this (non-worker) thread dispatches at any pool
+        // size, and a worker counts each job before running it.
+        assert!(kgfd_obs::counter("pool.jobs").get() >= before + 4);
     }
 }

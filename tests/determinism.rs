@@ -1,13 +1,13 @@
 //! Whole-pipeline determinism: a fixed seed must yield bit-identical
 //! datasets, models, evaluation metrics, and discovered facts — across
-//! in-memory reruns, across model save/load, and across the persistent
-//! worker pool vs the legacy spawn-per-call execution path.
+//! in-memory reruns, across model save/load, and across thread counts,
+//! where `threads = 1` (serial, never touching the worker pool) is the
+//! reference for 4 and 8 pooled threads.
 
 use fact_discovery::{discover_facts, DiscoveryConfig, StrategyKind};
 use kgfd_datasets::{generate, mini, wn18rr_like};
 use kgfd_embed::{load_model, save_model, train, ModelKind, TrainConfig};
 use kgfd_eval::evaluate_ranking;
-use kgfd_pool::{with_exec_mode, ExecMode};
 
 fn pipeline_facts(seed: u64) -> Vec<(u32, u32, u32, f64)> {
     let data = generate(&mini(&wn18rr_like())).unwrap();
@@ -249,11 +249,9 @@ fn discovery_report_is_thread_count_invariant() {
     }
 }
 
-/// Everything observable about a full pipeline run under one pool
-/// execution mode: embedding tables (as bits), evaluation ranks, and
-/// discovered facts.
+/// Everything observable about a full pipeline run at one thread count:
+/// embedding tables (as bits), evaluation ranks, and discovered facts.
 fn pipeline_state(
-    mode: ExecMode,
     kind: ModelKind,
     threads: usize,
 ) -> (
@@ -261,76 +259,74 @@ fn pipeline_state(
     Vec<kgfd_eval::TripleRanks>,
     Vec<fact_discovery::DiscoveredFact>,
 ) {
-    with_exec_mode(mode, || {
-        let data = generate(&mini(&wn18rr_like())).unwrap();
-        let (model, _) = train(
-            kind,
-            &data.train,
-            &TrainConfig {
-                dim: 16,
-                epochs: 4,
-                batch_size: 64,
-                seed: 33,
-                threads,
-                ..TrainConfig::default()
-            },
-        );
-        let tables = (0..model.params().num_tables())
-            .map(|t| {
-                model
-                    .params()
-                    .table(t)
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect()
-            })
-            .collect();
-        let known = data.known_triples();
-        let ranks = kgfd_eval::rank_all(model.as_ref(), &data.test, Some(&known), threads);
-        let facts = discover_facts(
-            model.as_ref(),
-            &data.train,
-            &DiscoveryConfig {
-                strategy: StrategyKind::EntityFrequency,
-                top_n: 20,
-                max_candidates: 40,
-                seed: 33,
-                threads,
-                ..DiscoveryConfig::default()
-            },
-        )
-        .facts;
-        (tables, ranks, facts)
-    })
+    let data = generate(&mini(&wn18rr_like())).unwrap();
+    let (model, _) = train(
+        kind,
+        &data.train,
+        &TrainConfig {
+            dim: 16,
+            epochs: 4,
+            batch_size: 64,
+            seed: 33,
+            threads,
+            ..TrainConfig::default()
+        },
+    );
+    let tables = (0..model.params().num_tables())
+        .map(|t| {
+            model
+                .params()
+                .table(t)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        })
+        .collect();
+    let known = data.known_triples();
+    let ranks = kgfd_eval::rank_all(model.as_ref(), &data.test, Some(&known), threads);
+    let facts = discover_facts(
+        model.as_ref(),
+        &data.train,
+        &DiscoveryConfig {
+            strategy: StrategyKind::EntityFrequency,
+            top_n: 20,
+            max_candidates: 40,
+            seed: 33,
+            threads,
+            ..DiscoveryConfig::default()
+        },
+    )
+    .facts;
+    (tables, ranks, facts)
 }
 
-/// The pool-vs-scope differential of ISSUE 9: for each model kind and
-/// thread count, the persistent pool must reproduce the pre-pool
-/// spawn-per-call execution bit for bit — embeddings, evaluation ranks,
-/// and discovered facts.
-fn assert_pool_matches_spawn(kind: ModelKind) {
-    for threads in [1usize, 4, 8] {
-        let spawned = pipeline_state(ExecMode::SpawnPerCall, kind, threads);
-        let pooled = pipeline_state(ExecMode::Persistent, kind, threads);
+/// The pool's differential contract: for each model kind, the serial run
+/// (`threads = 1`: trainer, ranker and discovery all run inline) must be
+/// reproduced bit for bit by the pooled runs at 4 and 8 threads —
+/// embeddings, evaluation ranks, and discovered facts.
+fn assert_pipeline_is_thread_invariant(kind: ModelKind) {
+    let serial = pipeline_state(kind, 1);
+    for threads in [4usize, 8] {
         assert_eq!(
-            spawned, pooled,
-            "{kind:?} diverges between spawn-per-call and the pool at {threads} threads"
+            serial,
+            pipeline_state(kind, threads),
+            "{kind:?} diverges between 1 and {threads} threads"
         );
     }
 }
 
 #[test]
-fn pool_matches_spawn_per_call_transe() {
-    assert_pool_matches_spawn(ModelKind::TransE);
+fn pipeline_is_thread_invariant_transe() {
+    assert_pipeline_is_thread_invariant(ModelKind::TransE);
 }
 
 #[test]
-fn pool_matches_spawn_per_call_complex() {
-    assert_pool_matches_spawn(ModelKind::ComplEx);
+fn pipeline_is_thread_invariant_complex() {
+    assert_pipeline_is_thread_invariant(ModelKind::ComplEx);
 }
 
 #[test]
-fn pool_matches_spawn_per_call_rescal() {
-    assert_pool_matches_spawn(ModelKind::Rescal);
+fn pipeline_is_thread_invariant_rescal() {
+    assert_pipeline_is_thread_invariant(ModelKind::Rescal);
 }
