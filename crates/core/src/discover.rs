@@ -34,7 +34,9 @@ pub struct DiscoveryConfig {
     pub strategy: StrategyKind,
     /// Maximum rank a candidate may have to count as a fact (paper: 500).
     pub top_n: usize,
-    /// Candidate budget per relation (paper: 500).
+    /// Candidate budget per relation (paper: 500). [`try_discover_facts`]
+    /// rejects a budget above both `num_entities²`, the most distinct
+    /// candidates one relation can have, and 2²⁰.
     pub max_candidates: usize,
     /// Generation-loop bound (the paper's default constant 5; surfaced as a
     /// parameter because §3.1.1 notes it "could arguably be treated as
@@ -108,13 +110,21 @@ impl Default for DiscoveryConfig {
     }
 }
 
+/// Budgets up to this many candidates per relation are accepted on any
+/// graph, even where they exceed the graph's candidate space: the run then
+/// exhausts the space within `max_iterations` mesh walks of about
+/// `max_candidates` cells each, which stays cheap at this size. Larger
+/// budgets must fit the graph (see [`try_discover_facts`]).
+const MAX_UNCHECKED_CANDIDATES: usize = 1 << 20;
+
 /// Runs Algorithm 1: discovers facts absent from `store` that `model` ranks
 /// within `config.top_n` of their corruptions. Candidates stream through
 /// the scorer in `config.chunk_size` batches, so memory per relation is
 /// bounded by `chunk_size + top_k` rather than `max_candidates`.
 ///
 /// Panics if the configuration is invalid (non-finite
-/// `exploration_epsilon`); use [`try_discover_facts`] for a typed error.
+/// `exploration_epsilon`, unreachable `max_candidates`); use
+/// [`try_discover_facts`] for a typed error.
 pub fn discover_facts(
     model: &dyn KgeModel,
     store: &TripleStore,
@@ -123,9 +133,12 @@ pub fn discover_facts(
     try_discover_facts(model, store, config).expect("invalid discovery configuration")
 }
 
-/// [`discover_facts`] with configuration validation: rejects a non-finite
-/// `exploration_epsilon` with [`KgError::Invariant`] instead of silently
-/// treating NaN as "no exploration".
+/// [`discover_facts`] with configuration validation. Returns
+/// [`KgError::Invariant`] for a non-finite `exploration_epsilon` instead of
+/// silently treating NaN as "no exploration", and for a `max_candidates`
+/// above both `num_entities²` and 2²⁰: no relation can yield that many
+/// distinct candidates, and the mesh walk, whose side grows with
+/// `√max_candidates`, would be sized for a budget the graph cannot fill.
 pub fn try_discover_facts(
     model: &dyn KgeModel,
     store: &TripleStore,
@@ -137,6 +150,15 @@ pub fn try_discover_facts(
             config.exploration_epsilon
         )));
     }
+    let candidate_space = store.num_entities().saturating_mul(store.num_entities());
+    if config.max_candidates > candidate_space.max(MAX_UNCHECKED_CANDIDATES) {
+        return Err(KgError::Invariant(format!(
+            "max_candidates {} exceeds the {candidate_space} distinct candidates a relation \
+             of {} entities can have",
+            config.max_candidates,
+            store.num_entities()
+        )));
+    }
     let total_span = kgfd_obs::span!("discover.total", strategy = config.strategy.to_string());
 
     let prep_span = kgfd_obs::span!(
@@ -144,7 +166,7 @@ pub fn try_discover_facts(
         strategy = config.strategy.to_string()
     );
     let measures = cached_measures(config.strategy, store);
-    let known = KnownTriples::from_slices([store.triples()]);
+    let known = store.known();
     let rules = config
         .prune_with_rules
         .then(|| CandidateRules::learn(store, 5));
@@ -168,7 +190,7 @@ pub fn try_discover_facts(
             config,
             r,
             &measures,
-            &known,
+            known,
             rules.as_ref(),
             consolidated.as_ref(),
             rank_threads,
@@ -506,6 +528,21 @@ mod tests {
                 Err(KgError::Invariant(msg)) => {
                     assert!(msg.contains("exploration_epsilon"), "{msg}")
                 }
+                other => panic!("expected Invariant error, got {:?}", other.map(|r| r.facts)),
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_max_candidates_is_rejected_with_a_typed_error() {
+        let (data, model) = trained_toy();
+        let entities = data.train.num_entities();
+        assert!(entities * entities < MAX_UNCHECKED_CANDIDATES);
+        for bad in [MAX_UNCHECKED_CANDIDATES + 1, 10_000_000_000, usize::MAX] {
+            let mut cfg = quick_config(StrategyKind::UniformRandom);
+            cfg.max_candidates = bad;
+            match try_discover_facts(model.as_ref(), &data.train, &cfg) {
+                Err(KgError::Invariant(msg)) => assert!(msg.contains("max_candidates"), "{msg}"),
                 other => panic!("expected Invariant error, got {:?}", other.map(|r| r.facts)),
             }
         }

@@ -117,11 +117,12 @@ impl<'a> CandidateStream<'a> {
             samplers,
             rng: StdRng::seed_from_u64(stream_seed),
             // Seeded fast-hash dedup: candidate volume is bounded by
-            // `max_candidates`, so pre-size the set to skip rehashing; the
-            // seed keeps bucket layout independent of any ambient hasher
-            // randomisation.
+            // `max_candidates`, so pre-size the set to skip rehashing, capped
+            // as `TopKFacts::new` caps its heap so a large budget grows the
+            // set on demand instead of reserving it up front; the seed keeps
+            // bucket layout independent of any ambient hasher randomisation.
             seen: FxHashSet::with_capacity_and_hasher(
-                config.max_candidates * 2,
+                config.max_candidates.saturating_mul(2).min(1024),
                 FxBuildHasher::seeded(stream_seed),
             ),
             sample_size,

@@ -5,9 +5,12 @@
 //! contiguous slice. Membership is a hash set; per-relation unique
 //! subject/object lists and per-side frequency counts are precomputed because
 //! the sampling strategies of the paper (Section 3.1.2) consume them directly.
+//! The filtered-ranking index over the graph ([`TripleStore::known`]) is
+//! built on first use and kept for the store's lifetime.
 
-use crate::{EntityId, KgError, RelationId, Result, Side, Triple};
+use crate::{EntityId, KgError, KnownTriples, RelationId, Result, Side, Triple};
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Unique entities appearing on one side of one relation, with their
 /// occurrence counts. This is exactly the input of the paper's
@@ -54,6 +57,9 @@ pub struct TripleStore {
     /// Content hash over the declared shape and the sorted triple list,
     /// computed once at construction (see [`TripleStore::fingerprint`]).
     fingerprint: u64,
+    /// Filter index over `triples`, built by the first [`TripleStore::known`]
+    /// call. The store is immutable, so it never goes stale.
+    known: OnceLock<KnownTriples>,
 }
 
 impl TripleStore {
@@ -109,6 +115,7 @@ impl TripleStore {
             subjects,
             objects,
             fingerprint,
+            known: OnceLock::new(),
         })
     }
 
@@ -146,6 +153,15 @@ impl TripleStore {
     #[inline]
     pub fn triples(&self) -> &[Triple] {
         &self.triples
+    }
+
+    /// The filtered-ranking index over this graph's triples, equal to
+    /// `KnownTriples::from_slices([self.triples()])`. Built once, by the
+    /// first call, and shared by every later one: discovery runs and served
+    /// requests against the same store filter through one index.
+    pub fn known(&self) -> &KnownTriples {
+        self.known
+            .get_or_init(|| KnownTriples::from_slices([self.triples()]))
     }
 
     /// The contiguous slice of triples with relation `r`.
@@ -296,6 +312,13 @@ mod tests {
         assert!(!s.contains(&Triple::new(1u32, 0u32, 3u32)));
         assert_eq!(s.triples_of_relation(RelationId(0)).len(), 3);
         assert_eq!(s.triples_of_relation(RelationId(1)).len(), 1);
+    }
+
+    #[test]
+    fn known_index_is_built_once_over_the_triples() {
+        let s = store();
+        assert!(std::ptr::eq(s.known(), s.known()), "one index per store");
+        assert_eq!(s.known(), &KnownTriples::from_slices([s.triples()]));
     }
 
     #[test]

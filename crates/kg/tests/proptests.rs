@@ -1,9 +1,11 @@
 //! Property-based tests of the knowledge-graph substrate invariants.
 
 use kgfd_kg::{
-    read_triples_tsv, write_triples_tsv, KnownTriples, Side, Triple, TripleStore, Vocabulary,
+    read_triples_tsv, write_triples_tsv, EntityId, KnownTriples, RelationId, Side, Triple,
+    TripleStore, Vocabulary,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 const N: u32 = 12;
 const K: u32 = 4;
@@ -79,12 +81,37 @@ proptest! {
     }
 
     #[test]
-    fn known_triples_object_lookup_is_complete(triples in arb_triples()) {
-        let known = KnownTriples::from_slices([&triples[..]]);
-        for t in &triples {
-            prop_assert!(known.true_objects(t.subject, t.relation).contains(&t.object));
-            prop_assert!(known.true_subjects(t.relation, t.object).contains(&t.subject));
+    fn known_triples_object_lookup_is_complete(
+        slices in proptest::collection::vec(arb_triples(), 1..4),
+    ) {
+        // Every triple of the first slice appears again in the last one, so
+        // the input always has duplicates (across slices when there are two
+        // or more).
+        let mut slices = slices;
+        let echo = slices[0].clone();
+        slices.last_mut().expect("at least one slice").extend(echo);
+        let known = KnownTriples::from_slices(slices.iter().map(Vec::as_slice));
+
+        let mut objects: BTreeMap<(EntityId, RelationId), BTreeSet<EntityId>> = BTreeMap::new();
+        let mut subjects: BTreeMap<(RelationId, EntityId), BTreeSet<EntityId>> = BTreeMap::new();
+        for t in slices.iter().flatten() {
+            objects.entry((t.subject, t.relation)).or_default().insert(t.object);
+            subjects.entry((t.relation, t.object)).or_default().insert(t.subject);
         }
+        // Every id the generator draws, ids above all of them, and the
+        // largest id there is: lookups must match the reference exactly
+        // (sorted, deduplicated, nothing extra) and be empty off the graph.
+        for e in (0..N + 2).chain([u32::MAX]).map(EntityId) {
+            for r in (0..K + 2).chain([u32::MAX]).map(RelationId) {
+                let want: Vec<EntityId> =
+                    objects.get(&(e, r)).into_iter().flatten().copied().collect();
+                prop_assert_eq!(known.true_objects(e, r), &want[..]);
+                let want: Vec<EntityId> =
+                    subjects.get(&(r, e)).into_iter().flatten().copied().collect();
+                prop_assert_eq!(known.true_subjects(r, e), &want[..]);
+            }
+        }
+        prop_assert_eq!(known.len(), slices.iter().map(Vec::len).sum::<usize>());
     }
 
     #[test]

@@ -21,7 +21,8 @@ use std::time::Instant;
 /// Typed request failures, each mapping to one HTTP status.
 #[derive(Debug)]
 pub enum ApiError {
-    /// Malformed JSON, missing fields, unknown labels → `400`.
+    /// Malformed JSON, missing fields, unknown labels, an invalid
+    /// discovery configuration → `400`.
     BadRequest(String),
     /// The named model is not loaded → `404`.
     UnknownModel(String),
@@ -165,7 +166,7 @@ pub fn handle_rank(
         })
         .transpose()?
         .unwrap_or(true);
-    let known = filtered.then_some(&graph.known);
+    let known = filtered.then_some(graph.store.known());
     let ranks = BatchRanker::new(entry.model.as_ref(), rank_threads).rank_all(&triples, known);
     let rows: Vec<Value> = ranks
         .iter()

@@ -9,13 +9,14 @@
 //!
 //! All models share one [`GraphContext`] (the training graph the server
 //! was started with): its vocabulary translates request labels to dense
-//! ids, its store feeds discovery, and its [`KnownTriples`] index provides
-//! the filtered ranking protocol. A model whose entity/relation counts do
+//! ids, and its store feeds discovery and, through the store's one filter
+//! index ([`TripleStore::known`]), the filtered ranking protocol of both
+//! `/v1/rank` and `/v1/discover`. A model whose entity/relation counts do
 //! not match the graph is refused at load time — serving with a
 //! mismatched vocabulary would silently score the wrong embeddings.
 
 use kgfd_embed::{read_model_file, KgeModel};
-use kgfd_kg::{KgError, KnownTriples, TripleStore, Vocabulary};
+use kgfd_kg::{KgError, TripleStore, Vocabulary};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,21 +26,17 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 pub struct GraphContext {
     /// Label ↔ dense-id mapping of the training graph.
     pub vocab: Vocabulary,
-    /// The training triples (discovery candidates are drawn from it).
+    /// The training triples (discovery candidates are drawn from it) and
+    /// their filter index.
     pub store: TripleStore,
-    /// Filter index over the training triples for ranked queries.
-    pub known: KnownTriples,
 }
 
 impl GraphContext {
-    /// Builds the context (including the filter index) from a loaded graph.
+    /// Builds the context from a loaded graph, building the store's filter
+    /// index now so that no request pays for it.
     pub fn new(vocab: Vocabulary, store: TripleStore) -> GraphContext {
-        let known = KnownTriples::from_slices([store.triples()]);
-        GraphContext {
-            vocab,
-            store,
-            known,
-        }
+        store.known();
+        GraphContext { vocab, store }
     }
 }
 

@@ -450,6 +450,15 @@ fn bad_requests_partition_into_4xx() {
         oversized.json()["error"].as_str(),
         Some("payload_too_large")
     );
+    // A discovery budget no relation can fill → 400, and the server lives on.
+    let unreachable = post(
+        addr,
+        "/v1/discover",
+        "{\"model\": \"toy\", \"relation\": \"targets\", \"max_candidates\": 10000000000}",
+    );
+    assert_eq!(unreachable.status, 400);
+    assert_eq!(unreachable.json()["error"].as_str(), Some("bad_request"));
+    assert_eq!(get(addr, "/healthz").status, 200);
     server.shutdown();
 }
 
