@@ -8,9 +8,9 @@ use kgfd_datasets::{
     yago310_like,
 };
 use kgfd_embed::{
-    checkpoint_paths, read_model_file, resume_latest, train, write_model_file, CheckpointPolicy,
-    KgeModel, LossKind, ModelKind, OptimizerKind, ResumeReport, StopSignal, TrainConfig,
-    TrainOutcome, TrainSession,
+    checkpoint_paths, read_model_file, resume_latest, write_model_file, CheckpointPolicy, KgeModel,
+    LossKind, ModelKind, OptimizerKind, ResumeReport, StopSignal, TrainConfig, TrainOutcome,
+    TrainSession,
 };
 use kgfd_eval::{
     evaluate_per_relation, evaluate_ranking, train_with_early_stopping, EarlyStopping,
@@ -587,7 +587,9 @@ fn cmd_train(args: &Args) -> CmdResult {
                 ),
                 None,
             )
-        } else if checkpointing {
+        } else {
+            // Checkpoint flags only add a policy and a stop signal; without
+            // them this is the same session run to completion.
             let (mut session, report) = if resume {
                 resume_latest(kind, &store, &config, Path::new(out))?
             } else {
@@ -601,9 +603,10 @@ fn cmd_train(args: &Args) -> CmdResult {
                 .resumed_from
                 .as_ref()
                 .map(|p| p.display().to_string());
-            let policy = CheckpointPolicy::new(PathBuf::from(out), checkpoint_every);
+            let policy =
+                checkpointing.then(|| CheckpointPolicy::new(PathBuf::from(out), checkpoint_every));
             let stop = deadline_s.map(|s| StopSignal::with_deadline(Duration::from_secs_f64(s)));
-            let outcome = session.run(Some(&policy), stop.as_ref())?;
+            let outcome = session.run(policy.as_ref(), stop.as_ref())?;
             if let TrainOutcome::Interrupted {
                 epochs_done,
                 checkpoint,
@@ -626,18 +629,6 @@ fn cmd_train(args: &Args) -> CmdResult {
                 .into());
             }
             let (model, stats) = session.into_model();
-            let loss = stats.final_loss();
-            (
-                model,
-                format!(
-                    "final training loss {} over {} epochs",
-                    render_loss(loss),
-                    config.epochs
-                ),
-                Some(loss),
-            )
-        } else {
-            let (model, stats) = train(kind, &store, &config);
             let loss = stats.final_loss();
             (
                 model,

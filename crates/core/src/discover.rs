@@ -183,82 +183,51 @@ pub fn try_discover_facts(
         .clone()
         .unwrap_or_else(|| store.used_relations());
 
-    let run_one = |r: RelationId, rank_threads: usize| -> Result<RelationOutcome, KgError> {
-        discover_relation_streaming(
-            model,
-            store,
-            config,
-            r,
-            &measures,
-            known,
-            rules.as_ref(),
-            consolidated.as_ref(),
-            rank_threads,
-        )
-    };
-
     // Relations are embarrassingly parallel: each draws from its own
     // seed-derived RNG stream and sees only shared read-only state, so the
-    // outcome of one never depends on which others run or where. Pool
-    // workers take contiguous chunks and results merge in relation order,
-    // keeping the report byte-identical to a sequential run at any thread
-    // count. When the outer loop is parallel, per-relation candidate
-    // ranking runs single-threaded — the relation fan-out already owns the
-    // budget (a nested ranking scope would fall back to inline execution on
-    // the pool anyway).
-    let workers = config.threads.max(1).min(relations.len().max(1));
-    let outcomes: Vec<RelationOutcome> = if workers <= 1 {
-        relations
-            .iter()
+    // outcome of one never depends on which others run or where. Pool jobs
+    // take contiguous chunks and results merge in relation order, keeping
+    // the report byte-identical to a serial run at any thread count, and
+    // every job runs under `discover.total`. Ranking gets the thread budget
+    // only when there is a single relation; otherwise the relation fan-out
+    // owns it (a nested ranking fan-out would run inline on the pool worker
+    // anyway).
+    let rank_threads = if relations.len() > 1 {
+        1
+    } else {
+        config.threads
+    };
+    let chunks = kgfd_pool::fan_out(config.threads, &relations, |_, part| {
+        part.iter()
             .map(|&r| {
                 // Trace-only: groups this relation's generation/evaluation
                 // spans in trace exports without adding per-relation events.
                 let _rel_span = kgfd_obs::span_traced!("discover.relation", relation = r.0);
-                run_one(r, config.threads)
+                discover_relation_streaming(
+                    model,
+                    store,
+                    config,
+                    r,
+                    &measures,
+                    known,
+                    rules.as_ref(),
+                    consolidated.as_ref(),
+                    rank_threads,
+                )
             })
-            .collect::<Result<_, _>>()?
-    } else {
-        let per_worker = relations.len().div_ceil(workers);
-        let mut collected = Vec::with_capacity(relations.len());
-        // Pool workers have an empty span stack; hand the root span over
-        // explicitly so every per-relation span still nests under it.
-        let total_handle = total_span.handle();
-        let run_one = &run_one;
-        kgfd_pool::scope(|scope| {
-            let handles: Vec<_> = relations
-                .chunks(per_worker)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter()
-                            .map(|&r| {
-                                let _rel_span = kgfd_obs::Span::child_for_thread_with_fields(
-                                    total_handle,
-                                    "discover.relation",
-                                    vec![kgfd_obs::Field::new("relation", r.0)],
-                                );
-                                run_one(r, 1)
-                            })
-                            .collect::<Result<Vec<_>, KgError>>()
-                    })
-                })
-                .collect();
-            // Join *every* handle before surfacing an error: a typed
-            // propagation must not leave panicked-but-unclaimed jobs for
-            // the scope exit to resume.
-            let joined: Vec<_> = handles.into_iter().map(|h| h.try_join()).collect();
-            for part in joined {
-                collected.extend(part.map_err(worker_panic_error)??);
-            }
-            Ok::<(), KgError>(())
-        })?;
-        collected
-    };
+            .collect::<Result<Vec<_>, KgError>>()
+    })
+    // A panicked relation job surfaces as a typed error instead of hanging
+    // or aborting the process.
+    .map_err(|e| KgError::WorkerPanic(e.to_string()))?;
 
     let mut facts = Vec::new();
-    let mut per_relation = Vec::with_capacity(outcomes.len());
-    for outcome in outcomes {
-        facts.extend(outcome.facts);
-        per_relation.push(outcome.breakdown);
+    let mut per_relation = Vec::with_capacity(relations.len());
+    for chunk in chunks {
+        for outcome in chunk? {
+            facts.extend(outcome.facts);
+            per_relation.push(outcome.breakdown);
+        }
     }
 
     Ok(DiscoveryReport {
@@ -270,12 +239,6 @@ pub fn try_discover_facts(
         preparation,
         total: total_span.finish(),
     })
-}
-
-/// Maps a pool failure (a panicked relation worker) to the typed error the
-/// discovery API surfaces instead of hanging or aborting the process.
-fn worker_panic_error(e: kgfd_pool::PoolError) -> KgError {
-    KgError::WorkerPanic(e.to_string())
 }
 
 /// One relation's share of a discovery run: its kept facts plus the

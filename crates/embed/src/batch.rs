@@ -1,10 +1,10 @@
-//! Tiled entity-table sweeps shared by the batched scoring kernels.
+//! The tiled entity-table sweep behind the batched scoring kernels.
 //!
 //! Every dot-product-family model reduces a side query to a *query vector*
 //! (or a translation point) that is then combined with each row of the
 //! entity table. The single-query kernels therefore sweep the whole
-//! `N × dim` table once per query. The helpers here sweep it once per
-//! **tile of [`QUERY_TILE`] queries** instead, and walk the table in
+//! `N × dim` table once per query. [`sweep`] sweeps it once per
+//! **tile of [`QUERY_TILE`] queries** instead, and walks the table in
 //! blocks of [`ENTITY_BLOCK`] rows: within a block, the inner loops run
 //! query-then-entity, so
 //!
@@ -14,158 +14,73 @@
 //!   instead of the old stride-`N` scatter (one write per entity per
 //!   query), which lets the stores stream.
 //!
+//! The sweep is generic over the per-`(query, entity)` expression, and only
+//! this crate's models call it: DistMult, ComplEx, HolE and RESCAL pass
+//! `dot`, SimplE `½·dot`, TransE its negated L1 or L2 distance, and RotatE
+//! its own `neg_complex_l1`.
+//!
 //! **Bit-identical-scores contract:** for each `(query, entity)` pair the
-//! reduction below is the exact expression of the corresponding
-//! single-query kernel, in the same summation order over `dim`. Tiling and
-//! entity blocking only reorder *independent* output slots, so batched
-//! scores are bitwise equal to looped single-query scores — the
-//! differential suites in `tests/batch_kernels.rs` and `kgfd-eval` hold
-//! both paths to that.
+//! expression is the exact one of the corresponding single-query kernel, in
+//! the same summation order over `dim`. Tiling and entity blocking only
+//! reorder *independent* output slots, so batched scores are bitwise equal
+//! to looped single-query scores — the differential suites in
+//! `tests/batch_kernels.rs` and `kgfd-eval` hold both paths to that.
 //!
 //! Output layout is query-major: `out[q * N + e]` is query `q`'s score for
 //! entity `e`, with `N = entities.rows()`.
 
-use crate::math::{dot, l1_distance, l2_distance};
 use crate::ParamTable;
 
 /// Queries per entity-table sweep. Sized so a tile of query vectors stays
 /// resident in L1 alongside the streamed entity row at typical dims.
-pub const QUERY_TILE: usize = 8;
+pub(crate) const QUERY_TILE: usize = 8;
 
 /// Entity rows per block of the sweep. At dim ≈ 128 a block is
 /// `64 × 128 × 4 B = 32 KiB` of entity rows — within L1 on current cores —
 /// reused [`QUERY_TILE`] times before moving on, while each query's output
 /// slice is written in contiguous 256-byte runs.
-pub const ENTITY_BLOCK: usize = 64;
+pub(crate) const ENTITY_BLOCK: usize = 64;
 
+/// `out[q·N + e] = score(queries[q], entity_e)` for every `dim`-float query
+/// row of `queries`, one table sweep per tile of [`QUERY_TILE`] queries in
+/// blocks of [`ENTITY_BLOCK`] entity rows. Each model passes the exact
+/// per-pair expression of its single-query kernel as `score`; every
+/// instantiation compiles to its own inner loop.
 #[inline]
-fn check_shapes(entities: &ParamTable, qvecs: &[f32], dim: usize, out: &[f32]) -> usize {
+pub(crate) fn sweep(
+    entities: &ParamTable,
+    queries: &[f32],
+    dim: usize,
+    out: &mut [f32],
+    score: impl Fn(&[f32], &[f32]) -> f32,
+) {
     debug_assert!(dim > 0);
     debug_assert_eq!(entities.cols(), dim);
-    debug_assert_eq!(qvecs.len() % dim, 0);
-    let q = qvecs.len() / dim;
-    debug_assert_eq!(out.len(), q * entities.rows());
-    q
-}
-
-/// `out[q·N + e] = dot(qvecs[q], entity_e)`, one table sweep per tile.
-///
-/// `scale` post-multiplies each dot (SimplE's `½`); `None` stores the dot
-/// verbatim, exactly as the unscaled single-query kernels do.
-pub fn dot_sweep(
-    entities: &ParamTable,
-    qvecs: &[f32],
-    dim: usize,
-    scale: Option<f32>,
-    out: &mut [f32],
-) {
-    let q = check_shapes(entities, qvecs, dim, out);
+    debug_assert_eq!(queries.len() % dim, 0);
+    let q = queries.len() / dim;
     let n = entities.rows();
-    let mut tile_start = 0;
-    while tile_start < q {
+    debug_assert_eq!(out.len(), q * n);
+    for tile_start in (0..q).step_by(QUERY_TILE) {
         let tile_end = (tile_start + QUERY_TILE).min(q);
-        let mut block_start = 0;
-        while block_start < n {
+        for block_start in (0..n).step_by(ENTITY_BLOCK) {
             let block_end = (block_start + ENTITY_BLOCK).min(n);
             for qi in tile_start..tile_end {
-                let qv = &qvecs[qi * dim..(qi + 1) * dim];
+                let query = &queries[qi * dim..(qi + 1) * dim];
                 let out_row = &mut out[qi * n + block_start..qi * n + block_end];
-                for (slot, e) in (block_start..block_end).enumerate() {
-                    let d = dot(qv, entities.row(e));
-                    out_row[slot] = match scale {
-                        None => d,
-                        Some(s) => s * d,
-                    };
+                for (slot, e) in out_row.iter_mut().zip(block_start..block_end) {
+                    *slot = score(query, entities.row(e));
                 }
             }
-            block_start = block_end;
         }
-        tile_start = tile_end;
-    }
-}
-
-/// `out[q·N + e] = −‖entity_e − points[q]‖₁` (TransE-L1 sweep).
-pub fn neg_l1_sweep(entities: &ParamTable, points: &[f32], dim: usize, out: &mut [f32]) {
-    let q = check_shapes(entities, points, dim, out);
-    let n = entities.rows();
-    let mut tile_start = 0;
-    while tile_start < q {
-        let tile_end = (tile_start + QUERY_TILE).min(q);
-        let mut block_start = 0;
-        while block_start < n {
-            let block_end = (block_start + ENTITY_BLOCK).min(n);
-            for qi in tile_start..tile_end {
-                let point = &points[qi * dim..(qi + 1) * dim];
-                let out_row = &mut out[qi * n + block_start..qi * n + block_end];
-                for (slot, e) in (block_start..block_end).enumerate() {
-                    out_row[slot] = -l1_distance(entities.row(e), point);
-                }
-            }
-            block_start = block_end;
-        }
-        tile_start = tile_end;
-    }
-}
-
-/// `out[q·N + e] = −‖entity_e − points[q]‖₂` (TransE-L2 sweep).
-pub fn neg_l2_sweep(entities: &ParamTable, points: &[f32], dim: usize, out: &mut [f32]) {
-    let q = check_shapes(entities, points, dim, out);
-    let n = entities.rows();
-    let mut tile_start = 0;
-    while tile_start < q {
-        let tile_end = (tile_start + QUERY_TILE).min(q);
-        let mut block_start = 0;
-        while block_start < n {
-            let block_end = (block_start + ENTITY_BLOCK).min(n);
-            for qi in tile_start..tile_end {
-                let point = &points[qi * dim..(qi + 1) * dim];
-                let out_row = &mut out[qi * n + block_start..qi * n + block_end];
-                for (slot, e) in (block_start..block_end).enumerate() {
-                    out_row[slot] = -l2_distance(entities.row(e), point);
-                }
-            }
-            block_start = block_end;
-        }
-        tile_start = tile_end;
-    }
-}
-
-/// `out[q·N + e] = −Σᵢ |pointsᵢ[q] − entityᵢ_e|` over complex components
-/// stored `[re.. | im..]` (RotatE's sweep). The per-component expression
-/// matches `RotatE::neg_complex_l1(point, row)` exactly.
-pub fn neg_complex_l1_sweep(entities: &ParamTable, points: &[f32], dim: usize, out: &mut [f32]) {
-    let q = check_shapes(entities, points, dim, out);
-    let n = entities.rows();
-    let m = dim / 2;
-    let mut tile_start = 0;
-    while tile_start < q {
-        let tile_end = (tile_start + QUERY_TILE).min(q);
-        let mut block_start = 0;
-        while block_start < n {
-            let block_end = (block_start + ENTITY_BLOCK).min(n);
-            for qi in tile_start..tile_end {
-                let point = &points[qi * dim..(qi + 1) * dim];
-                let out_row = &mut out[qi * n + block_start..qi * n + block_end];
-                for (slot, e) in (block_start..block_end).enumerate() {
-                    let row = entities.row(e);
-                    let mut acc = 0.0;
-                    for i in 0..m {
-                        let u = point[i] - row[i];
-                        let v = point[m + i] - row[m + i];
-                        acc += (u * u + v * v).sqrt();
-                    }
-                    out_row[slot] = -acc;
-                }
-            }
-            block_start = block_end;
-        }
-        tile_start = tile_end;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::{dot, l1_distance, l2_distance};
+    use crate::KgeModel;
+    use kgfd_kg::{EntityId, RelationId};
 
     fn table(rows: usize, cols: usize, seed: u64) -> ParamTable {
         let mut t = ParamTable::zeros(rows, cols);
@@ -179,7 +94,7 @@ mod tests {
         let entities = table(13, 6, 1);
         let qvecs = table(11, 6, 2);
         let mut out = vec![0.0; 11 * 13];
-        dot_sweep(&entities, qvecs.data(), 6, None, &mut out);
+        sweep(&entities, qvecs.data(), 6, &mut out, dot);
         for qi in 0..11 {
             for e in 0..13 {
                 let expect = dot(qvecs.row(qi), entities.row(e));
@@ -193,7 +108,7 @@ mod tests {
         let entities = table(5, 4, 3);
         let qvecs = table(3, 4, 4);
         let mut out = vec![0.0; 3 * 5];
-        dot_sweep(&entities, qvecs.data(), 4, Some(0.5), &mut out);
+        sweep(&entities, qvecs.data(), 4, &mut out, |q, e| 0.5 * dot(q, e));
         for qi in 0..3 {
             for e in 0..5 {
                 let expect = 0.5 * dot(qvecs.row(qi), entities.row(e));
@@ -210,8 +125,12 @@ mod tests {
         let q = QUERY_TILE + 3;
         let mut l1 = vec![0.0; q * 7];
         let mut l2 = vec![0.0; q * 7];
-        neg_l1_sweep(&entities, points.data(), 4, &mut l1);
-        neg_l2_sweep(&entities, points.data(), 4, &mut l2);
+        sweep(&entities, points.data(), 4, &mut l1, |p, e| {
+            -l1_distance(e, p)
+        });
+        sweep(&entities, points.data(), 4, &mut l2, |p, e| {
+            -l2_distance(e, p)
+        });
         for qi in 0..q {
             for e in 0..7 {
                 let e1 = -l1_distance(entities.row(e), points.row(qi));
@@ -231,7 +150,7 @@ mod tests {
         let qvecs = table(QUERY_TILE + 1, 6, 10);
         let q = QUERY_TILE + 1;
         let mut out = vec![0.0; q * rows];
-        dot_sweep(&entities, qvecs.data(), 6, None, &mut out);
+        sweep(&entities, qvecs.data(), 6, &mut out, dot);
         for qi in 0..q {
             for e in 0..rows {
                 let expect = dot(qvecs.row(qi), entities.row(e));
@@ -242,20 +161,21 @@ mod tests {
 
     #[test]
     fn complex_sweep_matches_scalar_formula_bitwise() {
-        let entities = table(6, 8, 7);
-        let points = table(4, 8, 8);
-        let mut out = vec![0.0; 4 * 6];
-        neg_complex_l1_sweep(&entities, points.data(), 8, &mut out);
-        for qi in 0..4 {
+        // RotatE's batched kernel through the sweep against its
+        // single-query kernel.
+        let model = crate::models::RotatE::new(6, 2, 8, 7);
+        let queries = [
+            (EntityId(0), RelationId(0)),
+            (EntityId(3), RelationId(1)),
+            (EntityId(5), RelationId(0)),
+        ];
+        let mut out = vec![0.0; queries.len() * 6];
+        model.score_objects_batch(&queries, &mut out);
+        let mut row = vec![0.0; 6];
+        for (qi, &(s, r)) in queries.iter().enumerate() {
+            model.score_objects(s, r, &mut row);
             for e in 0..6 {
-                let (p, row) = (points.row(qi), entities.row(e));
-                let mut acc = 0.0;
-                for i in 0..4 {
-                    let u = p[i] - row[i];
-                    let v = p[4 + i] - row[4 + i];
-                    acc += (u * u + v * v).sqrt();
-                }
-                assert_eq!(out[qi * 6 + e].to_bits(), (-acc).to_bits());
+                assert_eq!(out[qi * 6 + e].to_bits(), row[e].to_bits());
             }
         }
     }

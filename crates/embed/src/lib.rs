@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
+mod batch;
 mod checkpoint;
 mod loss;
 pub mod math;
@@ -52,6 +52,6 @@ pub use persist::{
     crc32, load_model, read_model_file, save_model, write_model_file, FORMAT_VERSION,
 };
 pub use trainer::{
-    negative_stream, train, train_into, StopSignal, TrainConfig, TrainConfigError, TrainOutcome,
-    TrainSession, TrainStats, SHARD_SIZE,
+    negative_stream, train, StopSignal, TrainConfig, TrainConfigError, TrainOutcome, TrainSession,
+    TrainStats, SHARD_SIZE,
 };

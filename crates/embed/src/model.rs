@@ -146,6 +146,50 @@ impl ModelConfig {
             ),
         }
     }
+
+    /// The `(rows, cols)` of every table [`build`](Self::build) allocates,
+    /// or why `build` would panic: a dim the kind cannot lay out, or a table
+    /// size that overflows `usize`. Allocates nothing, so an untrusted
+    /// config can be checked before it is built.
+    pub(crate) fn table_shapes(&self) -> Result<Vec<(usize, usize)>, String> {
+        let (n, k, d) = (self.num_entities, self.num_relations, self.dim);
+        let kind = self.kind;
+        let even = || {
+            if d.is_multiple_of(2) {
+                Ok(())
+            } else {
+                Err(format!("{kind} needs an even dim, got {d}"))
+            }
+        };
+        let square = || {
+            d.checked_mul(d)
+                .ok_or_else(|| format!("{kind} tables of dim {d} overflow"))
+        };
+        Ok(match kind {
+            ModelKind::TransE | ModelKind::DistMult | ModelKind::HolE => vec![(n, d), (k, d)],
+            ModelKind::ComplEx | ModelKind::SimplE => {
+                even()?;
+                vec![(n, d), (k, d)]
+            }
+            ModelKind::RotatE => {
+                even()?;
+                vec![(n, d), (k, d / 2)]
+            }
+            ModelKind::Rescal => vec![(n, d), (k, square()?)],
+            ModelKind::TuckEr => {
+                let cube = square()?
+                    .checked_mul(d)
+                    .ok_or_else(|| format!("{kind} tables of dim {d} overflow"))?;
+                vec![(n, d), (k, d), (1, cube)]
+            }
+            ModelKind::ConvE => crate::models::ConvE::table_shapes(n, k, d).ok_or_else(|| {
+                format!(
+                    "{kind} cannot lay out {k} relations at dim {d} \
+                     (dim must factor as h×w with h≥2, w≥3)"
+                )
+            })?,
+        })
+    }
 }
 
 /// A trained (or trainable) knowledge-graph embedding model.
@@ -236,6 +280,47 @@ pub trait KgeModel: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_shapes_match_the_built_tables() {
+        for kind in ModelKind::ALL {
+            for dim in [6, 12] {
+                let model = crate::new_model(kind, 5, 3, dim, 0);
+                let built: Vec<(usize, usize)> = model
+                    .params()
+                    .tables()
+                    .iter()
+                    .map(|t| (t.rows(), t.cols()))
+                    .collect();
+                assert_eq!(
+                    model.config().table_shapes(),
+                    Ok(built),
+                    "{kind} at dim {dim}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_shapes_reject_dims_build_would_panic_on() {
+        let config = |kind, dim| ModelConfig {
+            kind,
+            num_entities: 5,
+            num_relations: 3,
+            dim,
+            distance: None,
+        };
+        for kind in [ModelKind::ComplEx, ModelKind::RotatE, ModelKind::SimplE] {
+            assert!(
+                config(kind, 7).table_shapes().is_err(),
+                "{kind} with odd dim"
+            );
+        }
+        assert!(config(ModelKind::ConvE, 7).table_shapes().is_err());
+        assert!(config(ModelKind::Rescal, 1 << 33).table_shapes().is_err());
+        assert!(config(ModelKind::TuckEr, 1 << 22).table_shapes().is_err());
+        assert!(config(ModelKind::ConvE, usize::MAX).table_shapes().is_err());
+    }
 
     #[test]
     fn names_roundtrip() {

@@ -164,7 +164,7 @@ impl KgeModel for ComplEx {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::object_query(self.entity(s), self.relation(r), qvec);
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -173,7 +173,7 @@ impl KgeModel for ComplEx {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::subject_query(self.relation(r), self.entity(o), qvec);
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

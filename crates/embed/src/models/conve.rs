@@ -97,7 +97,8 @@ impl ConvE {
     pub fn reshape_dims(dim: usize) -> Option<(usize, usize)> {
         let mut best = None;
         for h in 2..=dim {
-            if h * h > dim {
+            // `h * h > dim` without overflow.
+            if h > dim / h {
                 break;
             }
             if dim.is_multiple_of(h) && dim / h >= KERNEL {
@@ -105,6 +106,30 @@ impl ConvE {
             }
         }
         best
+    }
+
+    /// `(rows, cols)` of the four tables [`ConvE::new`] allocates, or `None`
+    /// when `dim` cannot reshape or a table size overflows `usize`. Dims
+    /// above `u32::MAX` are refused without the O(√dim) reshape search: the
+    /// fully connected table alone would hold over 2³⁶ floats.
+    pub(crate) fn table_shapes(
+        num_entities: usize,
+        num_relations: usize,
+        dim: usize,
+    ) -> Option<Vec<(usize, usize)>> {
+        if dim > u32::MAX as usize {
+            return None;
+        }
+        let (h, w) = Self::reshape_dims(dim)?;
+        let hidden = (2 * h - KERNEL + 1)
+            .checked_mul(w - KERNEL + 1)?
+            .checked_mul(FILTERS)?;
+        Some(vec![
+            (num_entities, dim),
+            (num_relations.checked_mul(2)?, dim),
+            (FILTERS, KERNEL * KERNEL),
+            (hidden, dim),
+        ])
     }
 
     #[inline]

@@ -115,7 +115,7 @@ impl KgeModel for DistMult {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             hadamard(qvec, self.entity(s), self.relation(r));
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -124,7 +124,7 @@ impl KgeModel for DistMult {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             hadamard(qvec, self.relation(r), self.entity(o));
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

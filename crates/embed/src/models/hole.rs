@@ -149,7 +149,7 @@ impl KgeModel for HolE {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::convolve(self.relation(r), self.entity(s), qvec);
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -158,7 +158,7 @@ impl KgeModel for HolE {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::correlate(self.relation(r), self.entity(o), qvec);
         }
-        crate::batch::dot_sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, None, out);
+        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

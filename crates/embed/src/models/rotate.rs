@@ -158,7 +158,7 @@ impl KgeModel for RotatE {
             Self::rotate(self.entity(s), self.phases(r), 1.0, point);
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::neg_complex_l1_sweep(entities, &points, self.dim, out);
+        crate::batch::sweep(entities, &points, self.dim, out, Self::neg_complex_l1);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -168,7 +168,7 @@ impl KgeModel for RotatE {
             Self::rotate(self.entity(o), self.phases(r), -1.0, point);
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::neg_complex_l1_sweep(entities, &points, self.dim, out);
+        crate::batch::sweep(entities, &points, self.dim, out, Self::neg_complex_l1);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

@@ -154,7 +154,7 @@ impl KgeModel for SimplE {
             }
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::dot_sweep(entities, &qvecs, 2 * l, Some(0.5), out);
+        crate::batch::sweep(entities, &qvecs, 2 * l, out, |q, e| 0.5 * dot(q, e));
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -170,7 +170,7 @@ impl KgeModel for SimplE {
             }
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::dot_sweep(entities, &qvecs, 2 * l, Some(0.5), out);
+        crate::batch::sweep(entities, &qvecs, 2 * l, out, |q, e| 0.5 * dot(q, e));
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

@@ -169,8 +169,12 @@ impl KgeModel for TransE {
         }
         let entities = self.params.table(ENTITY_TABLE);
         match self.distance {
-            Distance::L1 => crate::batch::neg_l1_sweep(entities, &points, self.dim, out),
-            Distance::L2 => crate::batch::neg_l2_sweep(entities, &points, self.dim, out),
+            Distance::L1 => {
+                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l1_distance(e, p))
+            }
+            Distance::L2 => {
+                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l2_distance(e, p))
+            }
         }
     }
 
@@ -183,8 +187,12 @@ impl KgeModel for TransE {
         }
         let entities = self.params.table(ENTITY_TABLE);
         match self.distance {
-            Distance::L1 => crate::batch::neg_l1_sweep(entities, &points, self.dim, out),
-            Distance::L2 => crate::batch::neg_l2_sweep(entities, &points, self.dim, out),
+            Distance::L1 => {
+                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l1_distance(e, p))
+            }
+            Distance::L2 => {
+                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l2_distance(e, p))
+            }
         }
     }
 

@@ -17,7 +17,9 @@
 //! CRC-32 (IEEE, the zlib polynomial) covers every preceding byte, and the
 //! reader rejects any file whose length differs from what its own header
 //! implies — so truncation, bit flips, and appended garbage all surface as
-//! [`KgError::Corrupt`] instead of a silently-wrong model.
+//! [`KgError::Corrupt`] instead of a silently-wrong model. A CRC can be
+//! re-signed, so before building anything the reader also checks the
+//! config block against the table directory and the kind's dim rules.
 //!
 //! ## Format v1 (retired)
 //!
@@ -230,31 +232,27 @@ fn parse_header(full: &[u8]) -> Result<Header> {
 }
 
 /// Builds the model described by `header` and fills its tables from
-/// `payload` (exactly the f32 data, already length-checked).
+/// `payload` (exactly the f32 data, already length-checked). The config
+/// block is checked against the table directory first: `build` allocates
+/// every table the config implies and asserts the kind's dim rules, while
+/// the directory is bounded by the file's length.
 fn materialize(header: &Header, payload: &[u8]) -> Result<Box<dyn KgeModel>> {
-    let mut model = header.config.build(0);
-    let params = model.params_mut();
-    if params.num_tables() != header.shapes.len() {
+    let config = &header.config;
+    let expected = config.table_shapes().map_err(corrupt)?;
+    if expected != header.shapes {
         return Err(corrupt(format!(
-            "table count mismatch: file has {}, a {} model has {}",
-            header.shapes.len(),
-            header.config.kind,
-            params.num_tables()
+            "table directory {:?} does not match the config block: a {} model of {} \
+             entities, {} relations and dim {} has tables {expected:?}",
+            header.shapes, config.kind, config.num_entities, config.num_relations, config.dim
         )));
     }
+    let mut model = config.build(0);
+    let params = model.params_mut();
     let mut values = payload
         .chunks_exact(4)
         .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
-    for (i, &(rows, cols)) in header.shapes.iter().enumerate() {
-        let table = params.table_mut(i);
-        if table.rows() != rows || table.cols() != cols {
-            return Err(corrupt(format!(
-                "table {i} shape mismatch: file {rows}×{cols}, model {}×{}",
-                table.rows(),
-                table.cols()
-            )));
-        }
-        for (v, stored) in table.data_mut().iter_mut().zip(&mut values) {
+    for i in 0..params.num_tables() {
+        for (v, stored) in params.table_mut(i).data_mut().iter_mut().zip(&mut values) {
             *v = stored;
         }
     }

@@ -192,7 +192,8 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Trains a fresh model of `kind` on `store`.
+/// Trains a fresh model of `kind` on `store`: a [`TrainSession`] run to
+/// completion without checkpoints.
 ///
 /// Models flagged [`KgeModel::reciprocal`] (ConvE) are trained on the
 /// reciprocal-augmented triple set `(s, r, o) ∪ (o, r + K, s)` with
@@ -209,15 +210,11 @@ pub fn train(
     store: &TripleStore,
     config: &TrainConfig,
 ) -> (Box<dyn KgeModel>, TrainStats) {
-    let mut model = new_model(
-        kind,
-        store.num_entities(),
-        store.num_relations(),
-        config.dim,
-        config.seed,
-    );
-    let stats = train_into(model.as_mut(), store, config);
-    (model, stats)
+    let mut session = TrainSession::new(kind, store, config).unwrap_or_else(|e| panic!("{e}"));
+    session
+        .run(None, None)
+        .expect("a run without a checkpoint policy writes nothing that can fail");
+    session.into_model()
 }
 
 /// Per-shard accumulation buffers; workers never share these, and the main
@@ -289,36 +286,13 @@ fn process_shard(
     }
 }
 
-/// Trains an existing model in place (continue-training / warm starts).
-///
-/// # Panics
-///
-/// Panics if `config` fails [`TrainConfig::validate`]; see [`train`].
-pub fn train_into(
-    model: &mut dyn KgeModel,
-    store: &TripleStore,
-    config: &TrainConfig,
-) -> TrainStats {
-    if let Err(e) = config.validate() {
-        panic!("invalid TrainConfig: {e}");
-    }
-    let mut core = TrainerCore::new(model, store, config);
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
-    let mut optimizer = config.optimizer.build(model.params());
-    let mut epoch_losses = Vec::with_capacity(config.epochs);
-    for epoch in 0..config.epochs {
-        epoch_losses.push(core.run_epoch(model, optimizer.as_mut(), &mut rng, epoch));
-    }
-    TrainStats { epoch_losses }
-}
-
 /// The reusable inside of the training loop: the augmented triple list
 /// (whose order carries over between epochs — each epoch shuffles the
 /// previous epoch's order), the negative sampler, and the per-shard scratch
-/// buffers. One [`TrainerCore::run_epoch`] call is exactly one epoch of the
-/// historical `train_into` loop; `train_into`, [`TrainSession`], and early
-/// stopping all drive this same code path, which is what makes their
-/// results mutually bit-identical.
+/// buffers. One [`TrainerCore::run_epoch`] call is exactly one epoch;
+/// [`TrainSession`] drives it for [`train`], checkpointed runs, and early
+/// stopping alike, which is what makes their results mutually
+/// bit-identical.
 struct TrainerCore<'a> {
     store: &'a TripleStore,
     config: TrainConfig,
@@ -396,36 +370,33 @@ impl<'a> TrainerCore<'a> {
         // (not the worker id) keys each shard's RNG stream.
         let mut next_stream = 0u64;
         for batch in triples.chunks(config.batch_size) {
-            let batch_span = kgfd_obs::span_traced!("embed.train.batch");
+            // Shard spans opened on pool workers nest under this span too:
+            // the fan-out runs every job under the caller's current span.
+            let _batch_span = kgfd_obs::span_traced!("embed.train.batch");
             let shards: Vec<&[Triple]> = batch.chunks(SHARD_SIZE).collect();
             while outputs.len() < shards.len() {
                 outputs.push(ShardOutput::new());
             }
             let outs = &mut outputs[..shards.len()];
-            for out in outs.iter_mut() {
-                out.clear();
-            }
             let first_stream = next_stream;
             next_stream += shards.len() as u64;
 
-            // The pool never exceeds the shard count (an idle worker is pure
-            // spawn cost); its size only affects wall-clock time, never
-            // results.
-            let pool = threads.min(shards.len());
             let model_view: &dyn KgeModel = &*model;
-            // Contiguous shard groups per worker; group membership only
-            // affects which thread runs a shard, never its stream or the
-            // reduction order below.
-            let per_worker = shards.len().div_ceil(pool);
-            if pool <= 1 {
-                for (i, (shard, out)) in shards.iter().zip(outs.iter_mut()).enumerate() {
+            // Contiguous shard groups per job; group membership only affects
+            // which thread runs a shard, never its stream or the reduction
+            // order below. Each job reports its group's sampling time.
+            let group_sampling = kgfd_pool::fan_out_mut(threads, outs, |first, group| {
+                let mut sampling = Duration::ZERO;
+                for (i, out) in group.iter_mut().enumerate() {
+                    let shard = first + i;
+                    out.clear();
                     let stream =
-                        negative_stream(config.seed, epoch as u64, first_stream + i as u64);
-                    let shard_span = kgfd_obs::span_traced!("embed.train.shard", shard = i);
+                        negative_stream(config.seed, epoch as u64, first_stream + shard as u64);
+                    let shard_span = kgfd_obs::span_traced!("embed.train.shard", shard = shard);
                     let shard_start_us = kgfd_obs::clock_us();
                     process_shard(
                         model_view,
-                        shard,
+                        shards[shard],
                         stream,
                         corrupt_side,
                         filter,
@@ -439,60 +410,13 @@ impl<'a> TrainerCore<'a> {
                         shard_start_us,
                         out.sampling.as_micros() as u64,
                     );
+                    sampling += out.sampling;
                 }
-            } else {
-                let sampler_ref = &sampler;
-                // Workers attach their shard spans under this batch's span
-                // explicitly — the thread-local stack does not cross the
-                // dispatch boundary.
-                let batch_handle = batch_span.handle();
-                kgfd_pool::scope(|scope| {
-                    for (w, (shard_group, out_group)) in shards
-                        .chunks(per_worker)
-                        .zip(outs.chunks_mut(per_worker))
-                        .enumerate()
-                    {
-                        scope.spawn(move || {
-                            for (i, (shard, out)) in
-                                shard_group.iter().zip(out_group.iter_mut()).enumerate()
-                            {
-                                let shard_index = w * per_worker + i;
-                                let stream = negative_stream(
-                                    config.seed,
-                                    epoch as u64,
-                                    first_stream + shard_index as u64,
-                                );
-                                let shard_span = kgfd_obs::Span::child_for_thread_with_fields(
-                                    batch_handle,
-                                    "embed.train.shard",
-                                    vec![kgfd_obs::Field::new("shard", shard_index)],
-                                );
-                                let shard_start_us = kgfd_obs::clock_us();
-                                process_shard(
-                                    model_view,
-                                    shard,
-                                    stream,
-                                    corrupt_side,
-                                    filter,
-                                    sampler_ref,
-                                    config,
-                                    out,
-                                );
-                                kgfd_obs::record_manual(
-                                    "embed.train.negative_sampling",
-                                    Some(shard_span.id()),
-                                    shard_start_us,
-                                    out.sampling.as_micros() as u64,
-                                );
-                            }
-                        });
-                    }
-                });
-            }
-            for (w, out_group) in outs.chunks(per_worker).enumerate() {
-                for out in out_group {
-                    worker_sampling[w] += out.sampling;
-                }
+                sampling
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
+            for (slot, sampled) in worker_sampling.iter_mut().zip(group_sampling) {
+                *slot += sampled;
             }
 
             // Reduce in ascending shard order — the fixed association that
@@ -623,10 +547,9 @@ pub enum TrainOutcome {
 /// a [`crate::TrainCheckpoint`], and — after a crash — reconstructed at the
 /// exact epoch boundary it last checkpointed.
 ///
-/// Driving this session to completion is bit-identical to a single
-/// [`train`] call with the same configuration (both run [`TrainerCore`]),
-/// and resuming from any epoch boundary is bit-identical to never having
-/// stopped — the contract the checkpoint differential suite enforces.
+/// [`train`] is this session driven to completion, and resuming from any
+/// epoch boundary is bit-identical to never having stopped — the contract
+/// the checkpoint differential suite enforces.
 pub struct TrainSession<'a> {
     core: TrainerCore<'a>,
     model: Box<dyn KgeModel>,

@@ -17,9 +17,10 @@
 //!    [`score_objects_batch`](KgeModel::score_objects_batch) /
 //!    [`score_subjects_batch`](KgeModel::score_subjects_batch) kernels;
 //! 3. resolves every dependent triple's rank from the shared score row;
-//! 4. parallelises across *query groups* (not triples) on the persistent
-//!    [`kgfd_pool`] with a deterministic merge — each (triple, side) slot
-//!    has exactly one writer, so results are identical at any thread count.
+//! 4. parallelises across *query groups* (not triples) through
+//!    [`kgfd_pool::fan_out`] with a deterministic merge — each
+//!    (triple, side) slot has exactly one writer, so results are identical
+//!    at any thread count.
 //!
 //! **Unique-workload bypass.** Eval-shaped inputs have no repeated side
 //! queries (`dedup_ratio` 1.0); the group/resolve indirection is then pure
@@ -329,10 +330,12 @@ impl<'a> BatchRanker<'a> {
     }
 
     /// Ranks one corruption side. Grouped inputs split their query groups
-    /// across pool workers in contiguous chunks (every dependent
+    /// across pool jobs in contiguous chunks (every dependent
     /// `(triple, side)` slot is written exactly once, so the merge is
     /// order-insensitive); unique inputs bypass grouping and write disjoint
-    /// output chunks directly. Output is identical at any thread count.
+    /// output chunks directly. Jobs run under the caller's current span
+    /// (e.g. `discover.evaluation`), so their kernel-tile spans stay in the
+    /// tree. Output is identical at any thread count.
     fn rank_side(
         &self,
         groups: &SideGroups,
@@ -341,84 +344,26 @@ impl<'a> BatchRanker<'a> {
         object_side: bool,
         out: &mut [f64],
     ) {
+        let model = self.model;
         match groups {
-            SideGroups::Unique => self.rank_side_unique(triples, known, object_side, out),
-            SideGroups::Grouped(g) => self.rank_side_grouped(g, known, object_side, out),
-        }
-    }
-
-    fn rank_side_unique(
-        &self,
-        triples: &[Triple],
-        known: Option<&KnownTriples>,
-        object_side: bool,
-        out: &mut [f64],
-    ) {
-        if self.threads == 1 || triples.len() < 2 * self.threads {
-            rank_rows_direct(self.model, triples, known, object_side, out);
-            return;
-        }
-        let chunk = triples.len().div_ceil(self.threads);
-        let model = self.model;
-        // Pool workers inherit the dispatching thread's innermost span
-        // (e.g. `discover.evaluation`) so their kernel-tile spans stay
-        // attached to the tree.
-        let parent = kgfd_obs::current_span_handle();
-        kgfd_pool::scope(|scope| {
-            for (part, out_part) in triples.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    let _attach = parent.map(|p| p.enter());
+            SideGroups::Unique => {
+                kgfd_pool::fan_out_mut(self.threads, out, |start, out_part| {
+                    let part = &triples[start..start + out_part.len()];
                     rank_rows_direct(model, part, known, object_side, out_part);
-                });
-            }
-        });
-    }
-
-    fn rank_side_grouped(
-        &self,
-        groups: &QueryGroups,
-        known: Option<&KnownTriples>,
-        object_side: bool,
-        out: &mut [f64],
-    ) {
-        let num_groups = groups.keys.len();
-        if self.threads == 1 || num_groups < 2 * self.threads {
-            let results = rank_groups(
-                self.model,
-                &groups.keys,
-                &groups.starts,
-                &groups.dependents,
-                known,
-                object_side,
-            );
-            for (triple_idx, rank) in results {
-                out[triple_idx as usize] = rank;
-            }
-            return;
-        }
-        let chunk = num_groups.div_ceil(self.threads);
-        let model = self.model;
-        let parent = kgfd_obs::current_span_handle();
-        kgfd_pool::scope(|scope| {
-            let handles: Vec<_> = (0..num_groups)
-                .step_by(chunk)
-                .map(|a| {
-                    let b = (a + chunk).min(num_groups);
-                    let keys = &groups.keys[a..b];
-                    let starts = &groups.starts[a..=b];
-                    let dependents = &groups.dependents[..];
-                    scope.spawn(move || {
-                        let _attach = parent.map(|p| p.enter());
-                        rank_groups(model, keys, starts, dependents, known, object_side)
-                    })
                 })
-                .collect();
-            for h in handles {
-                for (triple_idx, rank) in h.join() {
+                .unwrap_or_else(|e| panic!("{e}"));
+            }
+            SideGroups::Grouped(g) => {
+                let parts = kgfd_pool::fan_out(self.threads, &g.keys, |a, keys| {
+                    let starts = &g.starts[a..=a + keys.len()];
+                    rank_groups(model, keys, starts, &g.dependents, known, object_side)
+                })
+                .unwrap_or_else(|e| panic!("{e}"));
+                for (triple_idx, rank) in parts.into_iter().flatten() {
                     out[triple_idx as usize] = rank;
                 }
             }
-        });
+        }
     }
 }
 

@@ -48,8 +48,8 @@ pub struct SelectionStats {
 /// every `check_every` boundary to evaluate — so the training trajectory is
 /// *exactly* the plain [`kgfd_embed::train`] trajectory truncated at the
 /// stopping point, bit for bit, independent of `check_every`. Two historical
-/// defects made that false: each slice used to restart as its own
-/// `train_into` call, which (a) re-derived its seed as
+/// defects made that false: each slice used to restart as its own training
+/// call, which (a) re-derived its seed as
 /// `seed + epochs_trained` — so adjacent user seeds collided onto shared RNG
 /// streams — and (b) rebuilt the optimizer from zeroed state at every
 /// boundary, silently discarding Adam's moments and step counter and making

@@ -18,7 +18,7 @@
 //!
 //! v2 adds **hierarchical tracing**: spans carry [`SpanId`]s and parent
 //! links through a thread-local span stack (cross-thread handoff via
-//! [`Span::child_for_thread`] / [`SpanHandle::enter`]), finished spans land
+//! [`SpanHandle::enter`]), finished spans land
 //! in the process-wide [`TraceCollector`] (opt-in via
 //! [`enable_tracing`]), the tree exports as Chrome trace-event JSON and
 //! collapsed-stack flamegraph text ([`export`]). The live endpoint that

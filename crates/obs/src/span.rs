@@ -13,9 +13,10 @@
 //! tree, but skip the histogram and the event stream, so a per-batch or
 //! per-shard span cannot flood a JSONL sink.
 //!
-//! Cross-thread parenting: capture [`Span::handle`] before dispatching,
-//! then on the worker either `handle.enter()` (everything the worker opens
-//! nests under it) or [`Span::child_for_thread`] (one explicit child).
+//! Cross-thread parenting: capture [`Span::handle`] (or
+//! [`crate::current_span_handle`]) before dispatching, then call
+//! `handle.enter()` on the worker; everything the worker opens nests under
+//! it.
 
 use crate::event::{Field, Payload};
 use crate::histogram;
@@ -40,52 +41,29 @@ pub struct Span {
 impl Span {
     /// Starts a span with no context fields.
     pub fn start(name: &'static str) -> Self {
-        Span::new(name, Vec::new(), None, true)
+        Span::new(name, Vec::new(), true)
     }
 
     /// Starts a span carrying context fields.
     pub fn with_fields(name: &'static str, fields: Vec<Field>) -> Self {
-        Span::new(name, fields, None, true)
+        Span::new(name, fields, true)
     }
 
     /// Starts a **trace-only** span: timed and recorded in the trace tree,
     /// but neither histogrammed nor emitted as an event. For per-batch /
     /// per-shard / per-kernel scopes that would otherwise flood sinks.
     pub fn start_traced(name: &'static str) -> Self {
-        Span::new(name, Vec::new(), None, false)
+        Span::new(name, Vec::new(), false)
     }
 
     /// [`Span::start_traced`] with context fields.
     pub fn with_fields_traced(name: &'static str, fields: Vec<Field>) -> Self {
-        Span::new(name, fields, None, false)
+        Span::new(name, fields, false)
     }
 
-    /// Starts a trace-only span on the *current* thread as an explicit
-    /// child of `parent` — the cross-thread handoff for workers that
-    /// process one unit of work for a span owned by the dispatching
-    /// thread. Nested spans the worker opens while this one is live attach
-    /// under it through the ordinary thread-local stack.
-    pub fn child_for_thread(parent: SpanHandle, name: &'static str) -> Self {
-        Span::new(name, Vec::new(), Some(parent.id()), false)
-    }
-
-    /// [`Span::child_for_thread`] with context fields.
-    pub fn child_for_thread_with_fields(
-        parent: SpanHandle,
-        name: &'static str,
-        fields: Vec<Field>,
-    ) -> Self {
-        Span::new(name, fields, Some(parent.id()), false)
-    }
-
-    fn new(
-        name: &'static str,
-        fields: Vec<Field>,
-        explicit_parent: Option<SpanId>,
-        emit: bool,
-    ) -> Self {
+    fn new(name: &'static str, fields: Vec<Field>, emit: bool) -> Self {
         let id = trace::next_span_id();
-        let parent = explicit_parent.or_else(trace::current_span);
+        let parent = trace::current_span();
         trace::push_current(id);
         Span {
             name,
@@ -110,7 +88,7 @@ impl Span {
     }
 
     /// A `Copy + Send` handle for parenting work dispatched to other
-    /// threads (see [`SpanHandle::enter`] and [`Span::child_for_thread`]).
+    /// threads (see [`SpanHandle::enter`]).
     pub fn handle(&self) -> SpanHandle {
         SpanHandle { id: self.id }
     }

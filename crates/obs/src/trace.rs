@@ -4,12 +4,11 @@
 //! Every [`crate::Span`] carries a process-unique [`SpanId`] and a
 //! `parent` id taken from the top of a **thread-local span stack** at
 //! creation time, so spans opened while another span is live nest under it
-//! with no explicit plumbing. Work dispatched to other threads (pool
-//! training workers, `BatchRanker` query-group workers) re-establishes the
-//! link with an explicit handoff: the dispatching side captures a
-//! [`SpanHandle`] (`Copy + Send`) and the worker either enters it
-//! ([`SpanHandle::enter`], making it the parent of everything the worker
-//! opens) or creates a direct child ([`crate::Span::child_for_thread`]).
+//! with no explicit plumbing. Work dispatched to other threads re-establishes
+//! the link with an explicit handoff: the dispatching side captures a
+//! [`SpanHandle`] (`Copy + Send`) and the worker enters it
+//! ([`SpanHandle::enter`]), making it the parent of everything the worker
+//! opens. `kgfd-pool`'s fan-out does this for every job it dispatches.
 //!
 //! Finished spans are recorded into the process-wide [`TraceCollector`] —
 //! a mutex-guarded vector; recording holds the lock only for one push.
@@ -27,8 +26,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub struct SpanId(pub u64);
 
 /// A `Copy + Send` reference to a live span, used to parent work that runs
-/// on another thread. See [`SpanHandle::enter`] and
-/// [`crate::Span::child_for_thread`].
+/// on another thread. See [`SpanHandle::enter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanHandle {
     pub(crate) id: SpanId,

@@ -1,58 +1,73 @@
 //! `kgfd-pool` — the process-wide deterministic worker pool.
 //!
-//! Every hot path in this workspace fans work out to a fixed number of
-//! workers and reduces the results in a fixed order. A scoped-thread
-//! fan-out (`std::thread::scope`) pays OS-thread spawn/join costs on *every
+//! Every parallel hot path in this workspace (training shards, discovery's
+//! relations, both sides of batched ranking) goes through one fan-out:
+//! [`fan_out`], or [`fan_out_mut`] for mutable chunks. It splits a slice
+//! into at most `threads` contiguous chunks, runs a closure on each, and
+//! returns the results in chunk order. A scoped-thread fan-out
+//! (`std::thread::scope`) would pay OS-thread spawn/join costs on *every
 //! call*: once per mini-batch in training, once per ranking pass, once per
-//! discovery run.
-//! The pool here is spawned **once** for the whole process and hands out
-//! persistent workers instead.
+//! discovery run. The pool here is spawned **once** for the whole process
+//! and hands out persistent workers instead.
 //!
 //! # Determinism contract
 //!
-//! The pool preserves the workspace-wide bit-identical-at-any-thread-count
+//! The fan-out preserves the workspace-wide bit-identical-at-any-thread-count
 //! guarantee by construction:
 //!
-//! 1. **Fixed job assignment, no stealing.** A [`scope`]'s `k`-th spawned
-//!    job always goes to worker `k mod pool_size`, and every worker drains
-//!    its own FIFO queue. Which worker runs a job can never depend on
-//!    timing — and even if it could, job *results* depend only on the job's
-//!    closure, never on the executing thread.
-//! 2. **Ordered reduction at the call site.** Jobs return values through
-//!    [`JobHandle`]s; callers join handles in spawn order (or write to
-//!    disjoint output slots), exactly as the scoped-spawn code did.
+//! 1. **One chunking rule.** A slice of `len` items is cut into
+//!    `min(threads, len)` contiguous chunks whose sizes differ by at most
+//!    one, earlier chunks taking the remainder. Callers keep their results
+//!    independent of the cut (index-derived RNG streams, per-item output
+//!    slots), so the cut only decides which thread does the work.
+//! 2. **Fixed job assignment, no stealing.** Chunk `k` always goes to
+//!    worker `k mod pool_size`, and every worker drains its own FIFO queue.
+//!    A job's result depends only on its closure and chunk, never on the
+//!    executing thread.
+//! 3. **Ordered results.** Results come back in chunk order, whichever job
+//!    finishes first, so callers reduce them in a fixed order.
 //!
-//! The reference is serial execution: `threads = 1` runs inline in the
-//! trainer, the ranker and discovery and never touches the pool. The
+//! The reference is serial execution: at `threads = 1` the one chunk runs
+//! inline on the calling thread and never touches the pool. The
 //! differential suites compare it against 4 and 8 threads and assert
 //! bit-identical embeddings, ranks, and discovered facts.
 //!
+//! # Scopes and panics
+//!
+//! Each fan-out call is a dispatch scope: jobs borrow the caller's data,
+//! and the call joins every job it sent before it returns or unwinds. A
+//! panicking job is caught on its worker while the other jobs run to
+//! completion; the call then returns [`PoolError::WorkerPanic`] carrying
+//! the first panic's message in chunk order. Chunks that run inline are
+//! plain calls, so their panics unwind through the caller as in serial
+//! code.
+//!
 //! # Nested use
 //!
-//! A job that opens a nested [`scope`] (e.g. ranking inside a discovery
-//! worker) must not wait on queue slots behind itself — that could
-//! deadlock. [`PoolScope::spawn`] therefore detects that it is already
-//! running on a pool worker and executes the job **inline**, immediately,
-//! on the current thread. Results are unchanged (a job's output does not
-//! depend on where it runs); only scheduling differs.
+//! A job that fans out again (e.g. ranking inside a discovery worker) must
+//! not wait on queue slots behind itself — that could deadlock. A fan-out
+//! called on a pool worker therefore runs its chunks **inline**, in order,
+//! on that worker. Results are unchanged (a chunk's output does not depend
+//! on where it runs); only scheduling differs.
 //!
 //! # Observability
 //!
-//! Persistent workers record `pool.jobs` (counter), `pool.queue_wait_us`
-//! (histogram: enqueue → pick-up latency), `pool.jobs.inline` (nested
-//! fall-backs), and per-phase busy time that is folded into
-//! `pool.utilization.<phase>` gauges (busy worker-time divided by
-//! `pool_size ×` the phase's wall-clock span). The end-of-run
+//! Jobs run under the caller's current span, so the spans they open nest
+//! in the caller's trace tree. Persistent workers record `pool.jobs`
+//! (counter), `pool.queue_wait_us` (histogram: enqueue → pick-up latency),
+//! `pool.jobs.inline` (chunks of nested fan-outs), and per-phase busy time
+//! that is folded into `pool.utilization.<phase>` gauges (busy worker-time
+//! divided by `pool_size ×` the phase's wall-clock span). The end-of-run
 //! [`kgfd_obs::RunManifest`] surfaces these as its `pool` summary.
 
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Errors surfaced by the pool's fallible APIs.
@@ -80,8 +95,8 @@ thread_local! {
 }
 
 /// `true` when the current thread is one of the pool's persistent workers —
-/// the condition under which nested [`PoolScope::spawn`]s run inline.
-pub fn on_pool_worker() -> bool {
+/// the condition under which a nested fan-out runs inline.
+fn on_pool_worker() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
 
@@ -130,85 +145,6 @@ pub fn resolve_threads(requested: usize) -> Result<usize, PoolError> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Result slots
-// ---------------------------------------------------------------------------
-
-enum SlotFill<T> {
-    Pending,
-    Done(T),
-    Panicked(Box<dyn Any + Send>),
-    Taken,
-}
-
-struct Slot<T> {
-    state: Mutex<SlotFill<T>>,
-    cv: Condvar,
-}
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(SlotFill::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fill(&self, result: Result<T, Box<dyn Any + Send>>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *state = match result {
-            Ok(v) => SlotFill::Done(v),
-            Err(p) => SlotFill::Panicked(p),
-        };
-        self.cv.notify_all();
-    }
-
-    fn take(&self) -> Result<T, Box<dyn Any + Send>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match std::mem::replace(&mut *state, SlotFill::Taken) {
-                SlotFill::Pending => {
-                    *state = SlotFill::Pending;
-                    state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-                }
-                SlotFill::Done(v) => return Ok(v),
-                SlotFill::Panicked(p) => return Err(p),
-                SlotFill::Taken => unreachable!("job result taken twice"),
-            }
-        }
-    }
-}
-
-/// Object-safe completion view of a [`Slot`] for the scope's pending list.
-trait Completion {
-    /// Blocks until the job has finished (result or panic, taken or not).
-    fn wait_done(&self);
-    /// Removes and returns the panic payload, if the job panicked and no
-    /// [`JobHandle`] consumed it.
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>>;
-}
-
-impl<T> Completion for Slot<T> {
-    fn wait_done(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while matches!(*state, SlotFill::Pending) {
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if matches!(*state, SlotFill::Panicked(_)) {
-            match std::mem::replace(&mut *state, SlotFill::Taken) {
-                SlotFill::Panicked(p) => Some(p),
-                _ => unreachable!(),
-            }
-        } else {
-            None
-        }
-    }
-}
-
 /// Renders a panic payload as text for [`PoolError::WorkerPanic`].
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -230,24 +166,38 @@ struct Job {
 }
 
 struct Pool {
-    senders: Vec<Mutex<mpsc::Sender<Job>>>,
+    queues: Vec<mpsc::Sender<Job>>,
+}
+
+impl Pool {
+    /// Queues `run` on worker `k mod pool_size` (fixed assignment, no
+    /// stealing).
+    fn dispatch(&self, k: usize, run: Box<dyn FnOnce() + Send>) {
+        let job = Job {
+            run,
+            enqueued: Instant::now(),
+        };
+        // A worker's queue closes only if the worker died outside a job. The
+        // job is then dropped unrun, and `Completions::join` reports it.
+        let _ = self.queues[k % self.queues.len()].send(job);
+    }
 }
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let size = pool_size();
-        let mut senders = Vec::with_capacity(size);
-        for w in 0..size {
-            let (tx, rx) = mpsc::channel::<Job>();
-            std::thread::Builder::new()
-                .name(format!("kgfd-pool-{w}"))
-                .spawn(move || worker_loop(rx))
-                .expect("failed to spawn pool worker");
-            senders.push(Mutex::new(tx));
-        }
-        Pool { senders }
+        let queues = (0..pool_size())
+            .map(|w| {
+                let (tx, rx) = mpsc::channel::<Job>();
+                std::thread::Builder::new()
+                    .name(format!("kgfd-pool-{w}"))
+                    .spawn(move || worker_loop(rx))
+                    .expect("failed to spawn pool worker");
+                tx
+            })
+            .collect();
+        Pool { queues }
     })
 }
 
@@ -303,168 +253,146 @@ fn worker_loop(rx: mpsc::Receiver<Job>) {
 }
 
 // ---------------------------------------------------------------------------
-// Scoped dispatch
+// The fan-out
 // ---------------------------------------------------------------------------
 
-/// Handle to one spawned job's eventual result.
-pub struct JobHandle<T> {
-    slot: Arc<Slot<T>>,
+/// The ranges of the `min(threads, len)` contiguous chunks that split `len`
+/// items as evenly as possible; earlier chunks take the remainder.
+/// `threads = 0` counts as 1.
+fn chunk_ranges(threads: usize, len: usize) -> impl Iterator<Item = Range<usize>> {
+    let jobs = threads.max(1).min(len);
+    // `jobs` is 0 only for an empty slice, which yields no chunk at all.
+    let (base, extra) = (len / jobs.max(1), len % jobs.max(1));
+    (0..jobs).map(move |k| {
+        let start = k * base + k.min(extra);
+        start..start + base + usize::from(k < extra)
+    })
 }
 
-impl<T> JobHandle<T> {
-    /// Waits for the job and returns its result, resuming the job's panic
-    /// on the calling thread if it panicked — the same observable behaviour
-    /// as joining a scoped thread.
-    pub fn join(self) -> T {
-        match self.slot.take() {
-            Ok(v) => v,
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    /// Waits for the job, converting a worker panic into a typed
-    /// [`PoolError::WorkerPanic`] instead of resuming it.
-    pub fn try_join(self) -> Result<T, PoolError> {
-        self.slot
-            .take()
-            .map_err(|p| PoolError::WorkerPanic(panic_message(p.as_ref())))
-    }
-}
-
-/// A dispatch scope over the persistent pool. Created by [`scope`]; all
-/// jobs spawned through it complete before [`scope`] returns.
-pub struct PoolScope<'env> {
-    pending: RefCell<Vec<Arc<dyn Completion + Send + Sync + 'env>>>,
-    next: Cell<usize>,
-    /// Invariant over `'env`, mirroring `std::thread::Scope`.
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> PoolScope<'env> {
-    /// Spawns `f` as one job. The `k`-th spawn of this scope goes to worker
-    /// `k mod pool_size` (fixed assignment, no stealing). When already
-    /// running on a pool worker the job executes inline on the current
-    /// thread (see the module docs on nesting).
-    pub fn spawn<T, F>(&self, f: F) -> JobHandle<T>
-    where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
-    {
-        let slot = Arc::new(Slot::new());
-        if on_pool_worker() {
-            kgfd_obs::counter("pool.jobs.inline").inc();
-            slot.fill(catch_unwind(AssertUnwindSafe(f)));
-            return JobHandle { slot };
-        }
-
-        let filler = {
-            let slot = Arc::clone(&slot);
-            move || slot.fill(catch_unwind(AssertUnwindSafe(f)))
-        };
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(filler);
-        // SAFETY: only the lifetime is erased; the vtable and layout are
-        // unchanged. The closure borrows `'env` data, and a `PoolScope<'env>`
-        // exists only inside `scope`, which does not return or unwind past
-        // its caller's frame until every job pushed onto `pending` below has
-        // finished running:
-        // - when the scope body returns, `finish` waits for every job;
-        // - when the scope body unwinds, the `Guard` in `scope` is dropped
-        //   and its `wait_all_quiet` waits for every job.
-        // The job is pushed onto `pending` before it is sent, so no job can
-        // run unseen by either wait; every `'env` borrow therefore outlives
-        // the job's execution.
-        let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-        self.pending
-            .borrow_mut()
-            .push(Arc::clone(&slot) as Arc<dyn Completion + Send + Sync + 'env>);
-
-        let pool = pool();
-        let worker = self.next.get() % pool.senders.len();
-        self.next.set(self.next.get() + 1);
-        let send = pool.senders[worker]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .send(Job {
-                run: job,
-                enqueued: Instant::now(),
-            });
-        // Workers live for the process lifetime; a closed channel is
-        // unreachable short of worker-thread spawn failure.
-        send.expect("pool worker queue closed");
-        JobHandle { slot }
-    }
-
-    /// Blocks until every spawned job has finished, discarding panics
-    /// (used while unwinding, where a second panic would abort).
-    fn wait_all_quiet(&self) {
-        for c in self.pending.borrow_mut().drain(..) {
-            c.wait_done();
-            drop(c.take_panic());
-        }
-    }
-
-    /// Blocks until every spawned job has finished, then resumes the first
-    /// unclaimed panic, if any.
-    fn finish(&self) {
-        let mut first_panic: Option<Box<dyn Any + Send>> = None;
-        for c in self.pending.borrow_mut().drain(..) {
-            c.wait_done();
-            if let Some(p) = c.take_panic() {
-                first_panic.get_or_insert(p);
-            }
-        }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
-        }
-    }
-}
-
-/// Runs `f` with a [`PoolScope`] through which borrowing jobs can be
-/// dispatched to the persistent pool. Every spawned job completes before
-/// this returns; a panic in an unjoined job is resumed here (matching
-/// `std::thread::scope` semantics).
-pub fn scope<'env, F, R>(f: F) -> R
+/// Runs `f` over at most `threads` contiguous chunks of `items` and returns
+/// the results in chunk order. `f` receives the index of the chunk's first
+/// item and the chunk.
+///
+/// One chunk, or a call from a pool worker, runs inline on the calling
+/// thread. Otherwise chunk `k` runs on worker `k mod pool_size`, under the
+/// caller's current span. Every chunk finishes before this returns; if any
+/// panicked, the result is [`PoolError::WorkerPanic`] with the first
+/// panic's message in chunk order. See the module docs.
+pub fn fan_out<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, PoolError>
 where
-    F: FnOnce(&PoolScope<'env>) -> R,
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &[T]) -> R + Sync,
 {
-    let scope = PoolScope {
-        pending: RefCell::new(Vec::new()),
-        next: Cell::new(0),
-        _env: PhantomData,
-    };
-    struct Guard<'a, 'env>(&'a PoolScope<'env>);
-    impl Drop for Guard<'_, '_> {
-        fn drop(&mut self) {
-            self.0.wait_all_quiet();
-        }
-    }
-    let guard = Guard(&scope);
-    let result = f(&scope);
-    std::mem::forget(guard);
-    scope.finish();
-    result
+    let chunks = chunk_ranges(threads, items.len()).map(|r| (r.start, &items[r]));
+    run(chunks.collect(), |(start, chunk)| f(start, chunk))
 }
 
-/// Convenience fan-out: runs `f(0..jobs)` across the pool, returning the
-/// results in job-index order. Each job is a fixed index — contiguous range
-/// splitting is the caller's business. With `jobs <= 1` (or on a pool
-/// worker) everything runs inline on the current thread.
-pub fn run<T, F>(jobs: usize, f: F) -> Vec<T>
+/// [`fan_out`] over mutable chunks: each job gets exclusive access to its
+/// part of `items`.
+pub fn fan_out_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Result<Vec<R>, PoolError>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
 {
+    let mut rest = items;
+    let chunks = chunk_ranges(threads, rest.len()).map(|r| {
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        (r.start, chunk)
+    });
+    run(chunks.collect(), |(start, chunk)| f(start, chunk))
+}
+
+/// A finished job's report: its chunk index and its result or panic.
+type Done<R> = (usize, std::thread::Result<R>);
+
+/// The dispatcher's end of one fan-out. Jobs report through clones of
+/// `tx`. Joining or dropping this (dropping also happens while unwinding)
+/// closes `tx` and drains `rx` until every clone is gone, that is until
+/// every job has run or been dropped unrun.
+struct Completions<R> {
+    tx: Option<mpsc::Sender<Done<R>>>,
+    rx: mpsc::Receiver<Done<R>>,
+}
+
+impl<R> Completions<R> {
+    fn new() -> Self {
+        let (tx, rx) = mpsc::channel();
+        Completions { tx: Some(tx), rx }
+    }
+
+    fn sender(&self) -> mpsc::Sender<Done<R>> {
+        self.tx.clone().expect("sender lives until join")
+    }
+
+    /// Waits for every job; one entry per job in chunk order, `None` for a
+    /// job that was dropped unrun.
+    fn join(mut self, jobs: usize) -> Vec<Option<std::thread::Result<R>>> {
+        self.tx = None;
+        let mut results: Vec<_> = (0..jobs).map(|_| None).collect();
+        for (k, result) in self.rx.iter() {
+            results[k] = Some(result);
+        }
+        results
+    }
+}
+
+impl<R> Drop for Completions<R> {
+    fn drop(&mut self) {
+        self.tx = None;
+        for _ in self.rx.iter() {}
+    }
+}
+
+/// The one implementation behind [`fan_out`] and [`fan_out_mut`]: runs `f`
+/// once per chunk and returns the results in chunk order.
+fn run<C, R, F>(chunks: Vec<C>, f: F) -> Result<Vec<R>, PoolError>
+where
+    C: Send,
+    R: Send,
+    F: Fn(C) -> R + Sync,
+{
+    let jobs = chunks.len();
     if jobs <= 1 || on_pool_worker() {
-        if on_pool_worker() {
+        if jobs > 1 {
             kgfd_obs::counter("pool.jobs.inline").add(jobs as u64);
         }
-        return (0..jobs).map(f).collect();
+        return Ok(chunks.into_iter().map(f).collect());
     }
+    let pool = pool();
+    let parent = kgfd_obs::current_span_handle();
     let f = &f;
-    scope(|s| {
-        let handles: Vec<_> = (0..jobs).map(|i| s.spawn(move || f(i))).collect();
-        handles.into_iter().map(JobHandle::join).collect()
-    })
+    let completions = Completions::new();
+    for (k, chunk) in chunks.into_iter().enumerate() {
+        let done = completions.sender();
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+            let _attach = parent.map(|p| p.enter());
+            let result = catch_unwind(AssertUnwindSafe(|| f(chunk)));
+            let _ = done.send((k, result));
+        });
+        // SAFETY: only the lifetime is erased; the vtable and layout are
+        // unchanged. The job borrows `f` and `chunk`, which outlive this
+        // call. The call neither returns nor unwinds before `completions`
+        // is joined or dropped, and both block until every job's `done`
+        // sender is gone. A job drops its sender after its last use of a
+        // borrow, and a job dropped unrun drops its sender with it. So no
+        // job touches a borrow after this call ends.
+        let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
+        pool.dispatch(k, job);
+    }
+    completions
+        .join(jobs)
+        .into_iter()
+        .map(|done| match done {
+            Some(Ok(value)) => Ok(value),
+            Some(Err(payload)) => Err(PoolError::WorkerPanic(panic_message(payload.as_ref()))),
+            None => Err(PoolError::WorkerPanic(
+                "a pool worker exited before running its job".into(),
+            )),
+        })
+        .collect()
 }
 
 /// Pool scheduling stats for the end-of-run manifest: jobs executed so far
@@ -481,44 +409,89 @@ pub fn queue_wait_summary() -> (u64, Option<f64>, Option<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::MutexGuard;
+
+    /// Tests that dispatch hold this lock, so one test's jobs never show up
+    /// in another test's `pool.jobs` reading.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static DISPATCH: Mutex<()> = Mutex::new(());
+        DISPATCH.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn run_preserves_job_index_order() {
-        let out = run(8, |i| i * 10);
-        assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+        let _serial = exclusive();
+        let items: Vec<usize> = (0..6).collect();
+        // threads > len, = len, an uneven split, and the serial reference.
+        for threads in [10, 6, 4, 1] {
+            let chunks = fan_out(threads, &items, |start, chunk| (start, chunk.to_vec())).unwrap();
+            assert_eq!(chunks.len(), threads.min(items.len()));
+            let mut next = 0;
+            for (start, chunk) in &chunks {
+                assert_eq!(*start, next, "chunks out of order at {threads} threads");
+                assert_eq!(chunk[0], *start);
+                next += chunk.len();
+            }
+            assert_eq!(next, items.len());
+        }
+        let sizes = fan_out(4, &items, |_, chunk| chunk.len()).unwrap();
+        assert_eq!(sizes, vec![2, 2, 1, 1], "earlier chunks take the remainder");
     }
 
     #[test]
     fn scope_joins_borrowing_jobs() {
+        let _serial = exclusive();
         let data = [1u64, 2, 3, 4, 5, 6];
-        let total: u64 = scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|part| s.spawn(move || part.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(JobHandle::join).sum()
-        });
-        assert_eq!(total, 21);
+        let sums = fan_out(3, &data, |_, part| part.iter().sum::<u64>()).unwrap();
+        assert_eq!(sums, vec![3, 7, 11]);
     }
 
     #[test]
     fn scope_writes_into_disjoint_mut_chunks() {
+        let _serial = exclusive();
         let mut out = vec![0u32; 10];
-        scope(|s| {
-            for (base, chunk) in out.chunks_mut(3).enumerate() {
-                s.spawn(move || {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        *slot = (base * 3 + i) as u32;
-                    }
-                });
+        fan_out_mut(4, &mut out, |start, chunk| {
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                *slot = (start + i) as u32;
             }
-        });
+        })
+        .unwrap();
         assert_eq!(out, (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
+    fn single_thread_never_touches_the_pool() {
+        let _serial = exclusive();
+        let before = kgfd_obs::counter("pool.jobs").get();
+        let mut items: Vec<u32> = (0..100).collect();
+        let out = fan_out(1, &items, |start, chunk| (start, chunk.len())).unwrap();
+        assert_eq!(out, vec![(0, 100)]);
+        fan_out_mut(1, &mut items, |_, chunk| chunk.reverse()).unwrap();
+        assert_eq!(items[0], 99);
+        assert_eq!(kgfd_obs::counter("pool.jobs").get(), before);
+    }
+
+    #[test]
+    fn empty_input_yields_no_chunks() {
+        let out = fan_out(4, &[] as &[u8], |_, _| unreachable!("no chunk to run"));
+        assert!(out.unwrap().is_empty());
+        let out = fan_out_mut(4, &mut [] as &mut [u8], |_, _| {
+            unreachable!("no chunk to run")
+        });
+        assert!(out.unwrap().is_empty());
+    }
+
+    #[test]
     fn try_join_types_a_worker_panic() {
-        let err = scope(|s| s.spawn(|| panic!("boom {}", 42)).try_join()).unwrap_err();
+        let _serial = exclusive();
+        let items = [0u8, 1];
+        let err = fan_out(2, &items, |start, _| {
+            if start == 1 {
+                panic!("boom {}", 42);
+            }
+        })
+        .unwrap_err();
         match err {
             PoolError::WorkerPanic(msg) => assert!(msg.contains("boom 42"), "{msg}"),
             other => panic!("expected WorkerPanic, got {other:?}"),
@@ -526,49 +499,93 @@ mod tests {
     }
 
     #[test]
-    fn unjoined_panic_resumes_at_scope_exit() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                s.spawn(|| panic!("unjoined"));
-            })
-        }));
-        let payload = result.unwrap_err();
-        assert_eq!(panic_message(payload.as_ref()), "unjoined");
-    }
-
-    #[test]
     fn panicking_scope_body_waits_for_borrowing_jobs() {
-        // The job writes through a borrow ~50 ms after the body has begun
-        // to unwind; the scope must not unwind past `written` before that.
-        let mut written = 0u64;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
+        // `Completions` is what keeps a fan-out from unwinding past its
+        // borrows. Here the dispatching side panics while a job that
+        // borrows `written` still holds its sender; the job stores ~50 ms
+        // after the body has begun to unwind, and the unwind must not get
+        // past the guard before that.
+        let written = AtomicU64::new(0);
+        std::thread::scope(|threads| {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let completions = Completions::<()>::new();
+                let done = completions.sender();
                 let (_unwinding, unwound) = mpsc::channel::<()>();
-                let slot = &mut written;
-                s.spawn(move || {
+                let slot = &written;
+                threads.spawn(move || {
                     // Errs only once the body's sender is dropped, i.e.
                     // while the body unwinds.
                     let _ = unwound.recv();
                     std::thread::sleep(std::time::Duration::from_millis(50));
-                    *slot = 42;
+                    slot.store(42, Ordering::SeqCst);
+                    drop(done);
                 });
                 panic!("scope body");
-            })
-        }));
-        let payload = result.unwrap_err();
-        assert_eq!(written, 42, "the job did not finish before the unwind");
-        assert_eq!(panic_message(payload.as_ref()), "scope body");
+            }));
+            let payload = result.unwrap_err();
+            assert_eq!(
+                written.load(Ordering::SeqCst),
+                42,
+                "the job did not finish before the unwind"
+            );
+            assert_eq!(panic_message(payload.as_ref()), "scope body");
+        });
+    }
+
+    #[test]
+    fn panicking_chunk_is_reported_after_every_other_chunk() {
+        let _serial = exclusive();
+        // Chunk 0 panics while holding the sender; chunk 1 blocks until the
+        // sender is dropped, i.e. until chunk 0 unwinds, and only then
+        // writes through its borrow. The fan-out must not report the panic
+        // before that write.
+        let (unwinding, unwound) = mpsc::channel::<()>();
+        let mut slots = vec![
+            (Some(unwinding), None, false),
+            (None, Some(unwound), false),
+            (None, None, false),
+        ];
+        let err = fan_out_mut(3, &mut slots, |start, chunk| {
+            let (sender, receiver, finished) = &mut chunk[0];
+            if let Some(held) = sender.take() {
+                let _held = held;
+                panic!("chunk {start} failed");
+            }
+            if let Some(receiver) = receiver.take() {
+                // Errs only once chunk 0 has dropped its sender.
+                let _ = receiver.recv();
+            }
+            *finished = true;
+        })
+        .unwrap_err();
+        match err {
+            PoolError::WorkerPanic(msg) => assert_eq!(msg, "chunk 0 failed"),
+            other => panic!("expected WorkerPanic, got {other:?}"),
+        }
+        assert!(
+            slots[1].2,
+            "chunk 1 did not finish before the panic was reported"
+        );
+        assert!(
+            slots[2].2,
+            "chunk 2 did not finish before the panic was reported"
+        );
     }
 
     #[test]
     fn nested_scopes_fall_back_to_inline_execution() {
-        // A job that itself fans out: the inner spawns must run inline on
-        // the worker (no queueing behind the outer job) and still produce
-        // ordered results.
-        let out = run(4, |i| {
-            let inner = run(3, move |j| i * 10 + j);
-            inner.iter().sum::<usize>()
-        });
+        let _serial = exclusive();
+        // A job that itself fans out: the inner chunks must run inline on
+        // the worker (no queueing behind the outer job) and still come back
+        // in order.
+        let outer: Vec<usize> = (0..4).collect();
+        let inner: Vec<usize> = (0..3).collect();
+        let out = fan_out(4, &outer, |_, part| {
+            let i = part[0];
+            let nested = fan_out(3, &inner, |_, js| i * 10 + js[0]).unwrap();
+            nested.iter().sum::<usize>()
+        })
+        .unwrap();
         assert_eq!(out, vec![3, 33, 63, 93]);
     }
 
@@ -583,9 +600,11 @@ mod tests {
 
     #[test]
     fn pool_records_job_metrics() {
+        let _serial = exclusive();
         let before = kgfd_obs::counter("pool.jobs").get();
-        drop(run(4, |i| i));
-        // `run(4, …)` from this (non-worker) thread dispatches at any pool
+        let items = [0u8; 4];
+        drop(fan_out(4, &items, |start, _| start));
+        // Four chunks from this (non-worker) thread dispatch at any pool
         // size, and a worker counts each job before running it.
         assert!(kgfd_obs::counter("pool.jobs").get() >= before + 4);
     }

@@ -25,6 +25,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 const FIXED_HEADER_LEN: usize = 32;
 const TABLE_ENTRY_LEN: usize = 16;
 const FOOTER_LEN: usize = 4;
+/// Offsets of the config block's entity count and dim (`u64` each).
+const NUM_ENTITIES_AT: usize = 7;
+const DIM_AT: usize = 23;
 
 /// The recovery log and the process observer are global; tests that evict
 /// cache entries or install observers must not interleave.
@@ -120,6 +123,51 @@ fn version_skew_is_reported_with_the_found_version() {
             ),
         }
     }
+}
+
+/// Saves `model`, sets the config block's `u64` field at `at` to `value`,
+/// and re-signs the footer, so the CRC passes and only the check of the
+/// config block against the table directory stands between the reader and
+/// a config the tables do not hold.
+fn assert_forged_config_is_corrupt(model: &dyn KgeModel, at: usize, value: u64) {
+    let mut forged = save_model(model);
+    forged[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let body = forged.len() - FOOTER_LEN;
+    let crc = crc32(&forged[..body]);
+    forged[body..].copy_from_slice(&crc.to_le_bytes());
+    match load_model(&forged) {
+        Err(KgError::Corrupt(_)) => {}
+        Err(other) => panic!("expected Corrupt, got {other}"),
+        Ok(_) => panic!("a config block that disagrees with its tables loaded"),
+    }
+}
+
+#[test]
+fn entity_count_beyond_the_table_directory_is_corrupt() {
+    // Built unchecked, this is a 2^40 × 8 entity table: an allocation abort.
+    let model = new_model(ModelKind::TransE, 5, 2, 8, 42);
+    assert_forged_config_is_corrupt(model.as_ref(), NUM_ENTITIES_AT, 1 << 40);
+}
+
+#[test]
+fn dim_beyond_the_table_directory_is_corrupt() {
+    // Built unchecked, 5 × 2^62 floats overflow the allocation size.
+    let model = new_model(ModelKind::TransE, 5, 2, 8, 42);
+    assert_forged_config_is_corrupt(model.as_ref(), DIM_AT, 1 << 62);
+}
+
+#[test]
+fn conve_dim_that_cannot_reshape_is_corrupt() {
+    // 7 has no h×w factorization with h ≥ 2, w ≥ 3.
+    let model = new_model(ModelKind::ConvE, 5, 2, 12, 42);
+    assert_forged_config_is_corrupt(model.as_ref(), DIM_AT, 7);
+}
+
+#[test]
+fn odd_complex_dim_is_corrupt() {
+    // ComplEx splits each row into equal real and imaginary halves.
+    let model = new_model(ModelKind::ComplEx, 5, 2, 8, 42);
+    assert_forged_config_is_corrupt(model.as_ref(), DIM_AT, 7);
 }
 
 #[test]

@@ -107,15 +107,19 @@ fn discovery_worker_panic_becomes_typed_error() {
 #[test]
 fn nested_dispatch_runs_inline() {
     let inline_before = kgfd_obs::counter("pool.jobs.inline").get();
-    let outer = kgfd_pool::run(2, |i| {
+    let outer = [0usize, 1];
+    let inner = [0usize, 1, 2];
+    let sums = kgfd_pool::fan_out(2, &outer, |_, i| {
         // This inner fan-out would need free workers the pool may not
         // have; it must run on the current (worker) thread instead.
-        let inner = kgfd_pool::run(3, |j| 10 * i + j);
-        inner.iter().sum::<usize>()
-    });
-    assert_eq!(outer, vec![3, 33]);
-    // `run(2, …)` from this (non-worker) thread dispatches at any pool
-    // size, so both inner fan-outs run on a worker and count as inline.
+        let nested = kgfd_pool::fan_out(3, &inner, |_, j| 10 * i[0] + j[0]).unwrap();
+        nested.iter().sum::<usize>()
+    })
+    .unwrap();
+    assert_eq!(sums, vec![3, 33]);
+    // Two chunks from this (non-worker) thread dispatch at any pool size,
+    // so both inner fan-outs run on a worker and count their three chunks
+    // as inline.
     assert!(
         kgfd_obs::counter("pool.jobs.inline").get() >= inline_before + 6,
         "nested jobs were not executed inline"

@@ -138,6 +138,46 @@ fn trace_tree_nests_across_worker_threads() {
 }
 
 #[test]
+fn training_shard_spans_nest_under_their_batch_across_threads() {
+    let _guard = TRACE_LOCK.lock().unwrap();
+    let data = generate(&mini(&wn18rr_like())).unwrap();
+    let config = TrainConfig {
+        dim: 8,
+        epochs: 2,
+        batch_size: 128,
+        seed: 1,
+        threads: 4,
+        ..TrainConfig::default()
+    };
+
+    kgfd_obs::enable_tracing();
+    kgfd_obs::collector().drain();
+    let _ = train(ModelKind::DistMult, &data.train, &config);
+    let records = kgfd_obs::collector().drain();
+    kgfd_obs::disable_tracing();
+
+    let by_id: std::collections::HashMap<u64, &kgfd_obs::SpanRecord> =
+        records.iter().map(|r| (r.id, r)).collect();
+    let shards: Vec<_> = records
+        .iter()
+        .filter(|r| r.name == "embed.train.shard")
+        .collect();
+    assert!(!shards.is_empty(), "expected embed.train.shard spans");
+    let mut off_thread = 0;
+    for shard in &shards {
+        let batch = shard
+            .parent
+            .and_then(|p| by_id.get(&p))
+            .unwrap_or_else(|| panic!("shard span {} has no recorded parent", shard.id));
+        assert_eq!(batch.name, "embed.train.batch", "shard span {}", shard.id);
+        off_thread += usize::from(batch.thread != shard.thread);
+    }
+    // Eight shards per batch in four chunks always dispatch, so the
+    // hand-off to pool workers is what this checks.
+    assert!(off_thread > 0, "no shard span ran off its batch's thread");
+}
+
+#[test]
 fn root_self_times_account_for_the_runs_wall_clock() {
     let _guard = TRACE_LOCK.lock().unwrap();
     let (data, model) = trained_mini_model(4);
