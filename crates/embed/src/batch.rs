@@ -1,75 +1,113 @@
-//! The tiled entity-table sweep behind the batched scoring kernels.
+//! The query-lane entity-table sweep behind the batched scoring kernels.
 //!
 //! Every dot-product-family model reduces a side query to a *query vector*
 //! (or a translation point) that is then combined with each row of the
 //! entity table. The single-query kernels therefore sweep the whole
-//! `N × dim` table once per query. [`sweep`] sweeps it once per
-//! **tile of [`QUERY_TILE`] queries** instead, and walks the table in
-//! blocks of [`ENTITY_BLOCK`] rows: within a block, the inner loops run
-//! query-then-entity, so
+//! `N × dim` table once per query, and their reduction over `dim` is an
+//! in-order `f32` sum that the compiler cannot vectorize without changing
+//! its bits. [`sweep`] instead takes the queries in tiles of
+//! [`QUERY_TILE`], transposes each tile once so that coordinate `d` of every
+//! query sits in one `[f32; QUERY_TILE]` lane group, and reads each entity
+//! row once per tile. Each lane folds its own query's reduction over `dim`
+//! in the single-query order, so the vector runs *across* queries while every
+//! per-pair sum stays sequential.
 //!
-//! - a block of entity rows is reused by every query of the tile while it
-//!   is still cache-resident, and
-//! - each query writes its `out[q·N + block]` slots as one contiguous run
-//!   instead of the old stride-`N` scatter (one write per entity per
-//!   query), which lets the stores stream.
+//! A model describes its per-pair expression as a per-coordinate `step`
+//! (`acc + q·e` for the dot products, `acc + |e − q|` or `acc + (e − q)²` for
+//! TransE's distances) plus a `finish` applied to the folded sum (identity,
+//! negation, `−√` or `½·`). Only this crate's models call it: DistMult,
+//! ComplEx, HolE, RESCAL and ConvE fold a dot, SimplE folds a dot and
+//! halves it, and TransE folds its L1 or L2 distance and negates it.
 //!
-//! The sweep is generic over the per-`(query, entity)` expression, and only
-//! this crate's models call it: DistMult, ComplEx, HolE and RESCAL pass
-//! `dot`, SimplE `½·dot`, TransE its negated L1 or L2 distance, and RotatE
-//! its own `neg_complex_l1`.
-//!
-//! **Bit-identical-scores contract:** for each `(query, entity)` pair the
-//! expression is the exact one of the corresponding single-query kernel, in
-//! the same summation order over `dim`. Tiling and entity blocking only
-//! reorder *independent* output slots, so batched scores are bitwise equal
-//! to looped single-query scores — the differential suites in
-//! `tests/batch_kernels.rs` and `kgfd-eval` hold both paths to that.
+//! **Bit-identical-scores contract:** the fold starts from the identity
+//! `Iterator::sum` starts from, which [`sum_identity`] takes from `Sum`
+//! itself (it is `-0.0` on current compilers and was `+0.0` before), applies
+//! the same step in the same order over `dim`, and the same finish. Batched
+//! scores are therefore bitwise equal to looped single-query scores — the
+//! differential suites in `tests/batch_kernels.rs` and `kgfd-eval` hold
+//! both paths to that.
 //!
 //! Output layout is query-major: `out[q * N + e]` is query `q`'s score for
 //! entity `e`, with `N = entities.rows()`.
 
 use crate::ParamTable;
 
-/// Queries per entity-table sweep. Sized so a tile of query vectors stays
-/// resident in L1 alongside the streamed entity row at typical dims.
+/// Queries per entity-table sweep: one lane each. Eight `f32` lanes fill
+/// one 256-bit vector or two 128-bit ones.
 pub(crate) const QUERY_TILE: usize = 8;
 
-/// Entity rows per block of the sweep. At dim ≈ 128 a block is
-/// `64 × 128 × 4 B = 32 KiB` of entity rows — within L1 on current cores —
-/// reused [`QUERY_TILE`] times before moving on, while each query's output
-/// slice is written in contiguous 256-byte runs.
-pub(crate) const ENTITY_BLOCK: usize = 64;
+/// The value `Iterator::sum::<f32>` starts its fold from. Taken from `Sum`
+/// rather than written as a literal, because it changed between compiler
+/// releases (from `+0.0` to `-0.0`), and a lane that starts elsewhere gives
+/// a different sign when every term is `-0.0`.
+#[inline]
+pub(crate) fn sum_identity() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
 
-/// `out[q·N + e] = score(queries[q], entity_e)` for every `dim`-float query
-/// row of `queries`, one table sweep per tile of [`QUERY_TILE`] queries in
-/// blocks of [`ENTITY_BLOCK`] entity rows. Each model passes the exact
-/// per-pair expression of its single-query kernel as `score`; every
-/// instantiation compiles to its own inner loop.
+/// The per-coordinate step of [`crate::math::dot`]: `acc + q·e`.
+#[inline]
+pub(crate) fn dot_step(acc: f32, q: f32, e: f32) -> f32 {
+    acc + q * e
+}
+
+/// The per-coordinate step of [`crate::math::l1_distance`]`(e, p)`:
+/// `acc + |e − p|`.
+#[inline]
+pub(crate) fn l1_step(acc: f32, p: f32, e: f32) -> f32 {
+    acc + (e - p).abs()
+}
+
+/// The per-coordinate step of [`crate::math::l2_distance`]`(e, p)` before
+/// its square root: `acc + (e − p)²`.
+#[inline]
+pub(crate) fn l2_step(acc: f32, p: f32, e: f32) -> f32 {
+    let d = e - p;
+    acc + d * d
+}
+
+/// `out[q·N + e] = finish(fold(step))` for every `dim`-float query row of
+/// `queries` and every entity row `e`, where the fold runs
+/// `acc = step(acc, query[d], entity[d])` for `d` in `0..dim` from
+/// [`sum_identity`]. Each model passes the step and finish of its
+/// single-query kernel; every instantiation compiles to its own inner loop.
 #[inline]
 pub(crate) fn sweep(
     entities: &ParamTable,
     queries: &[f32],
     dim: usize,
     out: &mut [f32],
-    score: impl Fn(&[f32], &[f32]) -> f32,
+    step: impl Fn(f32, f32, f32) -> f32,
+    finish: impl Fn(f32) -> f32,
 ) {
     debug_assert!(dim > 0);
     debug_assert_eq!(entities.cols(), dim);
     debug_assert_eq!(queries.len() % dim, 0);
-    let q = queries.len() / dim;
     let n = entities.rows();
-    debug_assert_eq!(out.len(), q * n);
-    for tile_start in (0..q).step_by(QUERY_TILE) {
-        let tile_end = (tile_start + QUERY_TILE).min(q);
-        for block_start in (0..n).step_by(ENTITY_BLOCK) {
-            let block_end = (block_start + ENTITY_BLOCK).min(n);
-            for qi in tile_start..tile_end {
-                let query = &queries[qi * dim..(qi + 1) * dim];
-                let out_row = &mut out[qi * n + block_start..qi * n + block_end];
-                for (slot, e) in out_row.iter_mut().zip(block_start..block_end) {
-                    *slot = score(query, entities.row(e));
+    debug_assert_eq!(out.len(), queries.len() / dim * n);
+    let identity = sum_identity();
+    // `lanes[d][l]` is coordinate `d` of the tile's query `l`. Lanes past a
+    // ragged tile's end keep stale values; their results are never stored.
+    let mut lanes = vec![[0.0f32; QUERY_TILE]; dim];
+    for (tile, out_tile) in queries
+        .chunks(QUERY_TILE * dim)
+        .zip(out.chunks_mut(QUERY_TILE * n))
+    {
+        for (l, query) in tile.chunks_exact(dim).enumerate() {
+            for (lane, &v) in lanes.iter_mut().zip(query) {
+                lane[l] = v;
+            }
+        }
+        let width = tile.len() / dim;
+        for (e, row) in entities.data().chunks_exact(dim).enumerate() {
+            let mut acc = [identity; QUERY_TILE];
+            for (lane, &x) in lanes.iter().zip(row) {
+                for (a, &q) in acc.iter_mut().zip(lane) {
+                    *a = step(*a, q, x);
                 }
+            }
+            for (l, &a) in acc[..width].iter().enumerate() {
+                out_tile[l * n + e] = finish(a);
             }
         }
     }
@@ -79,8 +117,7 @@ pub(crate) fn sweep(
 mod tests {
     use super::*;
     use crate::math::{dot, l1_distance, l2_distance};
-    use crate::KgeModel;
-    use kgfd_kg::{EntityId, RelationId};
+    use std::convert::identity;
 
     fn table(rows: usize, cols: usize, seed: u64) -> ParamTable {
         let mut t = ParamTable::zeros(rows, cols);
@@ -94,7 +131,7 @@ mod tests {
         let entities = table(13, 6, 1);
         let qvecs = table(11, 6, 2);
         let mut out = vec![0.0; 11 * 13];
-        sweep(&entities, qvecs.data(), 6, &mut out, dot);
+        sweep(&entities, qvecs.data(), 6, &mut out, dot_step, identity);
         for qi in 0..11 {
             for e in 0..13 {
                 let expect = dot(qvecs.row(qi), entities.row(e));
@@ -108,7 +145,9 @@ mod tests {
         let entities = table(5, 4, 3);
         let qvecs = table(3, 4, 4);
         let mut out = vec![0.0; 3 * 5];
-        sweep(&entities, qvecs.data(), 4, &mut out, |q, e| 0.5 * dot(q, e));
+        sweep(&entities, qvecs.data(), 4, &mut out, dot_step, |acc| {
+            0.5 * acc
+        });
         for qi in 0..3 {
             for e in 0..5 {
                 let expect = 0.5 * dot(qvecs.row(qi), entities.row(e));
@@ -125,11 +164,9 @@ mod tests {
         let q = QUERY_TILE + 3;
         let mut l1 = vec![0.0; q * 7];
         let mut l2 = vec![0.0; q * 7];
-        sweep(&entities, points.data(), 4, &mut l1, |p, e| {
-            -l1_distance(e, p)
-        });
-        sweep(&entities, points.data(), 4, &mut l2, |p, e| {
-            -l2_distance(e, p)
+        sweep(&entities, points.data(), 4, &mut l1, l1_step, |acc| -acc);
+        sweep(&entities, points.data(), 4, &mut l2, l2_step, |acc| {
+            -acc.sqrt()
         });
         for qi in 0..q {
             for e in 0..7 {
@@ -142,15 +179,16 @@ mod tests {
     }
 
     #[test]
-    fn entity_blocking_is_exercised_and_bitwise_stable() {
-        // More entities than one block, plus a ragged tail, so the block
-        // loop takes both the full-block and partial-block paths.
-        let rows = ENTITY_BLOCK + ENTITY_BLOCK / 2 + 3;
+    fn ragged_tiles_are_bitwise_stable() {
+        // Two full tiles plus a ragged one, after which the unused lanes
+        // still hold the previous tile's queries, over enough entity rows
+        // that every lane folds many sums.
+        let rows = 100;
+        let q = 2 * QUERY_TILE + 3;
         let entities = table(rows, 6, 9);
-        let qvecs = table(QUERY_TILE + 1, 6, 10);
-        let q = QUERY_TILE + 1;
+        let qvecs = table(q, 6, 10);
         let mut out = vec![0.0; q * rows];
-        sweep(&entities, qvecs.data(), 6, &mut out, dot);
+        sweep(&entities, qvecs.data(), 6, &mut out, dot_step, identity);
         for qi in 0..q {
             for e in 0..rows {
                 let expect = dot(qvecs.row(qi), entities.row(e));
@@ -160,22 +198,22 @@ mod tests {
     }
 
     #[test]
-    fn complex_sweep_matches_scalar_formula_bitwise() {
-        // RotatE's batched kernel through the sweep against its
-        // single-query kernel.
-        let model = crate::models::RotatE::new(6, 2, 8, 7);
-        let queries = [
-            (EntityId(0), RelationId(0)),
-            (EntityId(3), RelationId(1)),
-            (EntityId(5), RelationId(0)),
-        ];
-        let mut out = vec![0.0; queries.len() * 6];
-        model.score_objects_batch(&queries, &mut out);
-        let mut row = vec![0.0; 6];
-        for (qi, &(s, r)) in queries.iter().enumerate() {
-            model.score_objects(s, r, &mut row);
-            for e in 0..6 {
-                assert_eq!(out[qi * 6 + e].to_bits(), row[e].to_bits());
+    fn signed_zero_sums_start_from_the_sum_identity() {
+        // Every product and every difference is a zero: `-0.0 · +0.0` is
+        // `-0.0`, so the dot's sign is the sign of the fold's start.
+        // Xavier-initialised tables never produce exact zeros.
+        let entities = ParamTable::zeros(3, 5);
+        let queries = vec![-0.0f32; 2 * 5];
+        let mut dots = vec![1.0; 2 * 3];
+        let mut l1 = vec![1.0; 2 * 3];
+        sweep(&entities, &queries, 5, &mut dots, dot_step, identity);
+        sweep(&entities, &queries, 5, &mut l1, l1_step, identity);
+        for qi in 0..2 {
+            let query = &queries[qi * 5..(qi + 1) * 5];
+            for e in 0..3 {
+                let row = entities.row(e);
+                assert_eq!(dots[qi * 3 + e].to_bits(), dot(query, row).to_bits());
+                assert_eq!(l1[qi * 3 + e].to_bits(), l1_distance(row, query).to_bits());
             }
         }
     }

@@ -239,12 +239,13 @@ pub trait KgeModel: Send + Sync {
     /// `out[q * num_entities() + e] = score(queries[q].0, queries[q].1, e)`.
     /// `out.len()` must be `queries.len() * num_entities()`.
     ///
-    /// The default loops [`score_objects`](KgeModel::score_objects); the
-    /// dot-product-family models override it with kernels that sweep the
-    /// entity table once per tile of queries (see [`crate::batch`]) while
-    /// keeping every per-`(query, entity)` reduction in the single-query
-    /// summation order, so batched scores are **bit-identical** to looped
-    /// ones — ranks computed from either path are equal.
+    /// The default loops [`score_objects`](KgeModel::score_objects). The
+    /// dot-product-family models and ConvE override it with a query-lane
+    /// sweep (see `crate::batch`): it reads each entity row once per tile
+    /// of queries, and each query's lane folds its reduction over `dim` in
+    /// the single-query order from the same starting value, so batched
+    /// scores are **bit-identical** to looped ones — ranks computed from
+    /// either path are equal.
     fn score_objects_batch(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
         let n = self.num_entities();
         debug_assert_eq!(out.len(), queries.len() * n);

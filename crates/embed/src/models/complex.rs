@@ -15,6 +15,7 @@
 //! The object-side gradient is exactly the query vector of `score_objects`
 //! (and symmetrically for subjects), since `f` is linear in each embedding.
 
+use crate::batch::dot_step;
 use crate::math::dot;
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -23,6 +24,7 @@ use crate::{
 use kgfd_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::identity;
 
 /// The ComplEx model. `dim` must be even.
 pub struct ComplEx {
@@ -164,7 +166,8 @@ impl KgeModel for ComplEx {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::object_query(self.entity(s), self.relation(r), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -173,7 +176,8 @@ impl KgeModel for ComplEx {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::subject_query(self.relation(r), self.entity(o), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

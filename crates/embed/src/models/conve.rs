@@ -15,11 +15,14 @@
 //! relation `r + K` as `score(o, r + K, ?)` — which is also why the model is
 //! trained on reciprocal-augmented triples with object corruption only
 //! (`KgeModel::reciprocal`). This keeps subject ranking a single forward
-//! pass plus `N` dot products instead of `N` convolutions.
+//! pass plus `N` dot products instead of `N` convolutions, and lets both
+//! multi-query kernels build every query first and then fold the dots
+//! through the shared entity-table sweep (`crate::batch`).
 //!
 //! The backward pass is standard backprop through the four stages, written
 //! out by hand and covered by the finite-difference check.
 
+use crate::batch::dot_step;
 use crate::math::dot;
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -28,6 +31,7 @@ use crate::{
 use kgfd_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::identity;
 
 /// Index of the convolution-filter table (one row per filter, 9 columns).
 pub const FILTER_TABLE: usize = 2;
@@ -252,6 +256,27 @@ impl KgeModel for ConvE {
         // (?, r, o) through the reciprocal path: score(o, r + K, ?).
         let q = self.query(o, self.num_relations + r.index());
         self.dot_all_entities(&q, out);
+    }
+
+    fn score_objects_batch(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
+        debug_assert_eq!(out.len(), queries.len() * self.num_entities);
+        let qvecs: Vec<f32> = queries
+            .iter()
+            .flat_map(|&(s, r)| self.query(s, r.index()))
+            .collect();
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
+    }
+
+    fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
+        debug_assert_eq!(out.len(), queries.len() * self.num_entities);
+        // Reciprocal queries, as in `score_subjects`.
+        let qvecs: Vec<f32> = queries
+            .iter()
+            .flat_map(|&(r, o)| self.query(o, self.num_relations + r.index()))
+            .collect();
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

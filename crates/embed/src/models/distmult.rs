@@ -3,6 +3,7 @@
 //! Gradients: `∂f/∂s = r ⊙ o`, `∂f/∂r = s ⊙ o`, `∂f/∂o = s ⊙ r`.
 //! Both batched kernels reduce to one Hadamard product followed by `N` dots.
 
+use crate::batch::dot_step;
 use crate::math::{dot, hadamard};
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -11,6 +12,7 @@ use crate::{
 use kgfd_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::identity;
 
 /// The DistMult model.
 pub struct DistMult {
@@ -115,7 +117,8 @@ impl KgeModel for DistMult {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             hadamard(qvec, self.entity(s), self.relation(r));
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -124,7 +127,8 @@ impl KgeModel for DistMult {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             hadamard(qvec, self.relation(r), self.entity(o));
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

@@ -11,6 +11,7 @@
 //! Gradients follow directly: `∂f/∂r = s ⋆ o`, `∂f/∂s = r ⋆ o`,
 //! `∂f/∂o = r ∗ s`.
 
+use crate::batch::dot_step;
 use crate::math::dot;
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -19,6 +20,7 @@ use crate::{
 use kgfd_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::identity;
 
 /// The HolE model.
 pub struct HolE {
@@ -149,7 +151,8 @@ impl KgeModel for HolE {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::convolve(self.relation(r), self.entity(s), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -158,7 +161,8 @@ impl KgeModel for HolE {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             Self::correlate(self.relation(r), self.entity(o), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

@@ -4,6 +4,7 @@
 //! Gradients: `∂f/∂s = R o`, `∂f/∂o = Rᵀ s`, `∂f/∂R = s oᵀ` (outer product).
 //! The relation table stores each matrix row-major as one `l²`-wide row.
 
+use crate::batch::dot_step;
 use crate::math::dot;
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -12,6 +13,7 @@ use crate::{
 use kgfd_kg::{EntityId, RelationId, Triple};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::convert::identity;
 
 /// The RESCAL model.
 pub struct Rescal {
@@ -143,7 +145,8 @@ impl KgeModel for Rescal {
         for (qvec, &(s, r)) in qvecs.chunks_mut(self.dim).zip(queries) {
             self.mat_t_vec(r, self.entity(s), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -152,7 +155,8 @@ impl KgeModel for Rescal {
         for (qvec, &(r, o)) in qvecs.chunks_mut(self.dim).zip(queries) {
             self.mat_vec(r, self.entity(o), qvec);
         }
-        crate::batch::sweep(self.params.table(ENTITY_TABLE), &qvecs, self.dim, out, dot);
+        let entities = self.params.table(ENTITY_TABLE);
+        crate::batch::sweep(entities, &qvecs, self.dim, out, dot_step, identity);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

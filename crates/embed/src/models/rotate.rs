@@ -151,26 +151,6 @@ impl KgeModel for RotatE {
         }
     }
 
-    fn score_objects_batch(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
-        debug_assert_eq!(out.len(), queries.len() * self.num_entities);
-        let mut points = vec![0.0; queries.len() * self.dim];
-        for (point, &(s, r)) in points.chunks_mut(self.dim).zip(queries) {
-            Self::rotate(self.entity(s), self.phases(r), 1.0, point);
-        }
-        let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::sweep(entities, &points, self.dim, out, Self::neg_complex_l1);
-    }
-
-    fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
-        debug_assert_eq!(out.len(), queries.len() * self.num_entities);
-        let mut points = vec![0.0; queries.len() * self.dim];
-        for (point, &(r, o)) in points.chunks_mut(self.dim).zip(queries) {
-            Self::rotate(self.entity(o), self.phases(r), -1.0, point);
-        }
-        let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::sweep(entities, &points, self.dim, out, Self::neg_complex_l1);
-    }
-
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {
         let s = self.entity(t.subject);
         let o = self.entity(t.object);

@@ -12,6 +12,7 @@
 //! entity row is `[h | t]` (width `2l`), a relation row `[r | r⁻¹]`.
 //! Gradients are the obvious triple products, accumulated into both halves.
 
+use crate::batch::dot_step;
 use crate::math::dot;
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -154,7 +155,7 @@ impl KgeModel for SimplE {
             }
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::sweep(entities, &qvecs, 2 * l, out, |q, e| 0.5 * dot(q, e));
+        crate::batch::sweep(entities, &qvecs, 2 * l, out, dot_step, |acc| 0.5 * acc);
     }
 
     fn score_subjects_batch(&self, queries: &[(RelationId, EntityId)], out: &mut [f32]) {
@@ -170,7 +171,7 @@ impl KgeModel for SimplE {
             }
         }
         let entities = self.params.table(ENTITY_TABLE);
-        crate::batch::sweep(entities, &qvecs, 2 * l, out, |q, e| 0.5 * dot(q, e));
+        crate::batch::sweep(entities, &qvecs, 2 * l, out, dot_step, |acc| 0.5 * acc);
     }
 
     fn backward(&self, t: Triple, upstream: f32, grads: &mut Gradients) {

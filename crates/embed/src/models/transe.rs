@@ -8,6 +8,7 @@
 //! entity row to a fixed point": `score_objects` measures to `s + r`,
 //! `score_subjects` to `o − r`.
 
+use crate::batch::{l1_step, l2_step};
 use crate::math::{add_scaled, l1_distance, l2_distance};
 use crate::{
     init, Gradients, KgeModel, ModelConfig, ModelKind, ParamTable, Parameters, ENTITY_TABLE,
@@ -170,10 +171,10 @@ impl KgeModel for TransE {
         let entities = self.params.table(ENTITY_TABLE);
         match self.distance {
             Distance::L1 => {
-                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l1_distance(e, p))
+                crate::batch::sweep(entities, &points, self.dim, out, l1_step, |acc| -acc)
             }
             Distance::L2 => {
-                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l2_distance(e, p))
+                crate::batch::sweep(entities, &points, self.dim, out, l2_step, |acc| -acc.sqrt())
             }
         }
     }
@@ -188,10 +189,10 @@ impl KgeModel for TransE {
         let entities = self.params.table(ENTITY_TABLE);
         match self.distance {
             Distance::L1 => {
-                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l1_distance(e, p))
+                crate::batch::sweep(entities, &points, self.dim, out, l1_step, |acc| -acc)
             }
             Distance::L2 => {
-                crate::batch::sweep(entities, &points, self.dim, out, |p, e| -l2_distance(e, p))
+                crate::batch::sweep(entities, &points, self.dim, out, l2_step, |acc| -acc.sqrt())
             }
         }
     }

@@ -35,8 +35,10 @@
 //! no ranking pass allocates kernel buffers at all).
 //!
 //! Scores from the batched kernels are bit-identical to the single-query
-//! kernels (see `kgfd_embed::batch`), so the ranks produced here are
-//! *equal* — not merely close — to [`crate::rank_triple`]'s.
+//! kernels (see `kgfd_embed::batch`: the vector runs across a tile's
+//! queries, never along a sum), and every rank comes from the same
+//! [`rank_with_exclusions`] count, so the ranks produced here are *equal* —
+//! not merely close — to [`crate::rank_triple`]'s.
 //!
 //! Observability: each pass records `eval.rank.total_queries`,
 //! `eval.rank.distinct_queries`, the `eval.rank.dedup_ratio` gauge, and a

@@ -9,6 +9,11 @@
 //! Ties are resolved to their mean rank (`1 + #greater + #ties/2`), the
 //! convention that keeps constant-scoring models from looking artificially
 //! good or bad.
+//!
+//! [`rank_with_exclusions`] runs once per (triple, side) over every entity,
+//! so it counts the whole row in one branch-free, vectorized pass and then
+//! corrects the integer counts for the target and the filtered entities,
+//! instead of testing each entity for exclusion as it goes.
 
 use kgfd_embed::KgeModel;
 use kgfd_kg::{EntityId, KnownTriples, Triple};
@@ -40,37 +45,38 @@ impl TripleRanks {
 /// (other known-true completions) removed from the competition.
 ///
 /// `exclude` must be sorted ascending (as produced by [`KnownTriples`]);
-/// `target` itself always competes even if listed there.
+/// `target` itself always competes even if listed there, and entries that
+/// repeat or lie past the end of `scores` are ignored.
 ///
-/// The exclusion check is a two-pointer merge walk over the sorted list —
-/// O(N + E) against the O(N log E) of a per-entity binary search, which
-/// matters because this runs once per (triple, side) on the evaluation hot
-/// path.
+/// This runs once per (triple, side) on the evaluation hot path, over every
+/// entity, so the row is counted without a data-dependent branch: one pass
+/// adds `score > target` and `score == target` into `u32` counters, which
+/// the compiler vectorizes into fixed-width lanes. The target's own tie is
+/// then removed (unless its score is NaN, which ties nothing), and each
+/// distinct in-range exclusion other than the target subtracts its own two
+/// comparisons. The counts are integers, so the rank is the same as if the
+/// excluded entities had been skipped during the count.
 pub fn rank_with_exclusions(scores: &[f32], target: EntityId, exclude: &[EntityId]) -> f64 {
     let target_score = scores[target.index()];
-    let mut greater = 0u64;
-    let mut ties = 0u64;
-    // Cursor into the sorted exclusion list; advanced in lockstep with `e`.
-    let mut xi = 0usize;
-    for (e, &score) in scores.iter().enumerate() {
-        while xi < exclude.len() && exclude[xi].index() < e {
-            xi += 1;
-        }
-        let excluded = xi < exclude.len() && exclude[xi].index() == e;
-        if excluded {
-            xi += 1;
-        }
-        if e == target.index() || excluded {
+    // NaN never outranks or ties: both comparisons are false for NaN.
+    let (mut greater, mut ties) = scores.iter().fold((0u32, 0u32), |(greater, ties), &score| {
+        (
+            greater + u32::from(score > target_score),
+            ties + u32::from(score == target_score),
+        )
+    });
+    ties -= u32::from(!target_score.is_nan());
+    let mut previous = None;
+    for &x in exclude {
+        let repeat = previous.replace(x) == Some(x);
+        if repeat || x == target || x.index() >= scores.len() {
             continue;
         }
-        // NaN never outranks: both comparisons below are false for NaN.
-        if score > target_score {
-            greater += 1;
-        } else if score == target_score {
-            ties += 1;
-        }
+        let score = scores[x.index()];
+        greater -= u32::from(score > target_score);
+        ties -= u32::from(score == target_score);
     }
-    1.0 + greater as f64 + ties as f64 / 2.0
+    1.0 + f64::from(greater) + f64::from(ties) / 2.0
 }
 
 /// Scratch buffers reused across rank computations.

@@ -2,8 +2,9 @@
 //! `BatchRanker` (and `rank_all`, which wraps it) must produce ranks
 //! **identical** to the sequential scalar oracle (`rank_triple` on each
 //! triple in turn), raw and filtered, under heavy query duplication and at
-//! any thread count. Also pins the two-pointer merge walk inside
-//! `rank_with_exclusions` against an independent binary-search reference.
+//! any thread count. Also pins the branch-free row count and exclusion
+//! correction inside `rank_with_exclusions` against an independent
+//! binary-search reference.
 
 use kgfd_embed::{new_model, KgeModel, ModelKind};
 use kgfd_eval::{
@@ -51,8 +52,9 @@ fn rank_scalar(
         .collect()
 }
 
-/// The pre-merge-walk implementation: per-entity binary search into the
-/// sorted exclusion list. Kept verbatim as the differential reference.
+/// The original implementation: per-entity binary search into the sorted
+/// exclusion list, skipping excluded entities during the count. Kept
+/// verbatim as the differential reference.
 fn rank_with_exclusions_binary_search(
     scores: &[f32],
     target: EntityId,
@@ -81,13 +83,17 @@ proptest! {
     fn merge_walk_matches_binary_search_reference(
         // Coarse score grid (and an occasional NaN — one lattice value maps
         // to it) to force plenty of ties and exercise the NaN-never-outranks
-        // branch.
+        // branch. Rows up to ~100 entries run the vectorized count over
+        // several full vector iterations plus a scalar tail.
         raw_scores in proptest::collection::vec(
             (-4i32..5).prop_map(|v| if v == 4 { f32::NAN } else { v as f32 / 2.0 }),
-            2..40
+            2..100
         ),
         target_pick in 0usize..1000,
-        excl in proptest::collection::vec(0u32..40, 0..12)
+        // Sorted but neither deduplicated nor clipped to the row: repeated
+        // entries and ids past `scores.len()` must count as the reference
+        // counts them (once, and not at all).
+        excl in proptest::collection::vec(0u32..120, 0..24)
     ) {
         let mut target = EntityId((target_pick % raw_scores.len()) as u32);
         let mut scores = raw_scores;
@@ -95,28 +101,23 @@ proptest! {
         if scores[target.index()].is_nan() {
             scores[target.index()] = 0.0;
         }
-        let mut exclude: Vec<EntityId> = excl
-            .into_iter()
-            .filter(|&e| (e as usize) < scores.len())
-            .map(EntityId)
-            .collect();
+        let mut exclude: Vec<EntityId> = excl.into_iter().map(EntityId).collect();
         exclude.sort_unstable();
-        exclude.dedup();
         // `target` may or may not appear in `exclude` — both paths must
         // agree either way.
-        let merge = rank_with_exclusions(&scores, target, &exclude);
+        let count = rank_with_exclusions(&scores, target, &exclude);
         let binary = rank_with_exclusions_binary_search(&scores, target, &exclude);
-        prop_assert_eq!(merge.to_bits(), binary.to_bits(),
-            "merge walk {} vs binary search {}", merge, binary);
+        prop_assert_eq!(count.to_bits(), binary.to_bits(),
+            "row count {} vs binary search {}", count, binary);
         // Also check a target that IS excluded (it must still compete).
-        if let Some(&x) = exclude.first() {
+        if let Some(&x) = exclude.iter().find(|x| x.index() < scores.len()) {
             target = x;
             if scores[target.index()].is_nan() {
                 scores[target.index()] = 0.0;
             }
-            let merge = rank_with_exclusions(&scores, target, &exclude);
+            let count = rank_with_exclusions(&scores, target, &exclude);
             let binary = rank_with_exclusions_binary_search(&scores, target, &exclude);
-            prop_assert_eq!(merge.to_bits(), binary.to_bits());
+            prop_assert_eq!(count.to_bits(), binary.to_bits());
         }
     }
 

@@ -408,7 +408,7 @@ fn bad_requests_partition_into_4xx() {
     let (server, addr, _) = boot(
         "errors",
         ServeConfig {
-            max_body_bytes: 256,
+            max_body_bytes: 48 * 1024,
             ..test_config()
         },
     );
@@ -416,6 +416,13 @@ fn bad_requests_partition_into_4xx() {
     let malformed = post(addr, "/v1/score", "{not json");
     assert_eq!(malformed.status, 400);
     assert_eq!(malformed.json()["error"].as_str(), Some("bad_request"));
+    // 20,000 nested arrays (40 KB) → 400, and the server lives on: the
+    // parser bounds its recursion instead of overflowing a worker's stack.
+    let nested = format!("{}{}", "[".repeat(20_000), "]".repeat(20_000));
+    let deep = post(addr, "/v1/score", &nested);
+    assert_eq!(deep.status, 400);
+    assert_eq!(deep.json()["error"].as_str(), Some("bad_request"));
+    assert_eq!(get(addr, "/healthz").status, 200);
     // Unknown label → 400.
     let unknown_label = post(
         addr,
@@ -443,7 +450,7 @@ fn bad_requests_partition_into_4xx() {
     let oversized = post(
         addr,
         "/v1/score",
-        &format!("{{\"pad\": \"{}\"}}", "x".repeat(1024)),
+        &format!("{{\"pad\": \"{}\"}}", "x".repeat(48 * 1024)),
     );
     assert_eq!(oversized.status, 413);
     assert_eq!(
