@@ -43,7 +43,7 @@ COMMANDS:
   stats     --train <TSV>
             structural statistics of a graph (density, triangles, components)
   train     --train <TSV> --out <FILE>
-            --model <transe|distmult|complex|rescal|hole|conve|rotate|simple|tucker>
+            --model <transe|distmult|complex|rescal|hole|conve>
             [--dim 32] [--epochs 30] [--lr 0.01] [--loss <margin|bce>]
             [--negatives 4] [--adversarial <TEMP>] [--seed 0]
             [--threads <N>] [--valid <TSV> --early-stop]
@@ -110,7 +110,7 @@ EXIT CODES:
   0 success            1 runtime error       2 usage error
   3 corrupt model file (bad magic, checksum mismatch, truncation)
   4 unsupported model format version
-  5 model file needs migration (format v1 model file: retrain and re-save)
+  5 model file needs migration (format v1 or retired kind: retrain and re-save)
   6 training interrupted by --deadline; checkpoint saved, rerun with --resume
 ";
 

@@ -92,11 +92,18 @@ fn damaged_model_files_map_to_distinct_exit_codes() {
     };
     // The last 4 bytes are the CRC-32 footer; the 4 before them are payload.
     let payload = bytes.len() - 8;
+    // Byte 5 is the model kind, and tag 6 was RotatE's. The footer is
+    // re-signed, so only the kind can refuse the file.
+    let mut retired = with_byte(5, 6);
+    let body = retired.len() - 4;
+    let crc = kgfd_embed::crc32(&retired[..body]);
+    retired[body..].copy_from_slice(&crc.to_le_bytes());
     // Byte 4 is the format version.
     let cases = [
         ("flipped.kgfd", with_byte(payload, !bytes[payload]), 3),
         ("version9.kgfd", with_byte(4, 9), 4),
         ("version1.kgfd", with_byte(4, 1), 5),
+        ("tag6.kgfd", retired, 5),
     ];
     for (name, copy, code) in cases {
         let path = dir.join(name);
@@ -109,6 +116,9 @@ fn damaged_model_files_map_to_distinct_exit_codes() {
         assert_eq!(exit_code(err.as_ref()), code, "{name}: {err}");
         if code != 4 {
             assert!(err.to_string().contains(name), "{name}: {err}");
+        }
+        if name == "tag6.kgfd" {
+            assert!(err.to_string().contains("rotate"), "{name}: {err}");
         }
     }
 

@@ -49,7 +49,7 @@ pub use discover::{discover_facts, try_discover_facts, DiscoveryConfig};
 pub use measures::Measures;
 pub use pruning::CandidateRules;
 pub use report::{DiscoveredFact, DiscoveryReport, RelationBreakdown};
-pub use sampler::{AliasSampler, CdfSampler};
+pub use sampler::AliasSampler;
 pub use strategy::StrategyKind;
 pub use streaming::{cached_measures, fact_order, CandidateStream, TopKFacts};
 pub use weights::{compute_weights, normalize_or_uniform, validate_weights};

@@ -2,8 +2,8 @@
 //!
 //! The discovery inner loop draws `sample_size` entities per side per
 //! iteration, so draw cost matters. [`AliasSampler`] (Walker's method) pays
-//! O(n) once and O(1) per draw; [`CdfSampler`] is the textbook O(log n)
-//! binary-search alternative kept for the `ablation_sampler` bench.
+//! O(n) once and O(1) per draw. The textbook O(log n) CDF sampler it is
+//! checked against lives in `tests/proptests.rs`.
 
 use kgfd_kg::KgError;
 use rand::rngs::StdRng;
@@ -98,76 +98,6 @@ impl AliasSampler {
     }
 }
 
-/// CDF + binary-search sampler (O(n) build, O(log n) draw) — the baseline
-/// the alias method is benchmarked against.
-#[derive(Debug, Clone)]
-pub struct CdfSampler {
-    cdf: Vec<f64>,
-    /// Index drawn when `u` lands beyond the final CDF value
-    /// (floating-point summation slack): the last index with positive
-    /// weight, so rounding can never surface a zero-weight item.
-    overflow: usize,
-}
-
-impl CdfSampler {
-    /// Builds the cumulative distribution from non-negative weights. A
-    /// degenerate vector (all-zero or non-finite sum) falls back to the
-    /// uniform distribution, mirroring `normalize_or_uniform` — previously
-    /// the zero-total CDF was left unnormalized at all-zeros, which made
-    /// `sample()` always return the last index. Panics on an empty weight
-    /// vector.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "cannot sample from an empty pool");
-        let n = weights.len();
-        let total: f64 = weights.iter().sum();
-        let mut cdf = Vec::with_capacity(n);
-        if total > 0.0 && total.is_finite() {
-            let mut acc = 0.0;
-            for &w in weights {
-                acc += w;
-                cdf.push(acc / total);
-            }
-            let overflow = weights
-                .iter()
-                .rposition(|&w| w > 0.0)
-                .expect("positive total implies a positive weight");
-            CdfSampler { cdf, overflow }
-        } else {
-            for i in 0..n {
-                cdf.push((i + 1) as f64 / n as f64);
-            }
-            CdfSampler {
-                cdf,
-                overflow: n - 1,
-            }
-        }
-    }
-
-    /// [`CdfSampler::new`] with the weight vector validated first — see
-    /// [`AliasSampler::try_new`].
-    pub fn try_new(weights: &[f64]) -> Result<Self, KgError> {
-        if weights.is_empty() {
-            return Err(KgError::Invariant(
-                "cannot sample from an empty pool".into(),
-            ));
-        }
-        crate::validate_weights(weights)?;
-        Ok(CdfSampler::new(weights))
-    }
-
-    /// Draws one index in O(log n).
-    #[inline]
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
-        let u: f64 = rng.random();
-        let i = self.cdf.partition_point(|&c| c <= u);
-        if i < self.cdf.len() {
-            i
-        } else {
-            self.overflow
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,40 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn cdf_matches_target_distribution() {
-        let weights = [0.1, 0.2, 0.7];
-        let sampler = CdfSampler::new(&weights);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut counts = [0usize; 3];
-        for _ in 0..50_000 {
-            counts[sampler.sample(&mut rng)] += 1;
-        }
-        for (c, w) in counts.iter().zip(&weights) {
-            let f = *c as f64 / 50_000.0;
-            assert!((f - w).abs() < 0.01);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "empty pool")]
     fn empty_weights_panic() {
         AliasSampler::new(&[]);
-    }
-
-    #[test]
-    fn cdf_zero_total_falls_back_to_uniform() {
-        // Regression: the zero-total CDF used to stay all-zeros, so every
-        // draw returned the last index.
-        let sampler = CdfSampler::new(&[0.0, 0.0, 0.0]);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut counts = [0usize; 3];
-        for _ in 0..30_000 {
-            counts[sampler.sample(&mut rng)] += 1;
-        }
-        for &c in &counts {
-            let f = c as f64 / 30_000.0;
-            assert!((f - 1.0 / 3.0).abs() < 0.02, "freq {f} not ~uniform");
-        }
     }
 
     #[test]
@@ -268,40 +167,22 @@ mod tests {
     #[test]
     fn try_new_rejects_non_finite_weights_with_a_typed_error() {
         // Regression: a NaN weight used to propagate into the running total
-        // and trip the degenerate-sum fallback, so both samplers silently
+        // and trip the degenerate-sum fallback, so the sampler silently
         // replaced the caller's distribution with the uniform one.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             match AliasSampler::try_new(&[0.5, bad]) {
                 Err(KgError::NonFiniteWeight { index: 1, .. }) => {}
-                other => panic!("alias: expected NonFiniteWeight, got {other:?}"),
-            }
-            match CdfSampler::try_new(&[0.5, bad]) {
-                Err(KgError::NonFiniteWeight { index: 1, .. }) => {}
-                other => panic!("cdf: expected NonFiniteWeight, got {other:?}"),
+                other => panic!("expected NonFiniteWeight, got {other:?}"),
             }
         }
         assert!(matches!(
             AliasSampler::try_new(&[]),
             Err(KgError::Invariant(_))
         ));
-        assert!(matches!(
-            CdfSampler::try_new(&[]),
-            Err(KgError::Invariant(_))
-        ));
         assert!(AliasSampler::try_new(&[1.0, 2.0]).is_ok());
         assert!(
-            CdfSampler::try_new(&[0.0, 0.0]).is_ok(),
+            AliasSampler::try_new(&[0.0, 0.0]).is_ok(),
             "zero-sum is legal"
         );
-    }
-
-    #[test]
-    fn cdf_zero_weight_items_are_never_drawn() {
-        let sampler = CdfSampler::new(&[0.0, 1.0, 0.0, 2.0]);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..20_000 {
-            let i = sampler.sample(&mut rng);
-            assert!(i == 1 || i == 3, "drew zero-weight index {i}");
-        }
     }
 }

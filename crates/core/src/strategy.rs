@@ -17,7 +17,7 @@ pub enum StrategyKind {
     ClusteringTriangles,
     /// Probability ∝ square (C4) clustering coefficient (Eq. 6). Excluded
     /// from the paper's grid for cost (§4.3: one run took ~54 h); available
-    /// here for the ablation bench.
+    /// here for the `repro squares` ablation.
     ClusteringSquares,
     /// Probability ∝ PageRank — a library extension following the paper's
     /// conclusion that popularity-correlated measures sample well (§4.2.4).

@@ -2,16 +2,110 @@
 
 use fact_discovery::{
     compute_weights, discover_facts, fact_order, normalize_or_uniform, AliasSampler,
-    CandidateStream, CdfSampler, DiscoveredFact, DiscoveryConfig, Measures, StrategyKind,
-    TopKFacts,
+    CandidateStream, DiscoveredFact, DiscoveryConfig, Measures, StrategyKind, TopKFacts,
 };
 use kgfd_embed::{new_model, ModelKind};
 use kgfd_kg::{Side, Triple, TripleStore};
 use proptest::prelude::*;
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const N: u32 = 10;
 const K: u32 = 3;
+
+/// The alias sampler's oracle: CDF + binary search (O(n) build, O(log n)
+/// draw), the textbook way to sample a weighted index.
+struct CdfSampler {
+    cdf: Vec<f64>,
+    /// Index drawn when `u` lands beyond the final CDF value
+    /// (floating-point summation slack): the last index with positive
+    /// weight, so rounding can never surface a zero-weight item.
+    overflow: usize,
+}
+
+impl CdfSampler {
+    /// Builds the cumulative distribution from non-negative weights. A
+    /// degenerate vector (all-zero or non-finite sum) falls back to the
+    /// uniform distribution, as `AliasSampler::new` does.
+    fn new(weights: &[f64]) -> Self {
+        assert!(!weights.is_empty(), "cannot sample from an empty pool");
+        let n = weights.len();
+        let total: f64 = weights.iter().sum();
+        let mut cdf = Vec::with_capacity(n);
+        if total > 0.0 && total.is_finite() {
+            let mut acc = 0.0;
+            for &w in weights {
+                acc += w;
+                cdf.push(acc / total);
+            }
+            let overflow = weights
+                .iter()
+                .rposition(|&w| w > 0.0)
+                .expect("positive total implies a positive weight");
+            CdfSampler { cdf, overflow }
+        } else {
+            for i in 0..n {
+                cdf.push((i + 1) as f64 / n as f64);
+            }
+            CdfSampler {
+                cdf,
+                overflow: n - 1,
+            }
+        }
+    }
+
+    /// Draws one index in O(log n).
+    fn sample(&self, rng: &mut StdRng) -> usize {
+        let u: f64 = rng.random();
+        let i = self.cdf.partition_point(|&c| c <= u);
+        if i < self.cdf.len() {
+            i
+        } else {
+            self.overflow
+        }
+    }
+}
+
+#[test]
+fn cdf_matches_target_distribution() {
+    let weights = [0.1, 0.2, 0.7];
+    let sampler = CdfSampler::new(&weights);
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut counts = [0usize; 3];
+    for _ in 0..50_000 {
+        counts[sampler.sample(&mut rng)] += 1;
+    }
+    for (c, w) in counts.iter().zip(&weights) {
+        let f = *c as f64 / 50_000.0;
+        assert!((f - w).abs() < 0.01);
+    }
+}
+
+#[test]
+fn cdf_zero_total_falls_back_to_uniform() {
+    // Regression: the zero-total CDF used to stay all-zeros, so every
+    // draw returned the last index.
+    let sampler = CdfSampler::new(&[0.0, 0.0, 0.0]);
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut counts = [0usize; 3];
+    for _ in 0..30_000 {
+        counts[sampler.sample(&mut rng)] += 1;
+    }
+    for &c in &counts {
+        let f = c as f64 / 30_000.0;
+        assert!((f - 1.0 / 3.0).abs() < 0.02, "freq {f} not ~uniform");
+    }
+}
+
+#[test]
+fn cdf_zero_weight_items_are_never_drawn() {
+    let sampler = CdfSampler::new(&[0.0, 1.0, 0.0, 2.0]);
+    let mut rng = StdRng::seed_from_u64(7);
+    for _ in 0..20_000 {
+        let i = sampler.sample(&mut rng);
+        assert!(i == 1 || i == 3, "drew zero-weight index {i}");
+    }
+}
 
 fn arb_store() -> impl Strategy<Value = TripleStore> {
     proptest::collection::vec((0..N, 0..K, 0..N), 1..60).prop_map(|raw| {

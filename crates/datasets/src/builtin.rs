@@ -88,16 +88,6 @@ pub fn codexl_like() -> DatasetProfile {
     }
 }
 
-/// All four paper-dataset profiles in the order of the paper's Table 1.
-pub fn all_paper_profiles() -> Vec<DatasetProfile> {
-    vec![
-        fb15k237_like(),
-        wn18rr_like(),
-        yago310_like(),
-        codexl_like(),
-    ]
-}
-
 /// A profile scaled down by 10× for unit/integration tests and quick benches.
 pub fn mini(profile: &DatasetProfile) -> DatasetProfile {
     let mut p = profile.scaled(0.1);

@@ -1,13 +1,12 @@
-//! Inverse-relation test-leakage detection and removal.
+//! Inverse-relation test-leakage detection.
 //!
 //! FB15K and WN18 were superseded by FB15K-237 and WN18RR because test
 //! triples `(o, r⁻¹, s)` could be answered by memorizing training triples
 //! `(s, r, o)` (paper §4.1.2). This module provides the diagnostic (which
-//! relation pairs are near-inverses of each other?) and the fix (drop the
-//! rarer relation of each leaking pair) so synthetic datasets can be audited
-//! the same way the community audited the originals.
+//! relation pairs are near-inverses of each other?) so synthetic datasets
+//! can be audited the same way the community audited the originals.
 
-use kgfd_kg::{RelationId, Triple, TripleStore};
+use kgfd_kg::{RelationId, TripleStore};
 use serde::{Deserialize, Serialize};
 
 /// A detected (near-)inverse relation pair.
@@ -49,39 +48,10 @@ pub fn find_inverse_pairs(store: &TripleStore, threshold: f64) -> Vec<InversePai
     pairs
 }
 
-/// Removes leakage: for each asymmetric inverse pair, drops all triples of
-/// the relation with fewer triples (keeping the canonical direction), the
-/// same de-duplication recipe that produced FB15K-237. Symmetric relations
-/// (`relation == inverse`) are left alone — symmetry is semantics, not
-/// leakage.
-pub fn remove_inverse_relations(store: &TripleStore, pairs: &[InversePair]) -> Vec<Triple> {
-    let mut drop = vec![false; store.num_relations()];
-    for p in pairs {
-        if p.relation == p.inverse {
-            continue;
-        }
-        let n1 = store.triples_of_relation(p.relation).len();
-        let n2 = store.triples_of_relation(p.inverse).len();
-        // Mutual pairs appear twice ((r1,r2) and (r2,r1)); break count ties by
-        // id so both orientations agree on a single victim.
-        let victim = match n1.cmp(&n2) {
-            std::cmp::Ordering::Less => p.relation,
-            std::cmp::Ordering::Greater => p.inverse,
-            std::cmp::Ordering::Equal => p.relation.max(p.inverse),
-        };
-        drop[victim.index()] = true;
-    }
-    store
-        .triples()
-        .iter()
-        .copied()
-        .filter(|t| !drop[t.relation.index()])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgfd_kg::Triple;
 
     /// r0 = "parent_of", r1 = "child_of" (exact inverse), r2 = "sibling" (symmetric).
     fn leaky_store() -> TripleStore {
@@ -118,27 +88,5 @@ mod tests {
     fn threshold_filters_weak_overlap() {
         let pairs = find_inverse_pairs(&leaky_store(), 1.01);
         assert!(pairs.is_empty());
-    }
-
-    #[test]
-    fn removal_drops_one_side_only() {
-        let store = leaky_store();
-        let pairs = find_inverse_pairs(&store, 0.9);
-        let cleaned = remove_inverse_relations(&store, &pairs);
-        let has_r0 = cleaned.iter().any(|t| t.relation == RelationId(0));
-        let has_r1 = cleaned.iter().any(|t| t.relation == RelationId(1));
-        assert!(has_r0 ^ has_r1, "exactly one direction survives");
-        // Symmetric relation untouched.
-        assert!(cleaned.iter().any(|t| t.relation == RelationId(2)));
-    }
-
-    #[test]
-    fn cleaned_graph_has_no_asymmetric_leakage() {
-        let store = leaky_store();
-        let pairs = find_inverse_pairs(&store, 0.9);
-        let cleaned = remove_inverse_relations(&store, &pairs);
-        let cleaned_store = TripleStore::new(10, 3, cleaned).unwrap();
-        let remaining = find_inverse_pairs(&cleaned_store, 0.9);
-        assert!(remaining.iter().all(|p| p.relation == p.inverse));
     }
 }

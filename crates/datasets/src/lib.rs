@@ -5,7 +5,9 @@
 //! without their raw files: Zipf-skewed popularity, community structure
 //! controlling the clustering coefficient, relation locality, and
 //! leakage-free train/valid/test splits. See DESIGN.md §1 for why each
-//! substitution preserves the behaviour the paper measures.
+//! substitution preserves the behaviour the paper measures. Beside the
+//! generator sit the inverse-relation leakage audit ([`find_inverse_pairs`])
+//! and profile fitting from an existing graph ([`fit_profile`]).
 //!
 //! ```
 //! use kgfd_datasets::{generate, mini, fb15k237_like};
@@ -22,18 +24,14 @@ mod builtin;
 mod fit;
 mod generator;
 mod inverse;
-mod noise;
 mod profile;
 mod toy;
 mod zipf;
 
-pub use builtin::{
-    all_paper_profiles, codexl_like, fb15k237_like, mini, wn18rr_like, yago310_like,
-};
+pub use builtin::{codexl_like, fb15k237_like, mini, wn18rr_like, yago310_like};
 pub use fit::fit_profile;
 pub use generator::generate;
-pub use inverse::{find_inverse_pairs, remove_inverse_relations, InversePair};
-pub use noise::inject_noise;
+pub use inverse::{find_inverse_pairs, InversePair};
 pub use profile::DatasetProfile;
 pub use toy::toy_biomedical;
 pub use zipf::Zipf;

@@ -15,9 +15,9 @@
 //! A model describes its per-pair expression as a per-coordinate `step`
 //! (`acc + q·e` for the dot products, `acc + |e − q|` or `acc + (e − q)²` for
 //! TransE's distances) plus a `finish` applied to the folded sum (identity,
-//! negation, `−√` or `½·`). Only this crate's models call it: DistMult,
-//! ComplEx, HolE, RESCAL and ConvE fold a dot, SimplE folds a dot and
-//! halves it, and TransE folds its L1 or L2 distance and negates it.
+//! negation or `−√`). Only this crate's models call it: DistMult, ComplEx,
+//! HolE, RESCAL and ConvE fold a dot, and TransE folds its L1 or L2
+//! distance and negates it.
 //!
 //! **Bit-identical-scores contract:** the fold starts from the identity
 //! `Iterator::sum` starts from, which [`sum_identity`] takes from `Sum`

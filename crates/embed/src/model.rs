@@ -22,30 +22,17 @@ pub enum ModelKind {
     /// DESIGN.md: conv → ReLU → FC → ReLU → dot, trained with reciprocal
     /// relations as in LibKGE.
     ConvE,
-    /// Rotation-based (Sun et al. 2019): `f = −‖s ∘ e^{iθ} − o‖`.
-    /// Library extension, not part of the paper's grid.
-    RotatE,
-    /// Head/tail factor pairs (Kazemi & Poole 2018):
-    /// `f = ½(⟨h_s, r, t_o⟩ + ⟨h_o, r⁻¹, t_s⟩)`. Library extension.
-    SimplE,
-    /// Tucker decomposition (Balažević et al. 2019): `f = W ×₁ r ×₂ s ×₃ o`
-    /// with a shared core tensor. Library extension.
-    TuckEr,
 }
 
 impl ModelKind {
-    /// All model kinds: the paper's grid, then HolE (paper §2.1), then the
-    /// library extensions.
-    pub const ALL: [ModelKind; 9] = [
+    /// All model kinds: the paper's grid, then HolE (paper §2.1).
+    pub const ALL: [ModelKind; 6] = [
         ModelKind::ComplEx,
         ModelKind::ConvE,
         ModelKind::DistMult,
         ModelKind::Rescal,
         ModelKind::TransE,
         ModelKind::HolE,
-        ModelKind::RotatE,
-        ModelKind::SimplE,
-        ModelKind::TuckEr,
     ];
 
     /// The five kinds used in the paper's experimental grid (§4: ComplEx,
@@ -67,9 +54,6 @@ impl ModelKind {
             ModelKind::Rescal => "rescal",
             ModelKind::HolE => "hole",
             ModelKind::ConvE => "conve",
-            ModelKind::RotatE => "rotate",
-            ModelKind::SimplE => "simple",
-            ModelKind::TuckEr => "tucker",
         }
     }
 
@@ -87,15 +71,24 @@ impl ModelKind {
             ModelKind::Rescal => 3,
             ModelKind::HolE => 4,
             ModelKind::ConvE => 5,
-            ModelKind::RotatE => 6,
-            ModelKind::SimplE => 7,
-            ModelKind::TuckEr => 8,
         }
     }
 
     /// Inverse of [`ModelKind::tag`].
     pub(crate) fn from_tag(tag: u8) -> Option<ModelKind> {
         Self::ALL.into_iter().find(|k| k.tag() == tag)
+    }
+
+    /// The name of the retired kind that `tag` stood for. Tags 6–8 belonged
+    /// to RotatE, SimplE and TuckER, which are no longer built; they stay
+    /// reserved so a file of one of them is refused by name.
+    pub(crate) fn retired_name(tag: u8) -> Option<&'static str> {
+        match tag {
+            6 => Some("rotate"),
+            7 => Some("simple"),
+            8 => Some("tucker"),
+            _ => None,
+        }
     }
 }
 
@@ -154,33 +147,17 @@ impl ModelConfig {
     pub(crate) fn table_shapes(&self) -> Result<Vec<(usize, usize)>, String> {
         let (n, k, d) = (self.num_entities, self.num_relations, self.dim);
         let kind = self.kind;
-        let even = || {
-            if d.is_multiple_of(2) {
-                Ok(())
-            } else {
-                Err(format!("{kind} needs an even dim, got {d}"))
-            }
-        };
-        let square = || {
-            d.checked_mul(d)
-                .ok_or_else(|| format!("{kind} tables of dim {d} overflow"))
-        };
         Ok(match kind {
             ModelKind::TransE | ModelKind::DistMult | ModelKind::HolE => vec![(n, d), (k, d)],
-            ModelKind::ComplEx | ModelKind::SimplE => {
-                even()?;
-                vec![(n, d), (k, d)]
+            ModelKind::ComplEx if !d.is_multiple_of(2) => {
+                return Err(format!("{kind} needs an even dim, got {d}"))
             }
-            ModelKind::RotatE => {
-                even()?;
-                vec![(n, d), (k, d / 2)]
-            }
-            ModelKind::Rescal => vec![(n, d), (k, square()?)],
-            ModelKind::TuckEr => {
-                let cube = square()?
+            ModelKind::ComplEx => vec![(n, d), (k, d)],
+            ModelKind::Rescal => {
+                let square = d
                     .checked_mul(d)
                     .ok_or_else(|| format!("{kind} tables of dim {d} overflow"))?;
-                vec![(n, d), (k, d), (1, cube)]
+                vec![(n, d), (k, square)]
             }
             ModelKind::ConvE => crate::models::ConvE::table_shapes(n, k, d).ok_or_else(|| {
                 format!(
@@ -311,15 +288,9 @@ mod tests {
             dim,
             distance: None,
         };
-        for kind in [ModelKind::ComplEx, ModelKind::RotatE, ModelKind::SimplE] {
-            assert!(
-                config(kind, 7).table_shapes().is_err(),
-                "{kind} with odd dim"
-            );
-        }
+        assert!(config(ModelKind::ComplEx, 7).table_shapes().is_err());
         assert!(config(ModelKind::ConvE, 7).table_shapes().is_err());
         assert!(config(ModelKind::Rescal, 1 << 33).table_shapes().is_err());
-        assert!(config(ModelKind::TuckEr, 1 << 22).table_shapes().is_err());
         assert!(config(ModelKind::ConvE, usize::MAX).table_shapes().is_err());
     }
 

@@ -9,20 +9,14 @@ mod conve;
 mod distmult;
 mod hole;
 mod rescal;
-mod rotate;
-mod simple;
 mod transe;
-mod tucker;
 
 pub use complex::ComplEx;
 pub use conve::ConvE;
 pub use distmult::DistMult;
 pub use hole::HolE;
 pub use rescal::Rescal;
-pub use rotate::RotatE;
-pub use simple::SimplE;
 pub use transe::{Distance, TransE};
-pub use tucker::TuckEr;
 
 use crate::{KgeModel, ModelKind};
 
@@ -51,9 +45,6 @@ pub fn new_model(
         ModelKind::Rescal => Box::new(Rescal::new(num_entities, num_relations, dim, seed)),
         ModelKind::HolE => Box::new(HolE::new(num_entities, num_relations, dim, seed)),
         ModelKind::ConvE => Box::new(ConvE::new(num_entities, num_relations, dim, seed)),
-        ModelKind::RotatE => Box::new(RotatE::new(num_entities, num_relations, dim, seed)),
-        ModelKind::SimplE => Box::new(SimplE::new(num_entities, num_relations, dim, seed)),
-        ModelKind::TuckEr => Box::new(TuckEr::new(num_entities, num_relations, dim, seed)),
     }
 }
 

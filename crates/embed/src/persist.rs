@@ -21,6 +21,11 @@
 //! re-signed, so before building anything the reader also checks the
 //! config block against the table directory and the kind's dim rules.
 //!
+//! Kind tags 6, 7 and 8 belonged to RotatE, SimplE and TuckER, which are
+//! no longer built. A checksummed file carrying one returns
+//! [`KgError::Migration`] naming the kind; any other unknown tag is
+//! [`KgError::Corrupt`].
+//!
 //! ## Format v1 (retired)
 //!
 //! v1 was the same layout without the CRC footer, and its generic writer
@@ -152,14 +157,62 @@ pub fn load_model(data: &[u8]) -> Result<Box<dyn KgeModel>> {
 }
 
 /// The config block + table directory of a v2 file, parsed from the start
-/// of the file: the config, the table shapes, and the lengths they imply.
+/// of the file: the raw config fields, the table shapes, and the lengths
+/// they imply.
 struct Header {
-    config: ModelConfig,
+    kind_tag: u8,
+    flags: u8,
+    num_entities: usize,
+    num_relations: usize,
+    dim: usize,
     shapes: Vec<(usize, usize)>,
     /// Bytes from offset 0 through the end of the table directory.
     header_len: usize,
     /// Total f32 payload length in bytes.
     payload_len: usize,
+}
+
+impl Header {
+    /// Interprets the config block. Called only once the footer vouches for
+    /// the bytes, so a bit flip in the kind tag reads as a checksum mismatch
+    /// rather than as a retired kind.
+    fn config(&self) -> Result<ModelConfig> {
+        let (tag, flags) = (self.kind_tag, self.flags);
+        let Some(kind) = ModelKind::from_tag(tag) else {
+            return Err(match ModelKind::retired_name(tag) {
+                Some(name) => KgError::Migration(format!(
+                    "model kind `{name}` (tag {tag}) is no longer supported: \
+                     retrain with one of {}",
+                    ModelKind::ALL.map(ModelKind::name).join(", ")
+                )),
+                None => corrupt(format!("unknown model kind tag {tag}")),
+            });
+        };
+        if flags & !KNOWN_FLAGS != 0 {
+            return Err(corrupt(format!("unknown flag bits {flags:#010b}")));
+        }
+        if flags & FLAG_TRANSE_L2 != 0 && kind != ModelKind::TransE {
+            return Err(corrupt(format!(
+                "distance flag set on non-TransE model ({kind})"
+            )));
+        }
+        let distance = if kind == ModelKind::TransE {
+            Some(if flags & FLAG_TRANSE_L2 != 0 {
+                Distance::L2
+            } else {
+                Distance::L1
+            })
+        } else {
+            None
+        };
+        Ok(ModelConfig {
+            kind,
+            num_entities: self.num_entities,
+            num_relations: self.num_relations,
+            dim: self.dim,
+            distance,
+        })
+    }
 }
 
 fn parse_header(full: &[u8]) -> Result<Header> {
@@ -169,21 +222,6 @@ fn parse_header(full: &[u8]) -> Result<Header> {
             full.len()
         )));
     }
-    let kind_tag = full[5];
-    let kind = ModelKind::from_tag(kind_tag)
-        .ok_or_else(|| corrupt(format!("unknown model kind tag {kind_tag}")))?;
-    let flags = full[6];
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(corrupt(format!("unknown flag bits {flags:#010b}")));
-    }
-    if flags & FLAG_TRANSE_L2 != 0 && kind != ModelKind::TransE {
-        return Err(corrupt(format!(
-            "distance flag set on non-TransE model ({kind})"
-        )));
-    }
-    let n = u64_at(full, 7) as usize;
-    let k = u64_at(full, 15) as usize;
-    let dim = u64_at(full, 23) as usize;
     let num_tables = full[31] as usize;
 
     let header_len = FIXED_HEADER_LEN + num_tables * TABLE_ENTRY_LEN;
@@ -208,23 +246,12 @@ fn parse_header(full: &[u8]) -> Result<Header> {
             .ok_or_else(|| corrupt("payload length overflows"))?;
         shapes.push((rows, cols));
     }
-    let distance = if kind == ModelKind::TransE {
-        Some(if flags & FLAG_TRANSE_L2 != 0 {
-            Distance::L2
-        } else {
-            Distance::L1
-        })
-    } else {
-        None
-    };
     Ok(Header {
-        config: ModelConfig {
-            kind,
-            num_entities: n,
-            num_relations: k,
-            dim,
-            distance,
-        },
+        kind_tag: full[5],
+        flags: full[6],
+        num_entities: u64_at(full, 7) as usize,
+        num_relations: u64_at(full, 15) as usize,
+        dim: u64_at(full, 23) as usize,
         shapes,
         header_len,
         payload_len,
@@ -237,7 +264,7 @@ fn parse_header(full: &[u8]) -> Result<Header> {
 /// every table the config implies and asserts the kind's dim rules, while
 /// the directory is bounded by the file's length.
 fn materialize(header: &Header, payload: &[u8]) -> Result<Box<dyn KgeModel>> {
-    let config = &header.config;
+    let config = header.config()?;
     let expected = config.table_shapes().map_err(corrupt)?;
     if expected != header.shapes {
         return Err(corrupt(format!(
@@ -475,6 +502,40 @@ mod tests {
                 "v1 TransE ({distance:?}) must be rejected"
             );
         }
+    }
+
+    /// Saves a DistMult model, forges `tag` into its kind byte and re-signs
+    /// the footer, so only the reader's reading of the tag can refuse it.
+    fn with_kind_tag(tag: u8) -> Vec<u8> {
+        let mut bytes = save_model(new_model(ModelKind::DistMult, 4, 2, 8, 1).as_ref());
+        bytes[5] = tag;
+        let body = bytes.len() - FOOTER_LEN;
+        let crc = crc32(&bytes[..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn retired_kind_tags_require_migration_by_name() {
+        for (tag, name) in [(6, "rotate"), (7, "simple"), (8, "tucker")] {
+            match load_model(&with_kind_tag(tag)) {
+                Err(KgError::Migration(msg)) => assert!(msg.contains(name), "tag {tag}: {msg}"),
+                other => panic!(
+                    "tag {tag}: expected Migration, got {:?}",
+                    other.map(|m| m.kind())
+                ),
+            }
+        }
+        assert!(matches!(
+            load_model(&with_kind_tag(9)),
+            Err(KgError::Corrupt(_))
+        ));
+        // One bit turns TransE's tag 0 into TuckER's 8; without a re-signed
+        // footer that is damage, not a retired kind.
+        let mut flipped = save_model(new_model(ModelKind::TransE, 4, 2, 8, 1).as_ref());
+        flipped[5] ^= 0x08;
+        let err = load_model(&flipped).err().expect("flipped tag accepted");
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]

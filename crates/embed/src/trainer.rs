@@ -979,7 +979,7 @@ mod tests {
         let mut config = quick_config();
         config.adversarial_temperature = Some(1.0);
         config.epochs = 25;
-        let (_, stats) = train(ModelKind::RotatE, &data.train, &config);
+        let (_, stats) = train(ModelKind::TransE, &data.train, &config);
         assert!(
             stats.final_loss() < stats.epoch_losses[0],
             "loss should decrease: {:?}",

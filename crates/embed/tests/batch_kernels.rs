@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 const N: usize = 9;
 const K: usize = 4;
-const DIM: usize = 12; // even (ComplEx/RotatE/SimplE) and 3×4-reshapeable (ConvE)
+const DIM: usize = 12; // even (ComplEx) and 3×4-reshapeable (ConvE)
 
 fn arb_kind() -> impl Strategy<Value = ModelKind> {
     proptest::sample::select(ModelKind::ALL.to_vec())

@@ -1,11 +1,8 @@
-//! Model selection: validation-driven early stopping and grid search —
-//! the "Model Training" step of the paper's workflow (§3.2), where each
-//! dataset × embedding pair is tuned "for instance through grid search"
-//! (LibKGE's grid-search syntax is called out in §4.1.1 as a selection
-//! reason).
+//! Model selection: validation-driven early stopping — the "Model
+//! Training" step of the paper's workflow (§3.2).
 
 use crate::evaluate_ranking;
-use kgfd_embed::{KgeModel, LossKind, ModelKind, OptimizerKind, TrainConfig, TrainSession};
+use kgfd_embed::{KgeModel, ModelKind, TrainConfig, TrainSession};
 use kgfd_kg::{KnownTriples, Triple, TripleStore};
 use serde::{Deserialize, Serialize};
 
@@ -104,69 +101,6 @@ pub fn train_with_early_stopping(
             epochs_trained,
         },
     )
-}
-
-/// A hyperparameter grid for [`grid_search`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SearchSpace {
-    /// Embedding widths to try.
-    pub dims: Vec<usize>,
-    /// Learning rates to try (Adam).
-    pub learning_rates: Vec<f32>,
-    /// Loss functions to try.
-    pub losses: Vec<LossKind>,
-}
-
-impl Default for SearchSpace {
-    fn default() -> Self {
-        SearchSpace {
-            dims: vec![16, 32],
-            learning_rates: vec![0.003, 0.01, 0.03],
-            losses: vec![
-                LossKind::MarginRanking { margin: 1.0 },
-                LossKind::BinaryCrossEntropy,
-            ],
-        }
-    }
-}
-
-/// One evaluated grid point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SearchResult {
-    /// The configuration evaluated.
-    pub config: TrainConfig,
-    /// Its validation MRR.
-    pub valid_mrr: f64,
-}
-
-/// Exhaustive grid search over `space`, selecting by validation MRR.
-/// Returns all evaluated points sorted best-first.
-pub fn grid_search(
-    kind: ModelKind,
-    store: &TripleStore,
-    valid: &[Triple],
-    base: &TrainConfig,
-    space: &SearchSpace,
-) -> Vec<SearchResult> {
-    let known = KnownTriples::from_slices([store.triples(), valid]);
-    let mut results = Vec::new();
-    for &dim in &space.dims {
-        for &lr in &space.learning_rates {
-            for &loss in &space.losses {
-                let config = TrainConfig {
-                    dim,
-                    optimizer: OptimizerKind::Adam { lr },
-                    loss,
-                    ..base.clone()
-                };
-                let (model, _) = kgfd_embed::train(kind, store, &config);
-                let valid_mrr = evaluate_ranking(model.as_ref(), valid, Some(&known), 2).mrr;
-                results.push(SearchResult { config, valid_mrr });
-            }
-        }
-    }
-    results.sort_by(|a, b| b.valid_mrr.total_cmp(&a.valid_mrr));
-    results
 }
 
 #[cfg(test)]
@@ -344,27 +278,6 @@ mod tests {
             a.params().table(0).data(),
             b.params().table(0).data(),
             "adjacent seeds must not share training trajectories"
-        );
-    }
-
-    #[test]
-    fn grid_search_ranks_configurations() {
-        let data = toy_biomedical();
-        let base = TrainConfig {
-            epochs: 8,
-            seed: 2,
-            ..TrainConfig::default()
-        };
-        let space = SearchSpace {
-            dims: vec![8, 16],
-            learning_rates: vec![0.01],
-            losses: vec![LossKind::BinaryCrossEntropy],
-        };
-        let results = grid_search(ModelKind::ComplEx, &data.train, &data.valid, &base, &space);
-        assert_eq!(results.len(), 2);
-        assert!(
-            results[0].valid_mrr >= results[1].valid_mrr,
-            "sorted best-first"
         );
     }
 }

@@ -6,8 +6,9 @@ use kgfd_graph_stats::{
     simple_degrees, square_clustering_coefficients, total_triangles, Histogram,
     UndirectedAdjacency,
 };
-use kgfd_kg::{Triple, TripleStore};
+use kgfd_kg::{EntityId, Triple, TripleStore};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 const N: u32 = 10;
 const K: u32 = 3;
@@ -22,7 +23,34 @@ fn arb_store() -> impl Strategy<Value = TripleStore> {
     })
 }
 
+/// Reference triangle counts: each edge `(v, u)` contributes the common
+/// neighbours of `v` and `u`, found by hash-set membership instead of the
+/// sorted-list intersection `local_triangle_counts` uses.
+fn triangles_hashset(adj: &UndirectedAdjacency) -> Vec<u64> {
+    let n = adj.num_nodes();
+    let sets: Vec<HashSet<u32>> = (0..n)
+        .map(|v| adj.neighbors(EntityId(v as u32)).iter().copied().collect())
+        .collect();
+    let mut counts = vec![0u64; n];
+    for v in 0..n {
+        let mut twice = 0u64;
+        for &u in adj.neighbors(EntityId(v as u32)) {
+            let small = &sets[v.min(u as usize)];
+            let large = &sets[v.max(u as usize)];
+            twice += small.iter().filter(|x| large.contains(x)).count() as u64;
+        }
+        counts[v] = twice / 2;
+    }
+    counts
+}
+
 proptest! {
+    #[test]
+    fn triangle_counts_match_the_hashset_reference(store in arb_store()) {
+        let adj = UndirectedAdjacency::from_store(&store);
+        prop_assert_eq!(local_triangle_counts(&adj), triangles_hashset(&adj));
+    }
+
     #[test]
     fn adjacency_is_symmetric_and_loop_free(store in arb_store()) {
         let adj = UndirectedAdjacency::from_store(&store);

@@ -84,12 +84,6 @@ pub struct GridOptions {
     pub models: Vec<ModelKind>,
     /// Strategies to include (defaults to the paper's five).
     pub strategies: Vec<StrategyKind>,
-    /// Streaming chunk size for discovery (behaviourally invisible; tunes
-    /// the engine's working-set bound).
-    pub chunk_size: usize,
-    /// Per-relation bounded fact heap (`None` = keep everything in
-    /// `top_n`, the paper's behaviour).
-    pub top_k: Option<usize>,
     /// When set, each grid cell writes its structured events (spans,
     /// metrics, manifest) to
     /// `<dir>/grid-<dataset>-<model>-<strategy>.jsonl`.
@@ -116,8 +110,6 @@ impl GridOptions {
             datasets: DatasetRef::ALL.to_vec(),
             models: ModelKind::PAPER_GRID.to_vec(),
             strategies: StrategyKind::PAPER_GRID.to_vec(),
-            chunk_size: DiscoveryConfig::default().chunk_size,
-            top_k: None,
             metrics_dir: None,
         }
     }
@@ -165,8 +157,6 @@ pub fn run_grid(scale: Scale, options: &GridOptions) -> GridResults {
                     max_candidates: options.max_candidates,
                     seed: options.seed,
                     threads,
-                    chunk_size: options.chunk_size,
-                    top_k: options.top_k,
                     ..DiscoveryConfig::default()
                 };
                 let report = discover_facts(model.as_ref(), &data.train, &config);
@@ -191,7 +181,7 @@ pub fn run_grid(scale: Scale, options: &GridOptions) -> GridResults {
                 manifest
                     .with_config("top_n", options.top_n)
                     .with_config("max_candidates", options.max_candidates)
-                    .with_config("chunk_size", options.chunk_size)
+                    .with_config("chunk_size", config.chunk_size)
                     .with_config("facts", report.facts.len())
                     .with_config(
                         "eval.rank.dedup_ratio",

@@ -80,12 +80,6 @@ pub struct SweepOptions {
     pub threads: usize,
     /// Training threads for the zoo model when it misses the disk cache.
     pub train_threads: usize,
-    /// Streaming chunk size for discovery (behaviourally invisible; tunes
-    /// the engine's working-set bound).
-    pub chunk_size: usize,
-    /// Per-relation bounded fact heap (`None` = keep everything in
-    /// `top_n`, the paper's behaviour).
-    pub top_k: Option<usize>,
     /// When set, each grid cell writes its structured events (spans,
     /// metrics, manifest) to `<dir>/sweep-<strategy>-mc<MC>-top<N>.jsonl`.
     pub metrics_dir: Option<std::path::PathBuf>,
@@ -110,8 +104,6 @@ impl SweepOptions {
                 .map(|p| p.get().min(8))
                 .unwrap_or(1),
             train_threads: kgfd_embed::TrainConfig::default_threads(),
-            chunk_size: DiscoveryConfig::default().chunk_size,
-            top_k: None,
             metrics_dir: None,
         }
     }
@@ -152,8 +144,6 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
                     max_candidates,
                     seed: options.seed,
                     threads,
-                    chunk_size: options.chunk_size,
-                    top_k: options.top_k,
                     ..DiscoveryConfig::default()
                 };
                 let report = discover_facts(model.as_ref(), &data.train, &config);
@@ -171,7 +161,7 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
                 manifest
                     .with_config("max_candidates", max_candidates)
                     .with_config("top_n", top_n)
-                    .with_config("chunk_size", options.chunk_size)
+                    .with_config("chunk_size", config.chunk_size)
                     .with_config("facts", report.facts.len())
                     .with_config(
                         "eval.rank.dedup_ratio",

@@ -30,8 +30,8 @@ pub enum KgError {
         max_supported: u8,
     },
     /// A persisted artifact is in a retired format that cannot be migrated
-    /// to the current one safely (e.g. a format v1 model file); the
-    /// artifact must be regenerated.
+    /// to the current one safely (e.g. a format v1 model file, or a model
+    /// of a retired kind); the artifact must be regenerated.
     Migration(String),
     /// A training checkpoint was written under a different training
     /// configuration than the one it is being resumed with. Resuming would

@@ -29,7 +29,6 @@ mod error;
 mod filter;
 mod ids;
 mod io;
-mod pattern;
 mod split;
 mod store;
 mod triple;
@@ -40,7 +39,6 @@ pub use error::{KgError, Result};
 pub use filter::KnownTriples;
 pub use ids::{EntityId, RelationId};
 pub use io::{read_triples_tsv, write_triples_tsv};
-pub use pattern::TriplePattern;
 pub use split::{Dataset, DatasetMetadata};
 pub use store::{SideIndex, TripleStore};
 pub use triple::{Side, Triple};

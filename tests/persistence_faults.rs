@@ -205,7 +205,7 @@ fn zoo_cache_path(dataset: DatasetRef, model: ModelKind, scale: Scale) -> PathBu
 fn zoo_evicts_truncated_cache_entry_and_retrains_identically() {
     let _serial = serial();
     let dataset = DatasetRef::CodexL;
-    let kind = ModelKind::HolE;
+    let kind = ModelKind::TransE;
     let data = dataset.load(Scale::Mini);
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);
@@ -235,7 +235,7 @@ fn zoo_evicts_truncated_cache_entry_and_retrains_identically() {
 fn zoo_evicts_version_skewed_cache_entry() {
     let _serial = serial();
     let dataset = DatasetRef::Wn18rr;
-    let kind = ModelKind::HolE;
+    let kind = ModelKind::DistMult;
     let data = dataset.load(Scale::Mini);
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);
@@ -292,7 +292,7 @@ fn concurrent_zoo_access_yields_identical_models_and_a_valid_cache() {
 fn zoo_recovery_is_visible_in_the_jsonl_run_manifest() {
     let _serial = serial();
     let dataset = DatasetRef::Yago310;
-    let kind = ModelKind::SimplE;
+    let kind = ModelKind::TransE;
     let data = dataset.load(Scale::Mini);
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);

@@ -160,7 +160,7 @@ fn ranking_inside_discovery_completes_and_matches_sequential() {
     assert_eq!(run(1), run(8));
 }
 
-/// Full train + discover differential over **all nine model kinds**: the
+/// Full train + discover differential over **all six model kinds**: the
 /// thread count from `KGFD_THREADS` (CI runs this suite at 1, 4, and 8)
 /// must produce bit-identical parameters, losses, and facts to a
 /// single-threaded run.
