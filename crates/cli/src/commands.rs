@@ -384,17 +384,8 @@ fn parse_model(name: &str) -> Result<ModelKind, Box<dyn Error>> {
 }
 
 fn parse_strategy(name: &str) -> Result<StrategyKind, Box<dyn Error>> {
-    let s = match name.to_ascii_lowercase().as_str() {
-        "ur" | "uniform" | "random_uniform" => StrategyKind::UniformRandom,
-        "ef" | "frequency" | "entity_frequency" => StrategyKind::EntityFrequency,
-        "gd" | "degree" | "graph_degree" => StrategyKind::GraphDegree,
-        "cc" | "coefficient" | "cluster_coefficient" => StrategyKind::ClusteringCoefficient,
-        "ct" | "triangles" | "cluster_triangles" => StrategyKind::ClusteringTriangles,
-        "cs" | "squares" | "cluster_squares" => StrategyKind::ClusteringSquares,
-        "pr" | "pagerank" => StrategyKind::PageRank,
-        _ => return Err(format!("unknown strategy {name:?}; see `kgfd help`").into()),
-    };
-    Ok(s)
+    StrategyKind::from_name(name)
+        .ok_or_else(|| format!("unknown strategy {name:?}; see `kgfd help`").into())
 }
 
 fn cmd_generate(args: &Args) -> CmdResult {
@@ -1021,7 +1012,6 @@ fn cmd_serve(args: &Args) -> CmdResult {
         max_inflight: args.parse_or("max-inflight", 64usize, "integer")?.max(1),
         deadline_ms: args.parse_or("deadline-ms", 10_000u64, "integer")?,
         cache_entries: args.parse_or("cache-entries", 256usize, "integer")?,
-        cache_seed: args.parse_or("cache-seed", 0u64, "integer")?,
         rank_threads: args.parse_or("rank-threads", 2usize, "integer")?.max(1),
         enable_test_endpoints: args.flag("test-endpoints"),
         ..kgfd_serve::ServeConfig::default()

@@ -18,9 +18,10 @@
 //! Algorithm 1 that materializes every candidate: facts and ranks are
 //! **bit-identical** between the two at any chunk size and thread count.
 
-use crate::streaming::{cached_measures, CandidateStream, TopKFacts};
+use crate::streaming::{CandidateStream, TopKFacts};
 use crate::{
-    CandidateRules, DiscoveredFact, DiscoveryReport, Measures, RelationBreakdown, StrategyKind,
+    cached_measures, CandidateRules, DiscoveredFact, DiscoveryReport, Measures, RelationBreakdown,
+    StrategyKind,
 };
 use kgfd_embed::KgeModel;
 use kgfd_eval::rank_all;
@@ -110,6 +111,30 @@ impl Default for DiscoveryConfig {
     }
 }
 
+impl DiscoveryConfig {
+    /// The checks [`try_discover_facts`] runs on `store` before any work:
+    /// [`KgError::Invariant`] for a non-finite `exploration_epsilon` or an
+    /// unreachable `max_candidates`.
+    pub fn validate(&self, store: &TripleStore) -> Result<(), KgError> {
+        if !self.exploration_epsilon.is_finite() {
+            return Err(KgError::Invariant(format!(
+                "exploration_epsilon must be finite, got {}",
+                self.exploration_epsilon
+            )));
+        }
+        let candidate_space = store.num_entities().saturating_mul(store.num_entities());
+        if self.max_candidates > candidate_space.max(MAX_UNCHECKED_CANDIDATES) {
+            return Err(KgError::Invariant(format!(
+                "max_candidates {} exceeds the {candidate_space} distinct candidates a relation \
+                 of {} entities can have",
+                self.max_candidates,
+                store.num_entities()
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// Budgets up to this many candidates per relation are accepted on any
 /// graph, even where they exceed the graph's candidate space: the run then
 /// exhausts the space within `max_iterations` mesh walks of about
@@ -144,21 +169,7 @@ pub fn try_discover_facts(
     store: &TripleStore,
     config: &DiscoveryConfig,
 ) -> Result<DiscoveryReport, KgError> {
-    if !config.exploration_epsilon.is_finite() {
-        return Err(KgError::Invariant(format!(
-            "exploration_epsilon must be finite, got {}",
-            config.exploration_epsilon
-        )));
-    }
-    let candidate_space = store.num_entities().saturating_mul(store.num_entities());
-    if config.max_candidates > candidate_space.max(MAX_UNCHECKED_CANDIDATES) {
-        return Err(KgError::Invariant(format!(
-            "max_candidates {} exceeds the {candidate_space} distinct candidates a relation \
-             of {} entities can have",
-            config.max_candidates,
-            store.num_entities()
-        )));
-    }
+    config.validate(store)?;
     let total_span = kgfd_obs::span!("discover.total", strategy = config.strategy.to_string());
 
     let prep_span = kgfd_obs::span!(

@@ -46,10 +46,10 @@ pub mod streaming;
 mod weights;
 
 pub use discover::{discover_facts, try_discover_facts, DiscoveryConfig};
-pub use measures::Measures;
+pub use measures::{cached_measures, Measures};
 pub use pruning::CandidateRules;
 pub use report::{DiscoveredFact, DiscoveryReport, RelationBreakdown};
 pub use sampler::AliasSampler;
 pub use strategy::StrategyKind;
-pub use streaming::{cached_measures, fact_order, CandidateStream, TopKFacts};
+pub use streaming::{fact_order, CandidateStream, TopKFacts};
 pub use weights::{compute_weights, normalize_or_uniform, validate_weights};

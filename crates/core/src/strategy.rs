@@ -1,5 +1,6 @@
 //! The six sampling strategies of the paper (§3.1.2).
 
+use kgfd_kg::NodeMeasure;
 use serde::{Deserialize, Serialize};
 
 /// Which entity-sampling strategy drives candidate generation.
@@ -87,10 +88,38 @@ impl StrategyKind {
     /// FREQUENCY weights "may not be equal" across sides, while GRAPH DEGREE
     /// and the clustering strategies are side-agnostic).
     pub fn is_side_aware(self) -> bool {
-        matches!(
-            self,
-            StrategyKind::UniformRandom | StrategyKind::EntityFrequency
-        )
+        self.node_measure().is_none()
+    }
+
+    /// The graph-global measure this strategy samples by, or `None` for the
+    /// side-aware strategies, whose weights come from the relation's own
+    /// side pools.
+    pub fn node_measure(self) -> Option<NodeMeasure> {
+        match self {
+            StrategyKind::UniformRandom | StrategyKind::EntityFrequency => None,
+            StrategyKind::GraphDegree => Some(NodeMeasure::Degree),
+            StrategyKind::ClusteringCoefficient => Some(NodeMeasure::ClusteringCoefficient),
+            StrategyKind::ClusteringTriangles => Some(NodeMeasure::Triangles),
+            StrategyKind::ClusteringSquares => Some(NodeMeasure::SquareClustering),
+            StrategyKind::PageRank => Some(NodeMeasure::PageRank),
+        }
+    }
+
+    /// Parses a strategy name, case-insensitively: the figure abbreviation
+    /// (`ur`, `ef`, `gd`, `cc`, `ct`, `cs`, `pr`) or a long form
+    /// (`uniform`, `entity_frequency`, `cluster_squares`, ...).
+    pub fn from_name(name: &str) -> Option<StrategyKind> {
+        let kind = match name.to_ascii_lowercase().as_str() {
+            "ur" | "uniform" | "random_uniform" => StrategyKind::UniformRandom,
+            "ef" | "frequency" | "entity_frequency" => StrategyKind::EntityFrequency,
+            "gd" | "degree" | "graph_degree" => StrategyKind::GraphDegree,
+            "cc" | "coefficient" | "cluster_coefficient" => StrategyKind::ClusteringCoefficient,
+            "ct" | "triangles" | "cluster_triangles" => StrategyKind::ClusteringTriangles,
+            "cs" | "squares" | "cluster_squares" => StrategyKind::ClusteringSquares,
+            "pr" | "pagerank" => StrategyKind::PageRank,
+            _ => return None,
+        };
+        Some(kind)
     }
 }
 
@@ -132,5 +161,45 @@ mod tests {
         assert!(StrategyKind::EntityFrequency.is_side_aware());
         assert!(!StrategyKind::GraphDegree.is_side_aware());
         assert!(!StrategyKind::ClusteringTriangles.is_side_aware());
+    }
+
+    #[test]
+    fn every_spelling_parses_case_insensitively() {
+        let spellings = [
+            (
+                StrategyKind::UniformRandom,
+                ["ur", "uniform", "random_uniform"],
+            ),
+            (
+                StrategyKind::EntityFrequency,
+                ["ef", "frequency", "entity_frequency"],
+            ),
+            (StrategyKind::GraphDegree, ["gd", "degree", "graph_degree"]),
+            (
+                StrategyKind::ClusteringCoefficient,
+                ["cc", "coefficient", "cluster_coefficient"],
+            ),
+            (
+                StrategyKind::ClusteringTriangles,
+                ["ct", "triangles", "cluster_triangles"],
+            ),
+            (
+                StrategyKind::ClusteringSquares,
+                ["cs", "squares", "cluster_squares"],
+            ),
+        ];
+        for (kind, names) in spellings {
+            for name in names {
+                assert_eq!(StrategyKind::from_name(name), Some(kind), "{name}");
+                let upper = name.to_ascii_uppercase();
+                assert_eq!(StrategyKind::from_name(&upper), Some(kind), "{upper}");
+            }
+        }
+        for name in ["pr", "pagerank", "PageRank"] {
+            assert_eq!(StrategyKind::from_name(name), Some(StrategyKind::PageRank));
+        }
+        for name in ["", "e f", "squares2", "PAGERANK (extension)"] {
+            assert_eq!(StrategyKind::from_name(name), None, "{name:?}");
+        }
     }
 }

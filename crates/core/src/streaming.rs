@@ -1,7 +1,7 @@
 //! The streaming candidate path: generator-driven, bounded-memory building
 //! blocks behind [`crate::discover_facts`].
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`CandidateStream`] — Algorithm 1's generation loop (lines 4–13) as a
 //!   resumable iterator. It consumes the per-relation RNG stream in the
@@ -16,22 +16,16 @@
 //!   order). Kept facts are emitted in generation order, which makes an
 //!   unbounded heap (`top_k = None`) reproduce the fact vector of keeping
 //!   every candidate within `top_n`, in the order generated.
-//! * [`cached_measures`] — a process-wide cache of the strategy measure
-//!   tables keyed by `(graph fingerprint, strategy)`, so grid/sweep cells
-//!   that revisit the same graph stop recomputing the superlinear
-//!   triangle/coefficient/PageRank tables.
 
 use crate::{
     compute_weights, AliasSampler, CandidateRules, DiscoveredFact, DiscoveryConfig, Measures,
-    StrategyKind,
 };
 use fxhash::{FxBuildHasher, FxHashSet};
 use kgfd_kg::{EntityId, KgError, RelationId, SideIndex, Triple, TripleStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::BinaryHeap;
 
 // ---------------------------------------------------------------------------
 // Candidate stream
@@ -340,53 +334,6 @@ impl TopKFacts {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Measure cache
-// ---------------------------------------------------------------------------
-
-/// Entries kept before the cache is cleared wholesale. Measure tables are a
-/// `Vec<f64>` per entity, so 64 graph×strategy combinations bound the cache
-/// at a few MB for the synthetic datasets while covering every grid/sweep
-/// run many times over.
-const MEASURE_CACHE_CAP: usize = 64;
-
-type MeasureCache = Mutex<HashMap<(u64, StrategyKind), Arc<Measures>>>;
-
-static MEASURE_CACHE: OnceLock<MeasureCache> = OnceLock::new();
-
-/// The strategy's measure table for `store`, computed at most once per
-/// `(graph fingerprint, strategy)` process-wide. Repeat discovery runs on
-/// the same graph — grid cells iterating strategies, sweep cells iterating
-/// `max_candidates`/`top_n` — hit the cache instead of recomputing the
-/// superlinear triangle/coefficient/PageRank tables. Hits and misses are
-/// counted on `discover.cache.measures_hit` / `discover.cache.measures_miss`.
-///
-/// Pool-local strategies (UNIFORM RANDOM, ENTITY FREQUENCY) have no global
-/// table and bypass the cache entirely.
-pub fn cached_measures(strategy: StrategyKind, store: &TripleStore) -> Arc<Measures> {
-    if matches!(
-        strategy,
-        StrategyKind::UniformRandom | StrategyKind::EntityFrequency
-    ) {
-        return Arc::new(Measures::PoolLocal);
-    }
-    let key = (store.fingerprint(), strategy);
-    let cache = MEASURE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = cache.lock().expect("measure cache lock").get(&key) {
-        kgfd_obs::counter("discover.cache.measures_hit").inc();
-        return Arc::clone(hit);
-    }
-    kgfd_obs::counter("discover.cache.measures_miss").inc();
-    // Compute outside the lock: concurrent misses on the same key both
-    // compute (deterministically equal tables) and the first insert wins.
-    let computed = Arc::new(Measures::compute(strategy, store));
-    let mut guard = cache.lock().expect("measure cache lock");
-    if guard.len() >= MEASURE_CACHE_CAP && !guard.contains_key(&key) {
-        guard.clear();
-    }
-    Arc::clone(guard.entry(key).or_insert(computed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,31 +386,5 @@ mod tests {
         assert!(!top.push(fact(0, 0, 1, 1.0)));
         assert!(top.is_empty());
         assert!(top.into_ordered().is_empty());
-    }
-
-    #[test]
-    fn cached_measures_returns_the_same_table_for_the_same_graph() {
-        let store = TripleStore::new(
-            4,
-            1,
-            vec![
-                Triple::new(0u32, 0u32, 1u32),
-                Triple::new(1u32, 0u32, 2u32),
-                Triple::new(2u32, 0u32, 0u32),
-            ],
-        )
-        .unwrap();
-        let a = cached_measures(StrategyKind::ClusteringTriangles, &store);
-        let b = cached_measures(StrategyKind::ClusteringTriangles, &store);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
-        // The cached table matches a direct computation.
-        let direct = Measures::compute(StrategyKind::ClusteringTriangles, &store);
-        for e in 0..4 {
-            let e = kgfd_kg::EntityId(e);
-            assert_eq!(a.value(e), direct.value(e));
-        }
-        // Pool-local strategies bypass the cache.
-        let p = cached_measures(StrategyKind::UniformRandom, &store);
-        assert!(matches!(*p, Measures::PoolLocal));
     }
 }

@@ -85,14 +85,14 @@ mod tests {
 
     #[test]
     fn global_measures_restrict_to_pool() {
-        let m = Measures::Global(vec![10.0, 0.0, 30.0, 999.0]);
+        let m = Measures::Global(vec![10.0, 0.0, 30.0, 999.0].into());
         let w = compute_weights(StrategyKind::GraphDegree, &m, &pool());
         assert_eq!(w, vec![0.25, 0.0, 0.75], "entity 3 is outside the pool");
     }
 
     #[test]
     fn zero_sum_falls_back_to_uniform() {
-        let m = Measures::Global(vec![0.0; 4]);
+        let m = Measures::Global(vec![0.0; 4].into());
         let w = compute_weights(StrategyKind::ClusteringTriangles, &m, &pool());
         assert_eq!(w, vec![1.0 / 3.0; 3]);
     }

@@ -6,7 +6,7 @@
 //! a neighbourhood intersection inside).
 
 use crate::{trained_model, write_json, DatasetRef, Scale};
-use fact_discovery::{discover_facts, DiscoveryConfig, Measures, StrategyKind};
+use fact_discovery::{cached_measures, discover_facts, DiscoveryConfig, StrategyKind};
 use kgfd_embed::ModelKind;
 use serde::Serialize;
 
@@ -17,7 +17,7 @@ pub struct SquaresCost {
     pub strategy: String,
     /// Strategy-measure preparation seconds.
     pub preparation_s: f64,
-    /// Total runtime seconds.
+    /// Total runtime seconds, the table build included.
     pub runtime_s: f64,
     /// Facts discovered.
     pub facts: usize,
@@ -43,16 +43,18 @@ pub fn measure(scale: Scale, top_n: usize, max_candidates: usize) -> Vec<Squares
             seed: 5,
             ..DiscoveryConfig::default()
         };
-        // Time the measure construction directly: `report.preparation` is
-        // amortized by the engine's (fingerprint, strategy) cache, but this
-        // ablation is about the *intrinsic* cost of building the measure.
+        // `data` is freshly loaded, so this lookup builds the table: time
+        // it directly, as the intrinsic cost of the measure. Discovery then
+        // finds the table built, so the build is added to its total, and
+        // facts per hour cover a whole run, build included, as the paper's.
         let prep_start = std::time::Instant::now();
-        let _ = Measures::compute(strategy, &data.train);
-        let preparation_s = prep_start.elapsed().as_secs_f64();
-        let report = discover_facts(model.as_ref(), &data.train, &config);
+        cached_measures(strategy, &data.train);
+        let preparation = prep_start.elapsed();
+        let mut report = discover_facts(model.as_ref(), &data.train, &config);
+        report.total += preparation;
         SquaresCost {
             strategy: strategy.name().to_string(),
-            preparation_s,
+            preparation_s: preparation.as_secs_f64(),
             runtime_s: report.total.as_secs_f64(),
             facts: report.facts.len(),
             facts_per_hour: report.facts_per_hour(),

@@ -40,6 +40,6 @@ pub use filter::KnownTriples;
 pub use ids::{EntityId, RelationId};
 pub use io::{read_triples_tsv, write_triples_tsv};
 pub use split::{Dataset, DatasetMetadata};
-pub use store::{SideIndex, TripleStore};
+pub use store::{NodeMeasure, SideIndex, TripleStore};
 pub use triple::{Side, Triple};
 pub use vocab::Vocabulary;

@@ -5,12 +5,31 @@
 //! contiguous slice. Membership is a hash set; per-relation unique
 //! subject/object lists and per-side frequency counts are precomputed because
 //! the sampling strategies of the paper (Section 3.1.2) consume them directly.
-//! The filtered-ranking index over the graph ([`TripleStore::known`]) is
-//! built on first use and kept for the store's lifetime.
+//! Tables derived from the whole graph follow one rule: each is built by
+//! its first use, at most once per store, and freed with the store. They
+//! are the filtered-ranking index ([`TripleStore::known`]) and the
+//! per-entity measures behind the side-agnostic strategies
+//! ([`TripleStore::node_measure`]).
 
 use crate::{EntityId, KgError, KnownTriples, RelationId, Result, Side, Triple};
 use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+/// A graph-global per-entity measure, one table per store (see
+/// [`TripleStore::node_measure`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum NodeMeasure {
+    /// Occurrences of the entity over all triples, either side.
+    Degree,
+    /// Triangles through the entity in the undirected graph.
+    Triangles,
+    /// Local clustering coefficient.
+    ClusteringCoefficient,
+    /// Square (C4) clustering coefficient.
+    SquareClustering,
+    /// PageRank.
+    PageRank,
+}
 
 /// Unique entities appearing on one side of one relation, with their
 /// occurrence counts. This is exactly the input of the paper's
@@ -54,12 +73,12 @@ pub struct TripleStore {
     subjects: Vec<SideIndex>,
     /// Per-relation object-side index.
     objects: Vec<SideIndex>,
-    /// Content hash over the declared shape and the sorted triple list,
-    /// computed once at construction (see [`TripleStore::fingerprint`]).
-    fingerprint: u64,
     /// Filter index over `triples`, built by the first [`TripleStore::known`]
     /// call. The store is immutable, so it never goes stale.
     known: OnceLock<KnownTriples>,
+    /// One slot per [`NodeMeasure`], indexed by discriminant and filled by
+    /// the first [`TripleStore::node_measure`] call for it.
+    node_measures: [OnceLock<Arc<[f64]>>; 5],
 }
 
 impl TripleStore {
@@ -104,8 +123,6 @@ impl TripleStore {
             objects.push(build_side_index(slice, Side::Object));
         }
 
-        let fingerprint = fingerprint_of(num_entities, num_relations, &triples);
-
         Ok(TripleStore {
             num_entities,
             num_relations,
@@ -114,8 +131,8 @@ impl TripleStore {
             membership,
             subjects,
             objects,
-            fingerprint,
             known: OnceLock::new(),
+            node_measures: Default::default(),
         })
     }
 
@@ -164,6 +181,23 @@ impl TripleStore {
             .get_or_init(|| KnownTriples::from_slices([self.triples()]))
     }
 
+    /// The per-entity table of `measure` over this graph. `build` runs only
+    /// in the first call; concurrent first calls wait for that one build,
+    /// and every call shares its table. This crate holds no graph
+    /// algorithms, so the caller supplies the build.
+    pub fn node_measure(
+        &self,
+        measure: NodeMeasure,
+        build: impl FnOnce() -> Arc<[f64]>,
+    ) -> &Arc<[f64]> {
+        self.node_measures[measure as usize].get_or_init(build)
+    }
+
+    /// The table of `measure` if it is built, without building or waiting.
+    pub fn built_node_measure(&self, measure: NodeMeasure) -> Option<&Arc<[f64]>> {
+        self.node_measures[measure as usize].get()
+    }
+
     /// The contiguous slice of triples with relation `r`.
     pub fn triples_of_relation(&self, r: RelationId) -> &[Triple] {
         let i = r.index();
@@ -206,18 +240,6 @@ impl TripleStore {
         counts
     }
 
-    /// A stable 64-bit content hash of this graph: the declared
-    /// entity/relation counts plus every (sorted, deduplicated) triple.
-    /// Two stores built from the same logical graph — regardless of input
-    /// triple order or duplicates — share a fingerprint, so it can key
-    /// caches of graph-derived artifacts (e.g. strategy weight tables)
-    /// across discovery runs. Independent of any ambient hasher
-    /// randomisation; computed once at construction.
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
     /// Size of the complement graph `|E|² × |R| − |G|`, the candidate space an
     /// exhaustive fact-discovery approach would have to enumerate (paper §1).
     pub fn complement_size(&self) -> u128 {
@@ -225,28 +247,6 @@ impl TripleStore {
         let k = self.num_relations as u128;
         n * n * k - self.triples.len() as u128
     }
-}
-
-/// splitmix64-style mixing over the store's canonical content. Seedless and
-/// layout-stable, so fingerprints are comparable across processes and runs.
-fn fingerprint_of(num_entities: usize, num_relations: usize, triples: &[Triple]) -> u64 {
-    fn mix(state: u64, v: u64) -> u64 {
-        let mut z = state
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(v.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    let mut h = mix(0x6B67_6664_5F6B_6721, num_entities as u64);
-    h = mix(h, num_relations as u64);
-    h = mix(h, triples.len() as u64);
-    for t in triples {
-        let packed =
-            ((t.relation.0 as u64) << 42) ^ ((t.subject.0 as u64) << 21) ^ (t.object.0 as u64);
-        h = mix(h, packed);
-    }
-    h
 }
 
 fn build_side_index(slice: &[Triple], side: Side) -> SideIndex {
@@ -322,6 +322,20 @@ mod tests {
     }
 
     #[test]
+    fn node_measure_is_built_once_per_store() {
+        let s = store();
+        assert!(s.built_node_measure(NodeMeasure::PageRank).is_none());
+        let first = s.node_measure(NodeMeasure::PageRank, || vec![0.5; 4].into());
+        let again = s.node_measure(NodeMeasure::PageRank, || unreachable!("built twice"));
+        assert!(Arc::ptr_eq(first, again), "one table per store");
+        assert_eq!(&first[..], &[0.5; 4]);
+        let built = s.built_node_measure(NodeMeasure::PageRank);
+        assert!(built.is_some_and(|t| Arc::ptr_eq(t, first)));
+        // Each measure has its own slot.
+        assert!(s.built_node_measure(NodeMeasure::Degree).is_none());
+    }
+
+    #[test]
     fn side_indexes_count_occurrences() {
         let s = store();
         let subj = s.subject_index(RelationId(0));
@@ -354,42 +368,6 @@ mod tests {
         let s = store();
         // 4² × 2 − 4 = 28
         assert_eq!(s.complement_size(), 28);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_under_input_order_and_duplicates() {
-        let triples = vec![
-            Triple::new(0u32, 0u32, 1u32),
-            Triple::new(0u32, 0u32, 2u32),
-            Triple::new(1u32, 0u32, 2u32),
-            Triple::new(2u32, 1u32, 3u32),
-        ];
-        let mut shuffled = triples.clone();
-        shuffled.reverse();
-        let mut with_dup = triples.clone();
-        with_dup.push(triples[0]);
-        let a = TripleStore::new(4, 2, triples).unwrap();
-        let b = TripleStore::new(4, 2, shuffled).unwrap();
-        let c = TripleStore::new(4, 2, with_dup).unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        assert_eq!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_content_and_shape() {
-        let base = store();
-        let mut fewer = base.triples().to_vec();
-        fewer.pop();
-        let smaller = TripleStore::new(4, 2, fewer).unwrap();
-        assert_ne!(base.fingerprint(), smaller.fingerprint());
-
-        // Same triples, different declared vocabulary shape.
-        let wider = TripleStore::new(5, 2, base.triples().to_vec()).unwrap();
-        assert_ne!(base.fingerprint(), wider.fingerprint());
-
-        // The empty graph still has a fingerprint.
-        let empty = TripleStore::new(0, 0, vec![]).unwrap();
-        assert_ne!(empty.fingerprint(), base.fingerprint());
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! `400` (the model never sees an out-of-range id).
 
 use crate::registry::{GraphContext, ModelEntry};
-use fact_discovery::{try_discover_facts, DiscoveryConfig, StrategyKind};
+use fact_discovery::{cached_measures, try_discover_facts, DiscoveryConfig, StrategyKind};
 use kgfd_eval::BatchRanker;
 use kgfd_kg::{KgError, Triple};
 use serde_json::{json, Value};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Typed request failures, each mapping to one HTTP status.
@@ -181,9 +183,10 @@ pub fn handle_rank(
 
 /// `POST /v1/discover` — the paper's Algorithm 1 as an online query,
 /// streamed through [`fact_discovery::CandidateStream`] under the
-/// request's deadline.
+/// request's deadline, which also bounds the wait for a strategy table the
+/// graph has not built yet.
 pub fn handle_discover(
-    graph: &GraphContext,
+    graph: &Arc<GraphContext>,
     entry: &ModelEntry,
     request: &Value,
     rank_threads: usize,
@@ -195,7 +198,9 @@ pub fn handle_discover(
             let name = v
                 .as_str()
                 .ok_or_else(|| ApiError::bad("field \"strategy\" must be a string"))?;
-            parse_strategy(name)?
+            StrategyKind::from_name(name).ok_or_else(|| {
+                ApiError::bad(format!("unknown strategy {:?}", name.to_ascii_lowercase()))
+            })?
         }
     };
     let relations = match request.get("relation") {
@@ -227,12 +232,15 @@ pub fn handle_discover(
         deadline: Some(deadline),
         ..DiscoveryConfig::default()
     };
+    let api_error = |e: KgError| match e {
+        KgError::DeadlineExceeded => ApiError::DeadlineExceeded,
+        KgError::WorkerPanic(msg) => ApiError::Internal(msg),
+        other => ApiError::bad(other.to_string()),
+    };
+    config.validate(&graph.store).map_err(api_error)?;
+    await_measures(graph, strategy, deadline)?;
     let report =
-        try_discover_facts(entry.model.as_ref(), &graph.store, &config).map_err(|e| match e {
-            KgError::DeadlineExceeded => ApiError::DeadlineExceeded,
-            KgError::WorkerPanic(msg) => ApiError::Internal(msg),
-            other => ApiError::bad(other.to_string()),
-        })?;
+        try_discover_facts(entry.model.as_ref(), &graph.store, &config).map_err(api_error)?;
     let facts: Vec<Value> = report
         .facts
         .iter()
@@ -256,17 +264,37 @@ pub fn handle_discover(
     })))
 }
 
-/// Accepts the CLI's strategy spellings (`ur`/`ef`/… and long forms).
-fn parse_strategy(name: &str) -> Result<StrategyKind, ApiError> {
-    let s = match name.to_ascii_lowercase().as_str() {
-        "ur" | "uniform" | "random_uniform" => StrategyKind::UniformRandom,
-        "ef" | "frequency" | "entity_frequency" => StrategyKind::EntityFrequency,
-        "gd" | "degree" | "graph_degree" => StrategyKind::GraphDegree,
-        "cc" | "coefficient" | "cluster_coefficient" => StrategyKind::ClusteringCoefficient,
-        "ct" | "triangles" | "cluster_triangles" => StrategyKind::ClusteringTriangles,
-        "cs" | "squares" | "cluster_squares" => StrategyKind::ClusteringSquares,
-        "pr" | "pagerank" => StrategyKind::PageRank,
-        other => return Err(ApiError::bad(format!("unknown strategy {other:?}"))),
+/// Returns once the graph holds `strategy`'s measure table, or
+/// [`ApiError::DeadlineExceeded`] once `deadline` passes first. A missing
+/// table is built on a detached thread that holds the graph, so the build
+/// outlives a request that gives up on it: the store's slot keeps it to one
+/// build however many requests wait, and a later request finds the table
+/// built.
+fn await_measures(
+    graph: &Arc<GraphContext>,
+    strategy: StrategyKind,
+    deadline: Instant,
+) -> Result<(), ApiError> {
+    let Some(measure) = strategy.node_measure() else {
+        return Ok(());
     };
-    Ok(s)
+    if graph.store.built_node_measure(measure).is_some() {
+        return Ok(());
+    }
+    let (built, wait) = mpsc::channel();
+    let graph = Arc::clone(graph);
+    std::thread::Builder::new()
+        .name("kgfd-serve-measures".to_string())
+        .spawn(move || {
+            cached_measures(strategy, &graph.store);
+            let _ = built.send(());
+        })
+        .map_err(|e| ApiError::Internal(format!("cannot start the measure build: {e}")))?;
+    match wait.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        Ok(()) => Ok(()),
+        Err(RecvTimeoutError::Timeout) => Err(ApiError::DeadlineExceeded),
+        Err(RecvTimeoutError::Disconnected) => {
+            Err(ApiError::Internal("the measure build panicked".to_string()))
+        }
+    }
 }

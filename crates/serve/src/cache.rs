@@ -1,4 +1,4 @@
-//! A seeded-fxhash LRU cache of rendered responses.
+//! An fxhash LRU cache of rendered responses.
 //!
 //! Keyed by `(endpoint, model generation, exact request body bytes)`: the
 //! generation comes from the [`crate::ModelRegistry`], so a hot reload
@@ -11,9 +11,9 @@
 //!
 //! Recency is a monotonic tick per entry; eviction scans for the minimum
 //! (the cache is small — hundreds of entries — so O(n) eviction beats the
-//! constant factor of an intrusive list). The map's hasher is a seeded
-//! `fxhash` build: bucket layout is reproducible across runs and
-//! independent of any ambient `RandomState`.
+//! constant factor of an intrusive list). Ticks are unique, so the victim,
+//! and with it every response, header and counter, is independent of the
+//! map's bucket layout.
 
 use fxhash::FxBuildHasher;
 use std::collections::HashMap;
@@ -44,13 +44,12 @@ pub struct ResponseCache {
 
 impl ResponseCache {
     /// A cache holding at most `capacity` responses (0 disables caching).
-    /// `seed` keys the fxhash bucket layout.
-    pub fn new(capacity: usize, seed: u64) -> ResponseCache {
+    pub fn new(capacity: usize) -> ResponseCache {
         ResponseCache {
             inner: Mutex::new(Inner {
                 map: HashMap::with_capacity_and_hasher(
                     capacity.min(1024),
-                    FxBuildHasher::seeded(seed),
+                    FxBuildHasher::default(),
                 ),
                 tick: 0,
             }),
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn hit_replays_the_exact_bytes() {
-        let cache = ResponseCache::new(4, 7);
+        let cache = ResponseCache::new(4);
         cache.insert("/v1/score", 1, b"q".to_vec(), body("answer"));
         let hit = cache.get("/v1/score", 1, b"q").expect("hit");
         assert_eq!(&**hit, b"answer");
@@ -155,21 +154,21 @@ mod tests {
 
     #[test]
     fn generation_bump_misses() {
-        let cache = ResponseCache::new(4, 7);
+        let cache = ResponseCache::new(4);
         cache.insert("/v1/score", 1, b"q".to_vec(), body("stale"));
         assert!(cache.get("/v1/score", 2, b"q").is_none());
     }
 
     #[test]
     fn endpoint_is_part_of_the_key() {
-        let cache = ResponseCache::new(4, 7);
+        let cache = ResponseCache::new(4);
         cache.insert("/v1/score", 1, b"q".to_vec(), body("scores"));
         assert!(cache.get("/v1/rank", 1, b"q").is_none());
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let cache = ResponseCache::new(2, 7);
+        let cache = ResponseCache::new(2);
         cache.insert("/v1/score", 1, b"a".to_vec(), body("A"));
         cache.insert("/v1/score", 1, b"b".to_vec(), body("B"));
         // Touch `a` so `b` is the LRU victim.
@@ -183,7 +182,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let cache = ResponseCache::new(0, 7);
+        let cache = ResponseCache::new(0);
         cache.insert("/v1/score", 1, b"q".to_vec(), body("x"));
         assert!(cache.get("/v1/score", 1, b"q").is_none());
         assert!(cache.is_empty());

@@ -27,7 +27,7 @@
 //! the one HTTP parser and writer in [`http`].
 //!
 //! The architecture (bounded queue, `429` load shedding, per-request
-//! deadlines, seeded response cache, graceful drain) is documented on
+//! deadlines, response cache, graceful drain) is documented on
 //! [`server`] and in DESIGN.md §15. Determinism is load-bearing: the same
 //! request body against the same model generation renders bit-identical
 //! response bytes whether it is answered cold, concurrently with 63 other

@@ -11,9 +11,11 @@
 //! was started with): its vocabulary translates request labels to dense
 //! ids, and its store feeds discovery and, through the store's one filter
 //! index ([`TripleStore::known`]), the filtered ranking protocol of both
-//! `/v1/rank` and `/v1/discover`. A model whose entity/relation counts do
-//! not match the graph is refused at load time — serving with a
-//! mismatched vocabulary would silently score the wrong embeddings.
+//! `/v1/rank` and `/v1/discover`. The store also holds the strategy measure
+//! tables, each built by the first `/v1/discover` that needs it. A model
+//! whose entity/relation counts do not match the graph is refused at load
+//! time — serving with a mismatched vocabulary would silently score the
+//! wrong embeddings.
 
 use kgfd_embed::{read_model_file, KgeModel};
 use kgfd_kg::{KgError, TripleStore, Vocabulary};
@@ -26,14 +28,16 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 pub struct GraphContext {
     /// Label ↔ dense-id mapping of the training graph.
     pub vocab: Vocabulary,
-    /// The training triples (discovery candidates are drawn from it) and
-    /// their filter index.
+    /// The training triples (discovery candidates are drawn from it), their
+    /// filter index and the strategy measure tables.
     pub store: TripleStore,
 }
 
 impl GraphContext {
     /// Builds the context from a loaded graph, building the store's filter
-    /// index now so that no request pays for it.
+    /// index now so that no request pays for it. Measure tables are left to
+    /// the first request that needs one: square clustering alone can take
+    /// tens of seconds on a paper-scale graph.
     pub fn new(vocab: Vocabulary, store: TripleStore) -> GraphContext {
         store.known();
         GraphContext { vocab, store }

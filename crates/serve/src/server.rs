@@ -28,7 +28,9 @@
 //! **Deadlines.** Every admitted request is stamped `now + deadline_ms`.
 //! The deadline is checked when a worker picks the request up (queue wait
 //! counts against the budget) and cooperatively inside streaming discovery
-//! ([`fact_discovery::DiscoveryConfig::deadline`]); expiry is a typed
+//! ([`fact_discovery::DiscoveryConfig::deadline`]). A discovery whose
+//! strategy table the graph has not built yet waits for the build, which
+//! runs on a detached thread, only until the deadline. Expiry is a typed
 //! `408 {"error":"deadline_exceeded"}` and frees the slot like any
 //! completed request.
 //!
@@ -66,8 +68,6 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Response-cache capacity in entries (0 disables caching).
     pub cache_entries: usize,
-    /// Seed for the cache's fxhash bucket layout.
-    pub cache_seed: u64,
     /// Worker threads for ranking/discovery kernels inside one request.
     pub rank_threads: usize,
     /// Largest accepted request body.
@@ -84,7 +84,6 @@ impl Default for ServeConfig {
             max_inflight: 64,
             deadline_ms: 10_000,
             cache_entries: 256,
-            cache_seed: 0,
             rank_threads: 2,
             max_body_bytes: 1 << 20,
             enable_test_endpoints: false,
@@ -181,7 +180,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        let cache = ResponseCache::new(config.cache_entries, config.cache_seed);
+        let cache = ResponseCache::new(config.cache_entries);
         let shared = Arc::new(Shared {
             config,
             registry,

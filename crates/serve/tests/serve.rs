@@ -2,8 +2,9 @@
 //! control, deadlines, cache determinism, drain, and error partitioning.
 
 use fact_discovery::{try_discover_facts, DiscoveryConfig, StrategyKind};
-use kgfd_datasets::toy_biomedical;
+use kgfd_datasets::{fb15k237_like, generate, toy_biomedical};
 use kgfd_embed::{train, write_model_file, ModelKind, TrainConfig};
+use kgfd_kg::NodeMeasure;
 use kgfd_serve::{GraphContext, ModelRegistry, ServeConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -369,6 +370,61 @@ fn deadline_expiry_is_a_typed_timeout_that_frees_the_slot() {
     wait_until(|| server.inflight() == 0);
     let quick = post(addr, "/v1/_sleep", "{\"ms\": 0}");
     assert_eq!(quick.status, 200, "{}", quick.text());
+    server.shutdown();
+}
+
+#[test]
+fn cold_measure_table_answers_408_by_the_deadline_and_is_built_after() {
+    // The standard-scale FB graph: building its square-clustering table
+    // takes far longer than the 20 ms deadline.
+    let data = generate(&fb15k237_like()).expect("builtin profiles are valid");
+    let untrained = TrainConfig {
+        dim: 8,
+        epochs: 0,
+        ..TrainConfig::default()
+    };
+    let (model, _) = train(ModelKind::TransE, &data.train, &untrained);
+    let dir = std::env::temp_dir().join(format!("kgfd-serve-e2e-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cold-fb.kgm");
+    write_model_file(&path, model.as_ref()).unwrap();
+    let registry = Arc::new(ModelRegistry::new(GraphContext::new(
+        data.vocab, data.train,
+    )));
+    registry.load("fb", &path).unwrap();
+    let config = ServeConfig {
+        deadline_ms: 20,
+        ..test_config()
+    };
+    let server = Server::start(config, Arc::clone(&registry)).expect("bind");
+    let store = &registry.graph().store;
+    let squares = NodeMeasure::SquareClustering;
+    assert!(store.built_node_measure(squares).is_none());
+
+    let started = Instant::now();
+    let cold = post(
+        server.local_addr(),
+        "/v1/discover",
+        "{\"model\": \"fb\", \"strategy\": \"cs\"}",
+    );
+    let answered = started.elapsed();
+    assert_eq!(cold.status, 408, "{}", cold.text());
+    assert_eq!(cold.json()["error"].as_str(), Some("deadline_exceeded"));
+    assert!(
+        store.built_node_measure(squares).is_none(),
+        "the 408 waited for the table ({answered:?})"
+    );
+
+    // The build carries on without the request and leaves the table in
+    // the graph for the next one.
+    let patience = Instant::now() + Duration::from_secs(60);
+    while store.built_node_measure(squares).is_none() {
+        assert!(
+            Instant::now() < patience,
+            "the square-clustering build never finished"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
     server.shutdown();
 }
 
