@@ -60,15 +60,17 @@ COMMANDS:
             --deadline stops gracefully at the next epoch boundary after
             SECS seconds, saving a final checkpoint (exit code 6)
   eval      --train <TSV> --test <TSV> --model-file <FILE> [--valid <TSV>]
-            [--per-relation] [--threads 4]
-            filtered link-prediction metrics (MRR, Hits@k)
+            [--per-relation] [--threads <N>]
+            filtered link-prediction metrics (MRR, Hits@k); --threads
+            defaults as for train
   discover  --train <TSV> --model-file <FILE> [--strategy <ur|ef|gd|cc|ct|cs|pr>]
             [--top-n 500] [--max-candidates 500] [--relation <LABEL>]
             [--explore <EPS>] [--consolidate] [--prune] [--seed 0]
             [--threads <N>] [--chunk-size 128] [--top-k <K>]
             [--heldout <TSV>] [--out <TSV>]
             discover missing facts (Algorithm 1 of the paper); --threads
-            sets the candidate-ranking worker count; candidates stream
+            sets the candidate-ranking worker count (default as for
+            train); candidates stream
             through the scorer --chunk-size at a time (results are
             bit-identical for any chunk size), and --top-k keeps only the
             K best facts per relation in a bounded heap
@@ -532,7 +534,7 @@ fn cmd_train(args: &Args) -> CmdResult {
         seed: args.parse_or("seed", 0, "integer")?,
         threads: resolve_threads_arg(args.parse_or(
             "threads",
-            TrainConfig::default_threads(),
+            kgfd_pool::default_threads(),
             "integer",
         )?)?,
     };
@@ -743,7 +745,8 @@ fn cmd_eval(args: &Args) -> CmdResult {
     let model = load_model_file(args.required("model-file")?)?;
     check_model_matches(model.as_ref(), &store)?;
 
-    let threads = resolve_threads_arg(args.parse_or("threads", 4, "integer")?)?;
+    let threads =
+        resolve_threads_arg(args.parse_or("threads", kgfd_pool::default_threads(), "integer")?)?;
     let known = kgfd_kg::KnownTriples::from_slices([store.triples(), &valid[..], &test[..]]);
     let summary = evaluate_ranking(model.as_ref(), &test, Some(&known), threads);
     let mut out = format!(
@@ -818,7 +821,7 @@ fn cmd_discover(args: &Args) -> CmdResult {
         seed: args.parse_or("seed", 0, "integer")?,
         threads: resolve_threads_arg(args.parse_or(
             "threads",
-            DiscoveryConfig::default().threads,
+            kgfd_pool::default_threads(),
             "integer",
         )?)?,
         chunk_size: args.parse_or(
@@ -934,24 +937,23 @@ fn cmd_complete(args: &Args) -> CmdResult {
     let top = args.parse_or("top", 10usize, "integer")?;
 
     let mut scores = vec![0.0f32; store.num_entities()];
-    let (query, fixed_side) = match (args.get("subject"), args.get("object")) {
+    let query = match (args.get("subject"), args.get("object")) {
         (Some(s), None) => {
             let sid = vocab
                 .entity(s)
                 .ok_or_else(|| format!("entity {s:?} not in the graph"))?;
             model.score_objects(sid, r, &mut scores);
-            (format!("({s}, {relation_label}, ?)"), sid)
+            format!("({s}, {relation_label}, ?)")
         }
         (None, Some(o)) => {
             let oid = vocab
                 .entity(o)
                 .ok_or_else(|| format!("entity {o:?} not in the graph"))?;
             model.score_subjects(r, oid, &mut scores);
-            (format!("(?, {relation_label}, {o})"), oid)
+            format!("(?, {relation_label}, {o})")
         }
         _ => return Err("provide exactly one of --subject or --object".into()),
     };
-    let _ = fixed_side;
 
     let mut ranked: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));

@@ -4,7 +4,7 @@
 //! subject/object entity pools with the chosen strategy, sample
 //! `⌊√max_candidates⌋ + 10` entities per side, take the mesh-grid cross
 //! product with `r`, drop triples already in the graph, and repeat (at most
-//! `max_iterations` times, the paper's constant 5) until `max_candidates`
+//! [`MAX_ITERATIONS`] times, the paper's constant 5) until `max_candidates`
 //! candidates exist. Candidates are then ranked against their corruptions
 //! (filtered by the training graph) and those ranking within `top_n` are
 //! returned as facts.
@@ -28,6 +28,11 @@ use kgfd_eval::rank_all;
 use kgfd_kg::{EntityId, KgError, KnownTriples, RelationId, SideIndex, Triple, TripleStore};
 use std::time::Duration;
 
+/// Generation-loop bound of Algorithm 1: the paper's constant 5. §3.1.1
+/// notes it "could arguably be treated as another hyperparameter", but
+/// every experiment uses 5.
+pub const MAX_ITERATIONS: usize = 5;
+
 /// Configuration of one discovery run (the inputs of Algorithm 1).
 #[derive(Debug, Clone)]
 pub struct DiscoveryConfig {
@@ -39,10 +44,6 @@ pub struct DiscoveryConfig {
     /// rejects a budget above both `num_entities²`, the most distinct
     /// candidates one relation can have, and 2²⁰.
     pub max_candidates: usize,
-    /// Generation-loop bound (the paper's default constant 5; surfaced as a
-    /// parameter because §3.1.1 notes it "could arguably be treated as
-    /// another hyperparameter").
-    pub max_iterations: usize,
     /// Restrict discovery to these relations (`None` = all used relations,
     /// as in Algorithm 1 line 3).
     pub relations: Option<Vec<RelationId>>,
@@ -58,14 +59,10 @@ pub struct DiscoveryConfig {
     /// Mine CHAI-style structural rules (functionality, self-loops) from the
     /// graph and prune candidates before the ranking step (§5.1, §6).
     pub prune_with_rules: bool,
-    /// Apply the paper's Definition 2.1 literally: keep only facts whose
-    /// *calibrated probability* exceeds the threshold, in addition to the
-    /// `top_n` rank filter. Fit the [`kgfd_eval::Calibration`] on validation
-    /// data; `None` (default) reproduces the paper's rank-only behaviour.
-    pub min_probability: Option<(kgfd_eval::Calibration, f64)>,
     /// Sampling seed; runs are deterministic given it.
     pub seed: u64,
-    /// Worker threads for candidate ranking.
+    /// Worker threads for candidate ranking. Defaults to
+    /// [`kgfd_pool::default_threads`].
     pub threads: usize,
     /// Candidates scored per streaming batch — the engine's working-set
     /// bound. Behaviourally invisible: facts and ranks are bit-identical at
@@ -94,16 +91,12 @@ impl Default for DiscoveryConfig {
             strategy: StrategyKind::UniformRandom,
             top_n: 500,
             max_candidates: 500,
-            max_iterations: 5,
             relations: None,
             exploration_epsilon: 0.0,
             consolidate_sides: false,
             prune_with_rules: false,
-            min_probability: None,
             seed: 0,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get().min(8))
-                .unwrap_or(1),
+            threads: kgfd_pool::default_threads(),
             chunk_size: 128,
             top_k: None,
             deadline: None,
@@ -137,7 +130,7 @@ impl DiscoveryConfig {
 
 /// Budgets up to this many candidates per relation are accepted on any
 /// graph, even where they exceed the graph's candidate space: the run then
-/// exhausts the space within `max_iterations` mesh walks of about
+/// exhausts the space within [`MAX_ITERATIONS`] mesh walks of about
 /// `max_candidates` cells each, which stays cheap at this size. Larger
 /// budgets must fit the graph (see [`try_discover_facts`]).
 const MAX_UNCHECKED_CANDIDATES: usize = 1 << 20;
@@ -325,11 +318,6 @@ fn discover_relation_streaming(
             let rank = r2.mean();
             if rank > config.top_n as f64 {
                 continue;
-            }
-            if let Some((calibration, threshold)) = &config.min_probability {
-                if calibration.probability(model.score(*t)) <= *threshold {
-                    continue;
-                }
             }
             top.push(DiscoveredFact { triple: *t, rank });
         }
@@ -588,7 +576,7 @@ mod tests {
         );
         for rel in &report.per_relation {
             assert!(rel.candidates <= 30);
-            assert!(rel.iterations <= 5);
+            assert!(rel.iterations <= MAX_ITERATIONS);
             assert!(rel.facts <= rel.candidates);
         }
     }
@@ -698,31 +686,6 @@ mod tests {
         // The toy graph has functional relations, so something gets pruned.
         let pruned: usize = report.per_relation.iter().map(|r| r.pruned).sum();
         assert!(pruned > 0, "expected the rules to prune something");
-    }
-
-    #[test]
-    fn probability_threshold_tightens_the_output() {
-        // Definition 2.1: P(t) > b. A high threshold must subset the
-        // rank-only output; threshold 0 must match it exactly.
-        let (data, model) = trained_toy();
-        let calibration =
-            kgfd_eval::Calibration::fit(model.as_ref(), data.train.triples(), &data.train, 3);
-        let base = quick_config(StrategyKind::EntityFrequency);
-        let rank_only = discover_facts(model.as_ref(), &data.train, &base);
-
-        let mut zero = base.clone();
-        zero.min_probability = Some((calibration, 0.0));
-        let with_zero = discover_facts(model.as_ref(), &data.train, &zero);
-        assert_eq!(rank_only.facts, with_zero.facts);
-
-        let mut strict = base.clone();
-        strict.min_probability = Some((calibration, 0.9));
-        let with_strict = discover_facts(model.as_ref(), &data.train, &strict);
-        assert!(with_strict.facts.len() <= rank_only.facts.len());
-        for f in &with_strict.facts {
-            assert!(calibration.probability(model.score(f.triple)) > 0.9);
-            assert!(rank_only.facts.contains(f), "must be a subset");
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod strategy;
 pub mod streaming;
 mod weights;
 
-pub use discover::{discover_facts, try_discover_facts, DiscoveryConfig};
+pub use discover::{discover_facts, try_discover_facts, DiscoveryConfig, MAX_ITERATIONS};
 pub use measures::{cached_measures, Measures};
 pub use pruning::CandidateRules;
 pub use report::{DiscoveredFact, DiscoveryReport, RelationBreakdown};

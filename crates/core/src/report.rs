@@ -27,7 +27,7 @@ pub struct RelationBreakdown {
     /// Candidates rejected by structural pruning rules (0 unless
     /// `prune_with_rules` is set).
     pub pruned: usize,
-    /// Generation-loop iterations used (≤ `max_iterations`).
+    /// Generation-loop iterations used (≤ [`crate::MAX_ITERATIONS`]).
     pub iterations: usize,
     /// Busy time in the sampling/mesh-grid loop for this relation.
     pub generation: Duration,

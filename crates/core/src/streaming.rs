@@ -19,6 +19,7 @@
 
 use crate::{
     compute_weights, AliasSampler, CandidateRules, DiscoveredFact, DiscoveryConfig, Measures,
+    MAX_ITERATIONS,
 };
 use fxhash::{FxBuildHasher, FxHashSet};
 use kgfd_kg::{EntityId, KgError, RelationId, SideIndex, Triple, TripleStore};
@@ -34,7 +35,7 @@ use std::collections::BinaryHeap;
 /// Deterministic candidate iterator for one relation — the generation loop
 /// of Algorithm 1 in resumable form. Yields each candidate triple exactly
 /// once (never a triple already in the graph), respects the
-/// `max_candidates` budget and the `max_iterations` bound, and tracks the
+/// `max_candidates` budget and the [`MAX_ITERATIONS`] bound, and tracks the
 /// loop's bookkeeping (`iterations`, `pruned`).
 pub struct CandidateStream<'a> {
     store: &'a TripleStore,
@@ -48,7 +49,6 @@ pub struct CandidateStream<'a> {
     seen: FxHashSet<Triple>,
     sample_size: usize,
     max_candidates: usize,
-    max_iterations: usize,
     s_samples: Vec<EntityId>,
     o_samples: Vec<EntityId>,
     si: usize,
@@ -121,7 +121,6 @@ impl<'a> CandidateStream<'a> {
             ),
             sample_size,
             max_candidates: config.max_candidates,
-            max_iterations: config.max_iterations,
             s_samples: Vec::new(),
             o_samples: Vec::new(),
             si: 0,
@@ -179,7 +178,7 @@ impl<'a> CandidateStream<'a> {
                 self.oi = 0;
             }
             // Mesh exhausted: draw the next iteration's samples, or stop.
-            if self.iterations >= self.max_iterations {
+            if self.iterations >= MAX_ITERATIONS {
                 return None;
             }
             self.iterations += 1;
@@ -204,7 +203,7 @@ impl<'a> CandidateStream<'a> {
         self.produced
     }
 
-    /// Generation-loop iterations consumed so far (≤ `max_iterations`).
+    /// Generation-loop iterations consumed so far (≤ [`MAX_ITERATIONS`]).
     pub fn iterations(&self) -> usize {
         self.iterations
     }

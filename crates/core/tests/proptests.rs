@@ -3,6 +3,7 @@
 use fact_discovery::{
     compute_weights, discover_facts, fact_order, normalize_or_uniform, AliasSampler,
     CandidateStream, DiscoveredFact, DiscoveryConfig, Measures, StrategyKind, TopKFacts,
+    MAX_ITERATIONS,
 };
 use kgfd_embed::{new_model, ModelKind};
 use kgfd_kg::{Side, Triple, TripleStore};
@@ -366,7 +367,7 @@ proptest! {
             }
             prop_assert_eq!(&chunked, &all);
             prop_assert_eq!(chunked_stream.produced(), all.len());
-            prop_assert!(chunked_stream.iterations() <= config.max_iterations);
+            prop_assert!(chunked_stream.iterations() <= MAX_ITERATIONS);
         }
     }
 

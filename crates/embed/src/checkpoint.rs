@@ -2,9 +2,9 @@
 //!
 //! A checkpoint captures *everything* that determines the remainder of a
 //! training run — model parameters, full optimizer state (Adam's step
-//! counter and both moment tables, Adagrad's accumulators), the number of
-//! completed epochs, the epoch-shuffle RNG stream position, the per-epoch
-//! losses so far, and a fingerprint of the [`TrainConfig`] — so that
+//! counter and both moment tables), the number of completed epochs, the
+//! epoch-shuffle RNG stream position, the per-epoch losses so far, and a
+//! fingerprint of the [`TrainConfig`] — so that
 //! resuming is **bit-identical** to never having stopped. The differential
 //! suite in `tests/checkpoint_resume.rs` enforces that contract for every
 //! model family at 1 and 4 threads.
@@ -18,9 +18,8 @@
 //! | rng_state 4 × u64                                ← epoch-shuffle stream
 //! | num_losses u64 | f64 per completed epoch
 //! | model_len u64 | model bytes                      ← embedded "KGFD" v2 file
-//! | optimizer tag u8 (0 = SGD, 1 = Adagrad, 2 = Adam)
-//! |   Adagrad: table block (accumulators)
-//! |   Adam:    t u64 | table block (m) | f32 data (v, same shapes as m)
+//! | optimizer tag u8 = 2 (Adam)                      ← 0 and 1 are retired
+//! | t u64 | table block (m) | f32 data (v, same shapes as m)
 //! | crc32 u32                                        ← integrity footer
 //! ```
 //!
@@ -34,9 +33,9 @@
 //!
 //! Checkpoints live next to the training output as
 //! `<output>.ckpt-<epochs_done, 8 digits>`, written atomically
-//! (temp sibling + fsync + rename) and rotated to the newest
-//! [`CheckpointPolicy::keep`] files. [`resume_latest`] walks them newest
-//! first: a corrupt or version-skewed file is evicted (recovery recorded via
+//! (temp sibling + fsync + rename) and rotated to the newest two files.
+//! [`resume_latest`] walks them newest first: a corrupt or version-skewed
+//! file is evicted (recovery recorded via
 //! [`kgfd_obs::record_recovery`], mirrored into [`ResumeReport`]) and the
 //! previous one is tried; a checkpoint whose fingerprint disagrees with the
 //! requested configuration is refused outright with
@@ -57,8 +56,8 @@ const MAGIC: &[u8; 4] = b"KGCK";
 pub const CHECKPOINT_VERSION: u8 = 1;
 const FOOTER_LEN: usize = 4;
 
-const OPT_TAG_SGD: u8 = 0;
-const OPT_TAG_ADAGRAD: u8 = 1;
+/// The optimizer tag byte. Tags 0 and 1 (SGD and Adagrad, both retired)
+/// read as corrupt.
 const OPT_TAG_ADAM: u8 = 2;
 
 fn corrupt(msg: impl Into<String>) -> KgError {
@@ -127,19 +126,11 @@ impl TrainCheckpoint {
             buf.extend_from_slice(&w.to_le_bytes());
         }
         buf.extend_from_slice(&self.model_bytes);
-        match &self.optimizer {
-            OptimizerState::Sgd => buf.push(OPT_TAG_SGD),
-            OptimizerState::Adagrad { accum } => {
-                buf.push(OPT_TAG_ADAGRAD);
-                put_table_block(&mut buf, accum);
-            }
-            OptimizerState::Adam { t, m, v } => {
-                buf.push(OPT_TAG_ADAM);
-                buf.extend_from_slice(&t.to_le_bytes());
-                put_table_block(&mut buf, m);
-                v.iter().for_each(|table| put_table_data(&mut buf, table));
-            }
-        }
+        let OptimizerState { t, m, v } = &self.optimizer;
+        buf.push(OPT_TAG_ADAM);
+        buf.extend_from_slice(&t.to_le_bytes());
+        put_table_block(&mut buf, m);
+        v.iter().for_each(|table| put_table_data(&mut buf, table));
         let checksum = crate::crc32(&buf);
         buf.extend_from_slice(&checksum.to_le_bytes());
         buf
@@ -187,22 +178,19 @@ impl TrainCheckpoint {
         }
         let model_len = r.len_checked("model payload", 1)?;
         let model_bytes = r.take(model_len)?.to_vec();
-        let optimizer = match r.u8()? {
-            OPT_TAG_SGD => OptimizerState::Sgd,
-            OPT_TAG_ADAGRAD => OptimizerState::Adagrad {
-                accum: r.table_block()?,
-            },
-            OPT_TAG_ADAM => {
-                let t = r.u64()?;
-                let m = r.table_block()?;
-                let mut v = Vec::with_capacity(m.len());
-                for table in &m {
-                    v.push(r.table_data(table.rows(), table.cols())?);
-                }
-                OptimizerState::Adam { t, m, v }
-            }
-            tag => return Err(corrupt(format!("unknown optimizer tag {tag}"))),
-        };
+        let tag = r.u8()?;
+        if tag != OPT_TAG_ADAM {
+            return Err(corrupt(format!(
+                "optimizer tag {tag} is not Adam's ({OPT_TAG_ADAM})"
+            )));
+        }
+        let t = r.u64()?;
+        let m = r.table_block()?;
+        let mut v = Vec::with_capacity(m.len());
+        for table in &m {
+            v.push(r.table_data(table.rows(), table.cols())?);
+        }
+        let optimizer = OptimizerState { t, m, v };
         if !r.data.is_empty() {
             return Err(corrupt(format!(
                 "{} trailing bytes before the checksum footer",
@@ -351,11 +339,12 @@ pub struct CheckpointPolicy {
     /// Write a checkpoint every this many completed epochs (0 disables the
     /// periodic writes; a stop-triggered final checkpoint still happens).
     pub every: usize,
-    /// Newest checkpoints retained after each write. At least 2 preserves
-    /// the corruption-fallback story: if the newest file is damaged, the
-    /// previous boundary is still on disk.
-    pub keep: usize,
 }
+
+/// Newest checkpoints retained after each write. Two preserve the
+/// corruption fallback: if the newest file is damaged, the previous
+/// boundary is still on disk.
+const KEEP: usize = 2;
 
 impl CheckpointPolicy {
     /// Checkpoint every `every` epochs next to `output`, keeping 2 files.
@@ -363,7 +352,6 @@ impl CheckpointPolicy {
         CheckpointPolicy {
             output: output.into(),
             every,
-            keep: 2,
         }
     }
 
@@ -372,12 +360,11 @@ impl CheckpointPolicy {
         checkpoint_path(&self.output, epochs_done)
     }
 
-    /// Deletes all but the newest [`CheckpointPolicy::keep`] checkpoints.
+    /// Deletes all but the newest [`KEEP`] checkpoints.
     fn rotate(&self) {
         let mut existing = checkpoint_paths(&self.output);
-        let keep = self.keep.max(1);
-        if existing.len() > keep {
-            let cutoff = existing.len() - keep;
+        if existing.len() > KEEP {
+            let cutoff = existing.len() - KEEP;
             for (_, path) in existing.drain(..cutoff) {
                 let _ = std::fs::remove_file(path);
             }
@@ -579,6 +566,14 @@ mod tests {
         }
     }
 
+    fn adam_state(t: u64) -> OptimizerState {
+        OptimizerState {
+            t,
+            m: vec![ParamTable::from_data(2, 3, vec![1.0; 6])],
+            v: vec![ParamTable::from_data(2, 3, vec![2.0; 6])],
+        }
+    }
+
     fn sample_checkpoint(optimizer: OptimizerState) -> TrainCheckpoint {
         let model = crate::new_model(ModelKind::DistMult, 5, 2, 8, 3);
         TrainCheckpoint {
@@ -593,13 +588,12 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrips_every_optimizer_state() {
-        let m = vec![ParamTable::from_data(2, 3, vec![1.0; 6])];
-        let v = vec![ParamTable::from_data(2, 3, vec![2.0; 6])];
-        for state in [
-            OptimizerState::Sgd,
-            OptimizerState::Adagrad { accum: m.clone() },
-            OptimizerState::Adam { t: 42, m, v },
-        ] {
+        let empty = OptimizerState {
+            t: 0,
+            m: Vec::new(),
+            v: Vec::new(),
+        };
+        for state in [empty, adam_state(42)] {
             let ckpt = sample_checkpoint(state);
             let decoded = TrainCheckpoint::decode(&ckpt.encode()).unwrap();
             assert_eq!(decoded, ckpt);
@@ -608,8 +602,29 @@ mod tests {
     }
 
     #[test]
+    fn retired_optimizer_tags_are_corrupt() {
+        let ckpt = sample_checkpoint(adam_state(42));
+        let mut bytes = ckpt.encode();
+        // Magic and version, then the fingerprint, epoch count, four RNG
+        // words, loss count, losses and model length (u64 each), then the
+        // model bytes.
+        let tag_at = 5 + 8 * (8 + ckpt.epoch_losses.len()) + ckpt.model_bytes.len();
+        assert_eq!(bytes[tag_at], OPT_TAG_ADAM);
+        for retired in [0u8, 1] {
+            bytes[tag_at] = retired;
+            let body = bytes.len() - FOOTER_LEN;
+            let checksum = crate::crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+            match TrainCheckpoint::decode(&bytes) {
+                Err(KgError::Corrupt(msg)) => assert!(msg.contains("optimizer tag"), "{msg}"),
+                other => panic!("tag {retired}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn every_single_byte_corruption_is_detected() {
-        let ckpt = sample_checkpoint(OptimizerState::Sgd);
+        let ckpt = sample_checkpoint(adam_state(42));
         let bytes = ckpt.encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -623,7 +638,7 @@ mod tests {
 
     #[test]
     fn truncation_and_trailing_garbage_are_rejected() {
-        let bytes = sample_checkpoint(OptimizerState::Sgd).encode();
+        let bytes = sample_checkpoint(adam_state(42)).encode();
         for len in 0..bytes.len() {
             assert!(
                 matches!(
@@ -640,7 +655,7 @@ mod tests {
 
     #[test]
     fn version_skew_is_typed() {
-        let mut bytes = sample_checkpoint(OptimizerState::Sgd).encode();
+        let mut bytes = sample_checkpoint(adam_state(42)).encode();
         bytes[4] = 9;
         assert!(matches!(
             TrainCheckpoint::decode(&bytes),
@@ -672,7 +687,7 @@ mod tests {
             config_fingerprint(ModelKind::DistMult, &base)
         );
         let mut other_opt = base.clone();
-        other_opt.optimizer = OptimizerKind::Sgd { lr: 0.1 };
+        other_opt.optimizer = OptimizerKind::Adam { lr: 0.1 };
         assert_ne!(
             config_fingerprint(ModelKind::TransE, &base),
             config_fingerprint(ModelKind::TransE, &other_opt)

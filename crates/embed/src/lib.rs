@@ -2,9 +2,9 @@
 //!
 //! A from-scratch, CPU-only reimplementation of the KGE stack the paper
 //! builds on (LibKGE + the models of §2.1): scoring models with hand-derived
-//! gradients ([`models`]), negative-sampling training ([`train`]) with Adam /
-//! Adagrad / SGD ([`OptimizerKind`]), margin and cross-entropy losses
-//! ([`LossKind`]), and binary persistence ([`save_model`] / [`load_model`]).
+//! gradients ([`models`]), negative-sampling training ([`train`]) with Adam
+//! ([`OptimizerKind`]), margin and cross-entropy losses ([`LossKind`]), and
+//! binary persistence ([`save_model`] / [`load_model`]).
 //!
 //! Every model implements [`KgeModel`], whose batched `score_objects` /
 //! `score_subjects` kernels are the primitive the evaluation protocol and
@@ -46,7 +46,7 @@ pub use loss::{LossKind, PairLoss};
 pub use model::{KgeModel, ModelConfig, ModelKind};
 pub use models::new_model;
 pub use negative::{CorruptSide, NegativeSampler};
-pub use optim::{Optimizer, OptimizerKind, OptimizerState};
+pub use optim::{OptimizerKind, OptimizerState};
 pub use params::{Gradients, ParamTable, Parameters, ENTITY_TABLE, RELATION_TABLE};
 pub use persist::{
     crc32, load_model, read_model_file, save_model, write_model_file, FORMAT_VERSION,

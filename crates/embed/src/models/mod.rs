@@ -2,7 +2,7 @@
 //!
 //! Each module documents its scoring function and the closed-form gradient
 //! it implements; every module carries a finite-difference gradient check
-//! (see [`gradcheck`]) so a derivation error cannot survive `cargo test`.
+//! (see `gradcheck`) so a derivation error cannot survive `cargo test`.
 
 mod complex;
 mod conve;

@@ -1,77 +1,24 @@
-//! Optimizers with sparse (touched-rows-only) state updates.
+//! Adam with sparse (touched-rows-only) state updates.
 //!
-//! The paper trains every model with Adam (§2.1 "Training"); SGD and Adagrad
-//! are provided for completeness and ablation. State tensors mirror the
-//! parameter tables; only the rows present in a batch's [`Gradients`] are
-//! updated, which is the standard "sparse Adam" arrangement for embeddings.
+//! The paper trains every model with Adam (§2.1 "Training"). The moment
+//! tables mirror the parameter tables; only the rows present in a batch's
+//! [`Gradients`] are updated, which is the standard "sparse Adam"
+//! arrangement for embeddings.
 
 use crate::{Gradients, ParamTable, Parameters};
 use kgfd_kg::KgError;
 use serde::{Deserialize, Serialize};
 
-/// A complete snapshot of an optimizer's mutable state — everything beyond
-/// the [`OptimizerKind`] configuration that influences future updates. The
-/// checkpoint format persists this verbatim so a resumed run applies
-/// *exactly* the update a straight-through run would have applied (Adam's
-/// bias-correction step counter `t` and both moment tables included).
-#[derive(Debug, Clone, PartialEq)]
-pub enum OptimizerState {
-    /// SGD carries no state.
-    Sgd,
-    /// Adagrad's per-parameter squared-gradient accumulators.
-    Adagrad {
-        /// Accumulator tables, shaped like the model parameters.
-        accum: Vec<ParamTable>,
-    },
-    /// Adam's step counter and moment estimates.
-    Adam {
-        /// Number of optimizer steps taken (drives bias correction).
-        t: u64,
-        /// First-moment tables, shaped like the model parameters.
-        m: Vec<ParamTable>,
-        /// Second-moment tables, shaped like the model parameters.
-        v: Vec<ParamTable>,
-    },
-}
+const BETA1: f32 = 0.9;
+const BETA2: f32 = 0.999;
+const EPS: f32 = 1e-8;
 
-impl OptimizerState {
-    /// `true` if this state snapshot matches the optimizer configuration
-    /// (an Adam checkpoint cannot restore into an SGD run, etc.).
-    pub fn matches(&self, kind: OptimizerKind) -> bool {
-        matches!(
-            (self, kind),
-            (OptimizerState::Sgd, OptimizerKind::Sgd { .. })
-                | (
-                    OptimizerState::Adagrad { .. },
-                    OptimizerKind::Adagrad { .. }
-                )
-                | (OptimizerState::Adam { .. }, OptimizerKind::Adam { .. })
-        )
-    }
-}
-
-fn shapes_mirror(tables: &[ParamTable], params: &Parameters) -> bool {
-    tables.len() == params.num_tables()
-        && tables
-            .iter()
-            .zip(params.tables())
-            .all(|(s, p)| s.rows() == p.rows() && s.cols() == p.cols())
-}
-
-/// Optimizer configuration; build a stateful optimizer with
-/// [`OptimizerKind::build`].
+/// Optimizer configuration. Adam is the only optimizer; the enum keeps its
+/// variant name because [`crate::config_fingerprint`] hashes the
+/// configuration's JSON (`{"Adam":{"lr":…}}`), so existing checkpoints
+/// still resume.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum OptimizerKind {
-    /// Plain stochastic gradient descent.
-    Sgd {
-        /// Learning rate.
-        lr: f32,
-    },
-    /// Adagrad (Duchi et al. 2011).
-    Adagrad {
-        /// Learning rate.
-        lr: f32,
-    },
     /// Adam (Kingma & Ba 2014) — the paper's optimizer.
     Adam {
         /// Learning rate.
@@ -79,86 +26,84 @@ pub enum OptimizerKind {
     },
 }
 
-impl OptimizerKind {
-    /// Instantiates optimizer state shaped like `params`.
-    pub fn build(self, params: &Parameters) -> Box<dyn Optimizer> {
-        match self {
-            OptimizerKind::Sgd { lr } => Box::new(Sgd { lr }),
-            OptimizerKind::Adagrad { lr } => Box::new(Adagrad {
-                lr,
-                eps: 1e-10,
-                accum: mirror(params),
-            }),
-            OptimizerKind::Adam { lr } => Box::new(Adam {
-                lr,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
+/// A complete snapshot of Adam's mutable state — everything beyond the
+/// [`OptimizerKind`] configuration that influences future updates. The
+/// checkpoint format persists this verbatim so a resumed run applies
+/// *exactly* the update a straight-through run would have applied.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OptimizerState {
+    /// Number of optimizer steps taken (drives bias correction).
+    pub t: u64,
+    /// First-moment tables, shaped like the model parameters.
+    pub m: Vec<ParamTable>,
+    /// Second-moment tables, shaped like the model parameters.
+    pub v: Vec<ParamTable>,
+}
+
+/// Adam over a model's parameter tables; gradients are of the *loss*
+/// (descent direction is `−grad`).
+pub(crate) struct Adam {
+    lr: f32,
+    state: OptimizerState,
+}
+
+impl Adam {
+    /// Zero-initialized moments shaped like `params`.
+    pub(crate) fn new(kind: OptimizerKind, params: &Parameters) -> Self {
+        let OptimizerKind::Adam { lr } = kind;
+        Adam {
+            lr,
+            state: OptimizerState {
                 t: 0,
                 m: mirror(params),
                 v: mirror(params),
-            }),
+            },
         }
     }
 
-    /// Instantiates an optimizer whose mutable state is restored from a
-    /// checkpointed snapshot instead of zero-initialized. The snapshot must
-    /// belong to the same optimizer kind and mirror `params`' table shapes;
-    /// both are validated here because a checkpoint that passed its checksum
-    /// can still be paired with the wrong model by a confused caller.
-    pub fn build_with_state(
-        self,
+    /// Restores a checkpointed snapshot. Both moment sets must mirror
+    /// `params`' table shapes: a checkpoint that passed its checksum can
+    /// still be paired with the wrong model by a confused caller.
+    pub(crate) fn resume(
+        kind: OptimizerKind,
         params: &Parameters,
         state: OptimizerState,
-    ) -> Result<Box<dyn Optimizer>, KgError> {
-        if !state.matches(self) {
-            return Err(KgError::Corrupt(format!(
-                "optimizer state snapshot does not match the configured optimizer {self:?}"
-            )));
-        }
-        let check = |tables: &[ParamTable], what: &str| -> Result<(), KgError> {
-            if shapes_mirror(tables, params) {
-                Ok(())
-            } else {
-                Err(KgError::Corrupt(format!(
+    ) -> Result<Self, KgError> {
+        for (tables, what) in [(&state.m, "first-moment"), (&state.v, "second-moment")] {
+            if !shapes_mirror(tables, params) {
+                return Err(KgError::Corrupt(format!(
                     "optimizer {what} tables do not mirror the model parameter shapes"
-                )))
+                )));
             }
-        };
-        match (self, state) {
-            (OptimizerKind::Sgd { lr }, OptimizerState::Sgd) => Ok(Box::new(Sgd { lr })),
-            (OptimizerKind::Adagrad { lr }, OptimizerState::Adagrad { accum }) => {
-                check(&accum, "accumulator")?;
-                Ok(Box::new(Adagrad {
-                    lr,
-                    eps: 1e-10,
-                    accum,
-                }))
+        }
+        let OptimizerKind::Adam { lr } = kind;
+        Ok(Adam { lr, state })
+    }
+
+    /// Applies one update for the accumulated batch gradients.
+    pub(crate) fn step(&mut self, params: &mut Parameters, grads: &Gradients) {
+        let state = &mut self.state;
+        state.t += 1;
+        let bc1 = 1.0 - BETA1.powi(state.t as i32);
+        let bc2 = 1.0 - BETA2.powi(state.t as i32);
+        for (table, row, g) in grads.iter() {
+            let m = state.m[table].row_mut(row);
+            let v = state.v[table].row_mut(row);
+            let p = params.table_mut(table).row_mut(row);
+            for (((pi, mi), vi), &gi) in p.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
+                *mi = BETA1 * *mi + (1.0 - BETA1) * gi;
+                *vi = BETA2 * *vi + (1.0 - BETA2) * gi * gi;
+                let m_hat = *mi / bc1;
+                let v_hat = *vi / bc2;
+                *pi -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
-            (OptimizerKind::Adam { lr }, OptimizerState::Adam { t, m, v }) => {
-                check(&m, "first-moment")?;
-                check(&v, "second-moment")?;
-                Ok(Box::new(Adam {
-                    lr,
-                    beta1: 0.9,
-                    beta2: 0.999,
-                    eps: 1e-8,
-                    t,
-                    m,
-                    v,
-                }))
-            }
-            _ => unreachable!("matches() filtered mismatched pairs"),
         }
     }
 
-    /// The configured learning rate.
-    pub fn learning_rate(self) -> f32 {
-        match self {
-            OptimizerKind::Sgd { lr }
-            | OptimizerKind::Adagrad { lr }
-            | OptimizerKind::Adam { lr } => lr,
-        }
+    /// The mutable state, for checkpointing; feed it back through
+    /// [`Adam::resume`] to continue with the exact same future updates.
+    pub(crate) fn state(&self) -> &OptimizerState {
+        &self.state
     }
 }
 
@@ -170,135 +115,42 @@ fn mirror(params: &Parameters) -> Vec<ParamTable> {
         .collect()
 }
 
-/// A stateful first-order optimizer; gradients are of the *loss* (descent
-/// direction is `−grad`).
-pub trait Optimizer: Send {
-    /// Applies one update for the accumulated batch gradients.
-    fn step(&mut self, params: &mut Parameters, grads: &Gradients);
-
-    /// Snapshots the optimizer's mutable state for checkpointing; feed it
-    /// back through [`OptimizerKind::build_with_state`] to resume with the
-    /// exact same future updates.
-    fn export_state(&self) -> OptimizerState;
-}
-
-struct Sgd {
-    lr: f32,
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut Parameters, grads: &Gradients) {
-        for (table, row, g) in grads.iter() {
-            let row = params.table_mut(table).row_mut(row);
-            crate::math::add_scaled(row, g, -self.lr);
-        }
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState::Sgd
-    }
-}
-
-struct Adagrad {
-    lr: f32,
-    eps: f32,
-    accum: Vec<ParamTable>,
-}
-
-impl Optimizer for Adagrad {
-    fn step(&mut self, params: &mut Parameters, grads: &Gradients) {
-        for (table, row, g) in grads.iter() {
-            let acc = self.accum[table].row_mut(row);
-            let p = params.table_mut(table).row_mut(row);
-            for ((pi, ai), &gi) in p.iter_mut().zip(acc.iter_mut()).zip(g) {
-                *ai += gi * gi;
-                *pi -= self.lr * gi / (ai.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState::Adagrad {
-            accum: self.accum.clone(),
-        }
-    }
-}
-
-struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<ParamTable>,
-    v: Vec<ParamTable>,
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut Parameters, grads: &Gradients) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (table, row, g) in grads.iter() {
-            let m = self.m[table].row_mut(row);
-            let v = self.v[table].row_mut(row);
-            let p = params.table_mut(table).row_mut(row);
-            for (((pi, mi), vi), &gi) in p.iter_mut().zip(m.iter_mut()).zip(v.iter_mut()).zip(g) {
-                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
-                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
-                let m_hat = *mi / bc1;
-                let v_hat = *vi / bc2;
-                *pi -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn export_state(&self) -> OptimizerState {
-        OptimizerState::Adam {
-            t: self.t,
-            m: self.m.clone(),
-            v: self.v.clone(),
-        }
-    }
+fn shapes_mirror(tables: &[ParamTable], params: &Parameters) -> bool {
+    tables.len() == params.num_tables()
+        && tables
+            .iter()
+            .zip(params.tables())
+            .all(|(s, p)| s.rows() == p.rows() && s.cols() == p.cols())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KIND: OptimizerKind = OptimizerKind::Adam { lr: 0.1 };
+
     fn quadratic_params() -> Parameters {
         // One table, one row: minimize f(x) = Σ xᵢ² from x = (4, −2).
         Parameters::new(vec![ParamTable::from_data(1, 2, vec![4.0, -2.0])])
     }
 
-    fn run(kind: OptimizerKind, steps: usize) -> Vec<f32> {
-        let mut params = quadratic_params();
-        let mut opt = kind.build(&params);
-        for _ in 0..steps {
-            let mut g = Gradients::new();
-            let x = params.table(0).row(0).to_vec();
-            // ∇f = 2x
-            g.add(0, 0, &[2.0 * x[0], 2.0 * x[1]], 1.0);
-            opt.step(&mut params, &g);
-        }
-        params.table(0).row(0).to_vec()
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = run(OptimizerKind::Sgd { lr: 0.1 }, 100);
-        assert!(x.iter().all(|v| v.abs() < 1e-3), "{x:?}");
-    }
-
-    #[test]
-    fn adagrad_converges_on_quadratic() {
-        let x = run(OptimizerKind::Adagrad { lr: 0.5 }, 500);
-        assert!(x.iter().all(|v| v.abs() < 1e-2), "{x:?}");
+    /// ∇f = 2x at the current parameters.
+    fn quadratic_grad(params: &Parameters) -> Gradients {
+        let mut g = Gradients::new();
+        let x = params.table(0).row(0).to_vec();
+        g.add(0, 0, &[2.0 * x[0], 2.0 * x[1]], 1.0);
+        g
     }
 
     #[test]
     fn adam_converges_on_quadratic() {
-        let x = run(OptimizerKind::Adam { lr: 0.1 }, 500);
+        let mut params = quadratic_params();
+        let mut opt = Adam::new(KIND, &params);
+        for _ in 0..500 {
+            let g = quadratic_grad(&params);
+            opt.step(&mut params, &g);
+        }
+        let x = params.table(0).row(0);
         assert!(x.iter().all(|v| v.abs() < 1e-2), "{x:?}");
     }
 
@@ -306,7 +158,7 @@ mod tests {
     fn untouched_rows_are_untouched() {
         let mut params =
             Parameters::new(vec![ParamTable::from_data(2, 2, vec![1.0, 1.0, 5.0, 5.0])]);
-        let mut opt = OptimizerKind::Adam { lr: 0.1 }.build(&params);
+        let mut opt = Adam::new(KIND, &params);
         let mut g = Gradients::new();
         g.add(0, 0, &[1.0, 1.0], 1.0);
         opt.step(&mut params, &g);
@@ -314,75 +166,50 @@ mod tests {
         assert_ne!(params.table(0).row(0), &[1.0, 1.0]);
     }
 
-    #[test]
-    fn learning_rate_accessor() {
-        assert_eq!(OptimizerKind::Adam { lr: 0.02 }.learning_rate(), 0.02);
-    }
-
     /// State export + restore must reproduce the exact future update
     /// sequence: run K steps, snapshot, run K more; versus restore-from-
-    /// snapshot and run the same K more. Bitwise equal for every kind.
+    /// snapshot and run the same K more. Bitwise equal.
     #[test]
     fn state_roundtrip_resumes_bit_identically() {
-        for kind in [
-            OptimizerKind::Sgd { lr: 0.1 },
-            OptimizerKind::Adagrad { lr: 0.5 },
-            OptimizerKind::Adam { lr: 0.1 },
-        ] {
-            let mut params = quadratic_params();
-            let mut opt = kind.build(&params);
-            let grad_of = |params: &Parameters| {
-                let mut g = Gradients::new();
-                let x = params.table(0).row(0).to_vec();
-                g.add(0, 0, &[2.0 * x[0], 2.0 * x[1]], 1.0);
-                g
-            };
-            for _ in 0..7 {
-                let g = grad_of(&params);
-                opt.step(&mut params, &g);
-            }
-            let snapshot = opt.export_state();
-            let params_snapshot = params.clone();
-
-            for _ in 0..7 {
-                let g = grad_of(&params);
-                opt.step(&mut params, &g);
-            }
-
-            let mut resumed_params = params_snapshot;
-            let mut resumed = kind.build_with_state(&resumed_params, snapshot).unwrap();
-            for _ in 0..7 {
-                let g = grad_of(&resumed_params);
-                resumed.step(&mut resumed_params, &g);
-            }
-            assert_eq!(
-                params.table(0).data(),
-                resumed_params.table(0).data(),
-                "{kind:?} must resume bit-identically"
-            );
+        let mut params = quadratic_params();
+        let mut opt = Adam::new(KIND, &params);
+        for _ in 0..7 {
+            let g = quadratic_grad(&params);
+            opt.step(&mut params, &g);
         }
-    }
+        let snapshot = opt.state().clone();
+        let params_snapshot = params.clone();
 
-    #[test]
-    fn mismatched_state_kind_is_rejected() {
-        let params = quadratic_params();
-        let err = OptimizerKind::Adam { lr: 0.1 }
-            .build_with_state(&params, OptimizerState::Sgd)
-            .err()
-            .expect("kind mismatch accepted");
-        assert!(matches!(err, KgError::Corrupt(_)), "{err}");
+        for _ in 0..7 {
+            let g = quadratic_grad(&params);
+            opt.step(&mut params, &g);
+        }
+
+        let mut resumed_params = params_snapshot;
+        let mut resumed = Adam::resume(KIND, &resumed_params, snapshot).unwrap();
+        for _ in 0..7 {
+            let g = quadratic_grad(&resumed_params);
+            resumed.step(&mut resumed_params, &g);
+        }
+        assert_eq!(
+            params.table(0).data(),
+            resumed_params.table(0).data(),
+            "Adam must resume bit-identically"
+        );
     }
 
     #[test]
     fn mismatched_state_shape_is_rejected() {
         let params = quadratic_params();
-        let wrong = OptimizerState::Adagrad {
-            accum: vec![ParamTable::zeros(3, 9)],
+        let wrong = OptimizerState {
+            t: 3,
+            m: vec![ParamTable::zeros(3, 9)],
+            v: vec![ParamTable::zeros(3, 9)],
         };
-        let err = OptimizerKind::Adagrad { lr: 0.1 }
-            .build_with_state(&params, wrong)
+        let err = Adam::resume(KIND, &params, wrong)
             .err()
             .expect("shape mismatch accepted");
+        assert!(matches!(err, KgError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("mirror"), "{err}");
     }
 }

@@ -353,7 +353,7 @@ pub(crate) fn write_bytes_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     std::fs::rename(&tmp, path).map_err(cleanup)
 }
 
-/// Atomically writes `model` to `path` (see [`write_bytes_atomic`] for the
+/// Atomically writes `model` to `path` (see `write_bytes_atomic` for the
 /// crash-safety guarantees).
 pub fn write_model_file(path: impl AsRef<Path>, model: &dyn KgeModel) -> Result<()> {
     write_bytes_atomic(path.as_ref(), &save_model(model))

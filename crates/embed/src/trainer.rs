@@ -27,8 +27,9 @@
 //!
 //! The differential suite in `tests/determinism.rs` locks the contract in.
 
+use crate::optim::Adam;
 use crate::{
-    new_model, CorruptSide, Gradients, KgeModel, LossKind, ModelKind, NegativeSampler, Optimizer,
+    new_model, CorruptSide, Gradients, KgeModel, LossKind, ModelKind, NegativeSampler,
     OptimizerKind, ENTITY_TABLE,
 };
 use kgfd_kg::{KgError, Triple, TripleStore};
@@ -60,7 +61,7 @@ pub struct TrainConfig {
     pub negatives: usize,
     /// Loss function.
     pub loss: LossKind,
-    /// Optimizer (the paper uses Adam throughout).
+    /// Optimizer: Adam, the paper's, with its learning rate.
     pub optimizer: OptimizerKind,
     /// Filter accidentally-true negatives against the training graph.
     pub filter_negatives: bool,
@@ -75,7 +76,8 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Worker threads each mini-batch is split across. Must be at least 1.
     /// Any value yields bit-identical results for a given seed (see the
-    /// module docs); more threads only buy wall-clock speed.
+    /// module docs); more threads only buy wall-clock speed. Defaults to
+    /// [`kgfd_pool::default_threads`].
     pub threads: usize,
 }
 
@@ -104,23 +106,6 @@ impl std::fmt::Display for TrainConfigError {
 impl std::error::Error for TrainConfigError {}
 
 impl TrainConfig {
-    /// The default worker count: the `KGFD_THREADS` environment variable
-    /// when set to a positive integer (the CI matrix pins it to exercise
-    /// both the sequential and parallel paths), otherwise the machine's
-    /// available parallelism capped at 8.
-    pub fn default_threads() -> usize {
-        if let Ok(raw) = std::env::var("KGFD_THREADS") {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|p| p.get().min(8))
-            .unwrap_or(1)
-    }
-
     /// Checks the configuration for values training cannot honour.
     ///
     /// `batch_size = 0` used to be silently clamped to 1 inside the loop;
@@ -153,7 +138,7 @@ impl Default for TrainConfig {
             normalize_entities: false,
             adversarial_temperature: None,
             seed: 0,
-            threads: TrainConfig::default_threads(),
+            threads: kgfd_pool::default_threads(),
         }
     }
 }
@@ -341,7 +326,7 @@ impl<'a> TrainerCore<'a> {
     fn run_epoch(
         &mut self,
         model: &mut dyn KgeModel,
-        optimizer: &mut dyn Optimizer,
+        optimizer: &mut Adam,
         rng: &mut StdRng,
         epoch: usize,
     ) -> f64 {
@@ -553,7 +538,7 @@ pub enum TrainOutcome {
 pub struct TrainSession<'a> {
     core: TrainerCore<'a>,
     model: Box<dyn KgeModel>,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Adam,
     rng: StdRng,
     epochs_done: usize,
     epoch_losses: Vec<f64>,
@@ -654,8 +639,8 @@ impl<'a> TrainSession<'a> {
             core.triples.shuffle(&mut rng);
         }
         let optimizer = match optimizer_state {
-            None => config.optimizer.build(model.params()),
-            Some(state) => config.optimizer.build_with_state(model.params(), state)?,
+            None => Adam::new(config.optimizer, model.params()),
+            Some(state) => Adam::resume(config.optimizer, model.params(), state)?,
         };
         Ok(TrainSession {
             core,
@@ -671,7 +656,7 @@ impl<'a> TrainSession<'a> {
     pub fn run_epoch(&mut self) -> f64 {
         let loss = self.core.run_epoch(
             self.model.as_mut(),
-            self.optimizer.as_mut(),
+            &mut self.optimizer,
             &mut self.rng,
             self.epochs_done,
         );
@@ -707,7 +692,7 @@ impl<'a> TrainSession<'a> {
 
     /// The optimizer's current state snapshot.
     pub fn optimizer_state(&self) -> crate::OptimizerState {
-        self.optimizer.export_state()
+        self.optimizer.state().clone()
     }
 
     /// The epoch-shuffle RNG's current stream position.

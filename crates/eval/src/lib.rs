@@ -4,8 +4,8 @@
 //! §3.3): both-side corruption [`ranking`](rank_triple), raw and *filtered*
 //! settings, mean-tie rank resolution, MRR / Hits@k / mean-rank aggregation,
 //! parallel whole-split evaluation ([`evaluate_ranking`]), per-relation and
-//! popularity-stratified breakdowns, Platt calibration ([`Calibration`]),
-//! validation-driven early stopping and held-out discovery scoring.
+//! popularity-stratified breakdowns, validation-driven early stopping and
+//! held-out discovery scoring.
 //!
 //! ```
 //! use kgfd_datasets::toy_biomedical;
@@ -24,7 +24,6 @@
 #![warn(missing_docs)]
 
 mod batch;
-mod calibration;
 mod heldout;
 mod metrics;
 mod protocol;
@@ -33,21 +32,9 @@ mod selection;
 mod stratified;
 
 pub use batch::{BatchRankStats, BatchRanker};
-pub use calibration::Calibration;
 pub use heldout::{score_against_held_out, HeldOutReport};
 pub use metrics::{hits_at, mean_rank, mrr, RankingSummary};
 pub use protocol::{evaluate_per_relation, evaluate_ranking, rank_all, PerRelationSummary};
 pub use ranking::{rank_triple, rank_with_exclusions, RankScratch, TripleRanks};
 pub use selection::{train_with_early_stopping, EarlyStopping, SelectionStats};
 pub use stratified::{evaluate_stratified, StratifiedSummary};
-
-/// Numerically stable `f64` logistic sigmoid (the link of [`Calibration`]).
-#[inline]
-pub fn sigmoid_f64(x: f64) -> f64 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}

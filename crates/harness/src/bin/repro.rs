@@ -133,7 +133,6 @@ fn main() {
         options.metrics_dir = metrics_dir.clone();
         if let Some(n) = threads {
             options.threads = n;
-            options.train_threads = n;
         }
         run_grid(scale, &options)
     });
@@ -142,7 +141,6 @@ fn main() {
         options.metrics_dir = metrics_dir.clone();
         if let Some(n) = threads {
             options.threads = n;
-            options.train_threads = n;
         }
         run_sweep(scale, &options)
     });

@@ -1,10 +1,8 @@
-//! Experiment-grid vocabulary: datasets × models × strategies, at two scales.
+//! Experiment vocabulary: the paper's four datasets, at two scales.
 
-use fact_discovery::StrategyKind;
 use kgfd_datasets::{
     codexl_like, fb15k237_like, generate, mini, wn18rr_like, yago310_like, DatasetProfile,
 };
-use kgfd_embed::ModelKind;
 use kgfd_kg::Dataset;
 use serde::{Deserialize, Serialize};
 
@@ -87,34 +85,6 @@ impl Scale {
     }
 }
 
-/// One cell of the paper's experimental grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct GridPoint {
-    /// Which dataset.
-    pub dataset: DatasetRef,
-    /// Which KGE model.
-    pub model: ModelKind,
-    /// Which sampling strategy.
-    pub strategy: StrategyKind,
-}
-
-/// The full grid of the paper's §4 (4 datasets × 5 models × 5 strategies).
-pub fn paper_grid() -> Vec<GridPoint> {
-    let mut points = Vec::new();
-    for dataset in DatasetRef::ALL {
-        for model in ModelKind::PAPER_GRID {
-            for strategy in StrategyKind::PAPER_GRID {
-                points.push(GridPoint {
-                    dataset,
-                    model,
-                    strategy,
-                });
-            }
-        }
-    }
-    points
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +93,11 @@ mod tests {
     fn paper_grid_has_100_configurations() {
         // §4.3.1: "four datasets, five embeddings, and five strategies,
         // resulting in a total of 100 experimental configurations".
-        assert_eq!(paper_grid().len(), 100);
+        let grid = crate::GridOptions::for_scale(Scale::Standard);
+        assert_eq!(
+            grid.datasets.len() * grid.models.len() * grid.strategies.len(),
+            100
+        );
     }
 
     #[test]

@@ -73,11 +73,10 @@ pub struct GridOptions {
     pub max_candidates: usize,
     /// Discovery seed.
     pub seed: u64,
-    /// Ranking threads.
+    /// Ranking threads, and training threads for zoo models that miss the
+    /// disk cache. Results are thread-count independent, so this only
+    /// affects wall-clock time.
     pub threads: usize,
-    /// Training threads for zoo models that miss the disk cache. The cache
-    /// is thread-count independent, so this only affects wall-clock time.
-    pub train_threads: usize,
     /// Datasets to include (defaults to all four).
     pub datasets: Vec<DatasetRef>,
     /// Models to include (defaults to the paper's five).
@@ -103,10 +102,7 @@ impl GridOptions {
             top_n,
             max_candidates,
             seed: 7,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get().min(8))
-                .unwrap_or(1),
-            train_threads: kgfd_embed::TrainConfig::default_threads(),
+            threads: kgfd_pool::default_threads(),
             datasets: DatasetRef::ALL.to_vec(),
             models: ModelKind::PAPER_GRID.to_vec(),
             strategies: StrategyKind::PAPER_GRID.to_vec(),
@@ -122,13 +118,11 @@ pub fn run_grid(scale: Scale, options: &GridOptions) -> GridResults {
     // requests are clamped to the pool with a warning event.
     let threads =
         kgfd_pool::resolve_threads(options.threads).expect("grid options: threads must be >= 1");
-    let train_threads = kgfd_pool::resolve_threads(options.train_threads)
-        .expect("grid options: train_threads must be >= 1");
     let mut cells = Vec::new();
     for &dataset in &options.datasets {
         let data = dataset.load(scale);
         for &model_kind in &options.models {
-            let model = trained_model_threaded(dataset, model_kind, scale, &data, train_threads);
+            let model = trained_model_threaded(dataset, model_kind, scale, &data, threads);
             for &strategy in &options.strategies {
                 let _cell = crate::cell_observer(
                     options.metrics_dir.as_deref(),

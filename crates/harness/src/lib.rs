@@ -34,13 +34,11 @@ fn recovery_log_lock() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-pub use experiment::{paper_grid, DatasetRef, GridPoint, Scale};
+pub use experiment::{DatasetRef, Scale};
 pub use experiments_md::render as render_experiments_md;
 pub use grid::{run_grid, GridCell, GridOptions, GridResults};
 pub use output::{cell_observer, results_dir, write_json, TextTable};
 pub use sweep::{
     run_sweep, SweepCell, SweepOptions, SweepResults, MAX_CANDIDATES_VALUES, TOP_N_VALUES,
 };
-pub use zoo::{
-    cache_dir, train_config, trained_model, trained_model_threaded, try_trained_model_threaded,
-};
+pub use zoo::{cache_dir, train_config, trained_model, trained_model_threaded};

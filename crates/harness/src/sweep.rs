@@ -76,10 +76,9 @@ pub struct SweepOptions {
     pub strategies: Vec<StrategyKind>,
     /// Discovery seed.
     pub seed: u64,
-    /// Ranking threads.
+    /// Ranking threads, and training threads for the zoo model when it
+    /// misses the disk cache.
     pub threads: usize,
-    /// Training threads for the zoo model when it misses the disk cache.
-    pub train_threads: usize,
     /// When set, each grid cell writes its structured events (spans,
     /// metrics, manifest) to `<dir>/sweep-<strategy>-mc<MC>-top<N>.jsonl`.
     pub metrics_dir: Option<std::path::PathBuf>,
@@ -100,10 +99,7 @@ impl SweepOptions {
                 StrategyKind::ClusteringTriangles,
             ],
             seed: 11,
-            threads: std::thread::available_parallelism()
-                .map(|p| p.get().min(8))
-                .unwrap_or(1),
-            train_threads: kgfd_embed::TrainConfig::default_threads(),
+            threads: kgfd_pool::default_threads(),
             metrics_dir: None,
         }
     }
@@ -114,11 +110,9 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
     // Central thread policy, shared with the CLI and grid (see kgfd-pool).
     let threads =
         kgfd_pool::resolve_threads(options.threads).expect("sweep options: threads must be >= 1");
-    let train_threads = kgfd_pool::resolve_threads(options.train_threads)
-        .expect("sweep options: train_threads must be >= 1");
     let dataset = DatasetRef::Fb15k237;
     let data = dataset.load(scale);
-    let model = trained_model_threaded(dataset, ModelKind::TransE, scale, &data, train_threads);
+    let model = trained_model_threaded(dataset, ModelKind::TransE, scale, &data, threads);
 
     let mut cells = Vec::new();
     for &strategy in &options.strategies {
@@ -204,7 +198,6 @@ mod tests {
             strategies: vec![StrategyKind::UniformRandom],
             seed: 1,
             threads: 2,
-            train_threads: 1,
             ..SweepOptions::for_scale(Scale::Mini)
         };
         let _log = crate::recovery_log_lock();
@@ -222,7 +215,6 @@ mod tests {
             strategies: vec![StrategyKind::ClusteringTriangles],
             seed: 2,
             threads: 2,
-            train_threads: 1,
             ..SweepOptions::for_scale(Scale::Mini)
         };
         let _log = crate::recovery_log_lock();

@@ -52,7 +52,7 @@ pub fn train_config(dataset: DatasetRef, model: ModelKind, scale: Scale) -> Trai
         normalize_entities,
         adversarial_temperature: None,
         seed: 0xE0_57 ^ (dataset as u64) << 8 ^ (model.name().len() as u64),
-        threads: TrainConfig::default_threads(),
+        threads: kgfd_pool::default_threads(),
     }
 }
 
@@ -148,7 +148,7 @@ fn probe_cache(path: &Path, data: &Dataset) -> CacheProbe {
 /// Returns a trained model for the pair, loading from the disk cache when
 /// possible and training + caching otherwise. `data` must be the dataset
 /// produced by `dataset.load(scale)`. Trains with
-/// [`TrainConfig::default_threads`] workers; the cached parameters are
+/// [`kgfd_pool::default_threads`] workers; the cached parameters are
 /// thread-count independent.
 pub fn trained_model(
     dataset: DatasetRef,
@@ -156,16 +156,16 @@ pub fn trained_model(
     scale: Scale,
     data: &Dataset,
 ) -> Box<dyn KgeModel> {
-    trained_model_threaded(dataset, model, scale, data, TrainConfig::default_threads())
+    trained_model_threaded(dataset, model, scale, data, kgfd_pool::default_threads())
 }
 
 /// [`trained_model`] with an explicit training worker count. The disk cache
 /// is shared with every other thread count — training is deterministic
 /// regardless of `threads`, so cached parameters stay valid.
 ///
-/// A cache-write failure is downgraded to a warning here (training already
-/// succeeded and is reproducible); use [`try_trained_model_threaded`] when
-/// the caller needs the cache to be durable.
+/// Cache probe → recovery → train → atomic cache write. A cache-write
+/// failure is downgraded to a warning (training already succeeded and is
+/// reproducible).
 pub fn trained_model_threaded(
     dataset: DatasetRef,
     model: ModelKind,
@@ -173,48 +173,9 @@ pub fn trained_model_threaded(
     data: &Dataset,
     threads: usize,
 ) -> Box<dyn KgeModel> {
-    let (trained, cache_err) = obtain(dataset, model, scale, data, threads);
-    if let Some(e) = cache_err {
-        kgfd_obs::warn(format!(
-            "zoo: could not cache {}-{}-{}: {e}",
-            dataset.name(),
-            model.name(),
-            scale.name()
-        ));
-    }
-    trained
-}
-
-/// [`trained_model_threaded`] with the cache write error-checked: returns
-/// `Err` when the trained parameters could not be persisted (the model is
-/// lost to future runs), instead of silently degrading to retrain-per-run.
-pub fn try_trained_model_threaded(
-    dataset: DatasetRef,
-    model: ModelKind,
-    scale: Scale,
-    data: &Dataset,
-    threads: usize,
-) -> Result<Box<dyn KgeModel>, KgError> {
-    let (trained, cache_err) = obtain(dataset, model, scale, data, threads);
-    match cache_err {
-        Some(e) => Err(e),
-        None => Ok(trained),
-    }
-}
-
-/// Cache probe → recovery → train → atomic cache write. Returns the model
-/// plus the cache-write error, if any — callers choose whether persistence
-/// failures are fatal.
-fn obtain(
-    dataset: DatasetRef,
-    model: ModelKind,
-    scale: Scale,
-    data: &Dataset,
-    threads: usize,
-) -> (Box<dyn KgeModel>, Option<KgError>) {
     let path = cache_path(dataset, model, scale);
     match probe_cache(&path, data) {
-        CacheProbe::Hit(loaded) => return (loaded, None),
+        CacheProbe::Hit(loaded) => return loaded,
         CacheProbe::Miss | CacheProbe::Evicted => {}
     }
     let mut config = train_config(dataset, model, scale);
@@ -234,8 +195,15 @@ fn obtain(
     // Atomic temp-file + rename write: concurrent trainers of the same pair
     // each produce identical parameters, so whichever rename lands last
     // leaves a valid, complete entry.
-    let cache_err = write_model_file(&path, trained.as_ref()).err();
-    (trained, cache_err)
+    if let Err(e) = write_model_file(&path, trained.as_ref()) {
+        kgfd_obs::warn(format!(
+            "zoo: could not cache {}-{}-{}: {e}",
+            dataset.name(),
+            model.name(),
+            scale.name()
+        ));
+    }
+    trained
 }
 
 /// Trains through a checkpointed [`TrainSession`], resuming any

@@ -38,7 +38,6 @@ fn sweep_results_roundtrip_through_json() {
         strategies: vec![fact_discovery::StrategyKind::UniformRandom],
         seed: 1,
         threads: 2,
-        train_threads: 1,
         ..SweepOptions::for_scale(Scale::Mini)
     };
     let sweep = run_sweep(Scale::Mini, &options);

@@ -11,8 +11,8 @@
 //!   histogram registry and the event stream;
 //! * an **[`Observer`] pipeline** — [`NullObserver`], rate-limited
 //!   [`StderrProgress`], and [`JsonlSink`] (one serde event per line,
-//!   tagged with a run id and monotonic timestamps) — installed with
-//!   [`set_observer`] or temporarily with [`scoped`];
+//!   tagged with a run id and monotonic timestamps) — installed for a
+//!   scope with [`scoped`];
 //! * a **[`RunManifest`]** emitted at the end of every run recording the
 //!   command, configuration, seed, dataset shape, and wall-clock totals.
 //!
@@ -58,9 +58,9 @@ pub use metrics::{
     HistogramSummary, MetricsSnapshot, Registry,
 };
 pub use observer::{
-    clock_us, current_phase, drain_recoveries, emit, error, info, metric, observer, progress,
-    record_recovery, run_id, scoped, set_observer, set_phase, warn, Fanout, JsonlSink,
-    NullObserver, Observer, ScopedObserver, StderrProgress,
+    clock_us, current_phase, drain_recoveries, emit, info, metric, observer, progress,
+    record_recovery, run_id, scoped, set_phase, warn, Fanout, JsonlSink, NullObserver, Observer,
+    ScopedObserver, StderrProgress,
 };
 pub use span::{emit_span_aggregate, Span};
 pub use trace::{

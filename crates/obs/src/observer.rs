@@ -241,7 +241,7 @@ pub fn observer() -> Arc<dyn Observer> {
 }
 
 /// Installs `o` as the process observer, returning the previous one.
-pub fn set_observer(o: Arc<dyn Observer>) -> Arc<dyn Observer> {
+fn set_observer(o: Arc<dyn Observer>) -> Arc<dyn Observer> {
     OBSERVER
         .write()
         .unwrap_or_else(PoisonError::into_inner)
@@ -365,14 +365,6 @@ pub fn info(text: impl Into<String>) {
 pub fn warn(text: impl Into<String>) {
     emit(Payload::Message {
         level: Level::Warn,
-        text: text.into(),
-    });
-}
-
-/// Emits an `Error` message.
-pub fn error(text: impl Into<String>) {
-    emit(Payload::Message {
-        level: Level::Error,
         text: text.into(),
     });
 }

@@ -108,20 +108,33 @@ fn on_pool_worker() -> bool {
 pub fn pool_size() -> usize {
     static SIZE: OnceLock<usize> = OnceLock::new();
     *SIZE.get_or_init(|| {
-        let parse = |name: &str| {
-            std::env::var(name)
-                .ok()
-                .and_then(|raw| raw.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-        };
-        if let Some(n) = parse("KGFD_POOL_SIZE") {
-            return n;
-        }
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        hw.max(parse("KGFD_THREADS").unwrap_or(1))
+        positive_env("KGFD_POOL_SIZE")
+            .unwrap_or_else(|| cores().max(positive_env("KGFD_THREADS").unwrap_or(1)))
     })
+}
+
+/// The default thread count wherever a caller sets none (training,
+/// discovery, evaluation, and the harness grid and sweep):
+/// `KGFD_THREADS` when set to a positive integer, otherwise the machine's
+/// available parallelism capped at 8. Results are identical at any thread
+/// count, so the default only decides scheduling.
+pub fn default_threads() -> usize {
+    positive_env("KGFD_THREADS").unwrap_or_else(|| cores().min(8))
+}
+
+/// The environment variable `name` when it holds a positive integer.
+fn positive_env(name: &str) -> Option<usize> {
+    std::env::var(name)
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+}
+
+/// The machine's available parallelism (1 when it cannot be determined).
+fn cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
 }
 
 /// The one thread-count policy for the whole workspace: rejects `0` with a

@@ -14,7 +14,7 @@
 
 use fact_discovery::{
     compute_weights, discover_facts, AliasSampler, CandidateRules, DiscoveredFact, DiscoveryConfig,
-    Measures, StrategyKind,
+    Measures, StrategyKind, MAX_ITERATIONS,
 };
 use kgfd_datasets::{generate, mini, toy_biomedical, wn18rr_like};
 use kgfd_embed::{train, KgeModel, ModelKind, TrainConfig};
@@ -74,7 +74,7 @@ struct OracleRow {
 /// the streaming engine is checked against. Per relation: draw
 /// `⌊√max_candidates⌋ + 10` entities per side, walk the mesh grid
 /// subject-major while dropping known, duplicate and rule-pruned triples,
-/// and repeat (at most `max_iterations` times) until `max_candidates`
+/// and repeat (at most [`MAX_ITERATIONS`] times) until `max_candidates`
 /// candidates exist; then rank every candidate and keep those within
 /// `top_n`. It shares only the measure tables, the strategy weights, the
 /// alias sampler and the pruning rules with the engine; it ranks with the
@@ -138,7 +138,7 @@ fn discover_facts_materialized(
         // Lines 4–13: sample, mesh-grid, filter seen, append.
         let mut candidates: Vec<Triple> = Vec::new();
         let mut seen = HashSet::new();
-        while candidates.len() < config.max_candidates && row.iterations < config.max_iterations {
+        while candidates.len() < config.max_candidates && row.iterations < MAX_ITERATIONS {
             row.iterations += 1;
             let s_samples: Vec<EntityId> = (0..sample_size)
                 .map(|_| subject_pool.entities[s_sampler.sample(&mut rng)])
@@ -176,11 +176,6 @@ fn discover_facts_materialized(
             let rank = rank_triple(model, t, Some(&known), &mut scratch).mean();
             if rank > config.top_n as f64 {
                 continue;
-            }
-            if let Some((calibration, threshold)) = &config.min_probability {
-                if calibration.probability(model.score(t)) <= *threshold {
-                    continue;
-                }
             }
             facts.push(DiscoveredFact { triple: t, rank });
             row.facts += 1;
