@@ -20,7 +20,7 @@
 
 use crate::streaming::{CandidateStream, TopKFacts};
 use crate::{
-    cached_measures, CandidateRules, DiscoveredFact, DiscoveryReport, Measures, RelationBreakdown,
+    measures, CandidateRules, DiscoveredFact, DiscoveryReport, Measures, RelationBreakdown,
     StrategyKind,
 };
 use kgfd_embed::KgeModel;
@@ -61,8 +61,10 @@ pub struct DiscoveryConfig {
     pub prune_with_rules: bool,
     /// Sampling seed; runs are deterministic given it.
     pub seed: u64,
-    /// Worker threads for candidate ranking. Defaults to
-    /// [`kgfd_pool::default_threads`].
+    /// Worker threads for the relation fan-out and candidate ranking, and
+    /// for the square-clustering table's build when this run is the
+    /// store's first lookup of it (every other measure table builds on the
+    /// calling thread). Defaults to [`kgfd_pool::default_threads`].
     pub threads: usize,
     /// Candidates scored per streaming batch — the engine's working-set
     /// bound. Behaviourally invisible: facts and ranks are bit-identical at
@@ -169,7 +171,7 @@ pub fn try_discover_facts(
         "discover.preparation",
         strategy = config.strategy.to_string()
     );
-    let measures = cached_measures(config.strategy, store);
+    let measures = measures::lookup(config.strategy, store, config.threads);
     let known = store.known();
     let rules = config
         .prune_with_rules

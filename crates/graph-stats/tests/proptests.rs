@@ -44,7 +44,66 @@ fn triangles_hashset(adj: &UndirectedAdjacency) -> Vec<u64> {
     counts
 }
 
+/// A transcription of `networkx.square_clustering` on hash sets, over the
+/// store's simple undirected projection (self-loops dropped), built from the
+/// triples rather than from `UndirectedAdjacency`:
+///
+/// ```python
+/// for u, w in combinations(G[v], 2):
+///     squares = len((set(G[u]) & set(G[w])) - {v})
+///     clustering[v] += squares
+///     degm = squares + 1
+///     if w in G[u]:
+///         degm += 1
+///     potential += (len(G[u]) - degm) + (len(G[w]) - degm) + squares
+/// if potential > 0:
+///     clustering[v] /= potential
+/// ```
+///
+/// The sums are integers, so one division gives the same bits as the
+/// kernel's f64 accumulation.
+fn square_clustering_networkx(store: &TripleStore) -> Vec<f64> {
+    let n = store.num_entities();
+    let mut graph: Vec<HashSet<u32>> = vec![HashSet::new(); n];
+    for t in store.triples() {
+        if t.subject != t.object {
+            graph[t.subject.index()].insert(t.object.0);
+            graph[t.object.index()].insert(t.subject.0);
+        }
+    }
+    (0..n)
+        .map(|v| {
+            let neighbors: Vec<u32> = graph[v].iter().copied().collect();
+            let (mut clustering, mut potential) = (0i64, 0i64);
+            for (i, &u) in neighbors.iter().enumerate() {
+                for &w in &neighbors[i + 1..] {
+                    let (gu, gw) = (&graph[u as usize], &graph[w as usize]);
+                    let squares = gu.intersection(gw).filter(|&&x| x as usize != v).count() as i64;
+                    clustering += squares;
+                    let degm = squares + 1 + i64::from(gu.contains(&w));
+                    potential += (gu.len() as i64 - degm) + (gw.len() as i64 - degm) + squares;
+                }
+            }
+            if potential > 0 {
+                clustering as f64 / potential as f64
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn square_clustering_matches_networkx_bit_for_bit(store in arb_store()) {
+        let adj = UndirectedAdjacency::from_store(&store);
+        let bits = |values: Vec<f64>| values.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(square_clustering_coefficients(&adj)),
+            bits(square_clustering_networkx(&store))
+        );
+    }
+
     #[test]
     fn triangle_counts_match_the_hashset_reference(store in arb_store()) {
         let adj = UndirectedAdjacency::from_store(&store);

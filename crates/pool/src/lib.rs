@@ -130,11 +130,16 @@ fn positive_env(name: &str) -> Option<usize> {
         .filter(|&n| n >= 1)
 }
 
-/// The machine's available parallelism (1 when it cannot be determined).
+/// The machine's available parallelism (1 when it cannot be determined),
+/// read once per process: on Linux each read parses cgroup files, about
+/// 20 µs, and every `DiscoveryConfig::default()` asks for it.
 fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
 }
 
 /// The one thread-count policy for the whole workspace: rejects `0` with a

@@ -5,9 +5,10 @@
 //! reference for 4 and 8 pooled threads.
 
 use fact_discovery::{discover_facts, DiscoveryConfig, StrategyKind};
-use kgfd_datasets::{generate, mini, wn18rr_like};
+use kgfd_datasets::{fb15k237_like, generate, mini, wn18rr_like};
 use kgfd_embed::{load_model, save_model, train, ModelKind, TrainConfig};
 use kgfd_eval::evaluate_ranking;
+use kgfd_kg::NodeMeasure;
 
 fn pipeline_facts(seed: u64) -> Vec<(u32, u32, u32, f64)> {
     let data = generate(&mini(&wn18rr_like())).unwrap();
@@ -203,6 +204,59 @@ fn thread_count_does_not_change_results() {
         .facts
     };
     assert_eq!(run(1), run(8));
+}
+
+/// Square clustering is the one measure table whose build spreads over the
+/// discovery thread budget: its nodes are split into ranges of equal
+/// estimated work, one pool job each. On standard FB the hubs sit at low
+/// ids, so the ranges differ widely in length. The table's bits and the
+/// facts must match the serial build at 4 and 8 threads. Each thread count
+/// gets a freshly generated store: a second lookup on one store would reuse
+/// the first run's table instead of building it.
+#[test]
+fn square_clustering_build_is_thread_count_invariant() {
+    let (model, _) = train(
+        ModelKind::TransE,
+        &generate(&fb15k237_like()).unwrap().train,
+        &TrainConfig {
+            dim: 16,
+            epochs: 1,
+            seed: 5,
+            ..TrainConfig::default()
+        },
+    );
+    let run = |threads: usize| {
+        let data = generate(&fb15k237_like()).unwrap();
+        let facts = discover_facts(
+            model.as_ref(),
+            &data.train,
+            &DiscoveryConfig {
+                strategy: StrategyKind::ClusteringSquares,
+                top_n: 50,
+                max_candidates: 100,
+                seed: 5,
+                threads,
+                ..DiscoveryConfig::default()
+            },
+        )
+        .facts;
+        let table: Vec<u64> = data
+            .train
+            .built_node_measure(NodeMeasure::SquareClustering)
+            .expect("the discovery run built the table")
+            .iter()
+            .map(|c| c.to_bits())
+            .collect();
+        (table, facts)
+    };
+    let serial = run(1);
+    assert!(!serial.1.is_empty(), "the serial run discovered no facts");
+    for threads in [4usize, 8] {
+        assert!(
+            serial == run(threads),
+            "square clustering diverges between 1 and {threads} threads"
+        );
+    }
 }
 
 /// The differential contract of the parallel discovery loop: with the outer
