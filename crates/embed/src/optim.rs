@@ -4,8 +4,14 @@
 //! tables mirror the parameter tables; only the rows present in a batch's
 //! [`Gradients`] are updated, which is the standard "sparse Adam"
 //! arrangement for embeddings.
+//!
+//! [`Adam::step`] walks the gradient slab once, in its first-touch order,
+//! and renormalizes a TransE entity row right after updating it. Each row's
+//! update reads and writes only that row's parameters and moments, so the
+//! visiting order cannot change a result: the same rows, updated in any
+//! order, hold the same bits.
 
-use crate::{Gradients, ParamTable, Parameters};
+use crate::{Gradients, ParamTable, Parameters, ENTITY_TABLE};
 use kgfd_kg::KgError;
 use serde::{Deserialize, Serialize};
 
@@ -80,8 +86,15 @@ impl Adam {
         Ok(Adam { lr, state })
     }
 
-    /// Applies one update for the accumulated batch gradients.
-    pub(crate) fn step(&mut self, params: &mut Parameters, grads: &Gradients) {
+    /// Applies one update for the accumulated batch gradients. With
+    /// `normalize_entities`, every updated entity row is then scaled back
+    /// to unit L2 norm (the TransE constraint).
+    pub(crate) fn step(
+        &mut self,
+        params: &mut Parameters,
+        grads: &Gradients,
+        normalize_entities: bool,
+    ) {
         let state = &mut self.state;
         state.t += 1;
         let bc1 = 1.0 - BETA1.powi(state.t as i32);
@@ -96,6 +109,9 @@ impl Adam {
                 let m_hat = *mi / bc1;
                 let v_hat = *vi / bc2;
                 *pi -= self.lr * m_hat / (v_hat.sqrt() + EPS);
+            }
+            if normalize_entities && table == ENTITY_TABLE {
+                crate::math::normalize_l2(p);
             }
         }
     }
@@ -148,7 +164,7 @@ mod tests {
         let mut opt = Adam::new(KIND, &params);
         for _ in 0..500 {
             let g = quadratic_grad(&params);
-            opt.step(&mut params, &g);
+            opt.step(&mut params, &g, false);
         }
         let x = params.table(0).row(0);
         assert!(x.iter().all(|v| v.abs() < 1e-2), "{x:?}");
@@ -161,7 +177,7 @@ mod tests {
         let mut opt = Adam::new(KIND, &params);
         let mut g = Gradients::new();
         g.add(0, 0, &[1.0, 1.0], 1.0);
-        opt.step(&mut params, &g);
+        opt.step(&mut params, &g, false);
         assert_eq!(params.table(0).row(1), &[5.0, 5.0]);
         assert_ne!(params.table(0).row(0), &[1.0, 1.0]);
     }
@@ -175,21 +191,21 @@ mod tests {
         let mut opt = Adam::new(KIND, &params);
         for _ in 0..7 {
             let g = quadratic_grad(&params);
-            opt.step(&mut params, &g);
+            opt.step(&mut params, &g, false);
         }
         let snapshot = opt.state().clone();
         let params_snapshot = params.clone();
 
         for _ in 0..7 {
             let g = quadratic_grad(&params);
-            opt.step(&mut params, &g);
+            opt.step(&mut params, &g, false);
         }
 
         let mut resumed_params = params_snapshot;
         let mut resumed = Adam::resume(KIND, &resumed_params, snapshot).unwrap();
         for _ in 0..7 {
             let g = quadratic_grad(&resumed_params);
-            resumed.step(&mut resumed_params, &g);
+            resumed.step(&mut resumed_params, &g, false);
         }
         assert_eq!(
             params.table(0).data(),

@@ -6,8 +6,20 @@
 //! add more tables. Gradients are accumulated sparsely per `(table, row)` so
 //! an optimizer only touches the rows a batch actually used — the standard
 //! "sparse Adam" arrangement for embedding models.
+//!
+//! [`Gradients`] keeps those rows in one slab: the touched rows sit back to
+//! back in a single `Vec<f32>`, in the order of their first touch, and an
+//! FxHash index maps `(table, row)` to its slot. [`Gradients::clear`] only
+//! resets lengths, so a buffer reused batch after batch stops allocating
+//! once it has seen its largest batch.
+//!
+//! Iteration order cannot change results. The shard reduction, Adam and the
+//! TransE renormalization each compute a row's new values from that row
+//! alone, so the order in which rows are visited never enters a result.
+//! Only the order of the contributions *within* a row does, and the backward
+//! passes and the ascending-shard reduction fix that.
 
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 
 /// A dense row-major matrix of `f32` parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,10 +127,32 @@ impl Parameters {
     }
 }
 
-/// Sparse gradient accumulator keyed by `(table, row)`.
+/// Sparse gradient accumulator keyed by `(table, row)`: one flat slab of
+/// rows in first-touch order (see the module docs).
 #[derive(Debug, Default)]
 pub struct Gradients {
-    grads: HashMap<(usize, usize), Vec<f32>>,
+    /// `(table, row)` → index into `slots`.
+    index: FxHashMap<(usize, usize), usize>,
+    /// The touched rows in first-touch order.
+    slots: Vec<Slot>,
+    /// Every touched row's gradient, back to back in `slots` order.
+    data: Vec<f32>,
+}
+
+/// Where one touched row's gradient lives in [`Gradients::data`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    table: usize,
+    row: usize,
+    start: usize,
+    width: usize,
+}
+
+impl Slot {
+    #[inline]
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.width
+    }
 }
 
 impl Gradients {
@@ -129,54 +163,70 @@ impl Gradients {
 
     /// Accumulates `alpha * grad` into the gradient of `(table, row)`.
     pub fn add(&mut self, table: usize, row: usize, grad: &[f32], alpha: f32) {
-        let slot = self
-            .grads
-            .entry((table, row))
-            .or_insert_with(|| vec![0.0; grad.len()]);
+        let slot = self.slot(table, row, grad.len());
         debug_assert_eq!(slot.len(), grad.len());
         crate::math::add_scaled(slot, grad, alpha);
     }
 
     /// Mutable access to the gradient of `(table, row)`, creating a zeroed
-    /// buffer of width `width` on first touch. Lets backward passes write
+    /// row of width `width` on first touch. Lets backward passes write
     /// in place instead of allocating temporaries.
     pub fn slot(&mut self, table: usize, row: usize, width: usize) -> &mut [f32] {
-        self.grads
-            .entry((table, row))
-            .or_insert_with(|| vec![0.0; width])
+        let next = self.slots.len();
+        let i = *self.index.entry((table, row)).or_insert(next);
+        if i == next {
+            let start = self.data.len();
+            self.data.resize(start + width, 0.0);
+            self.slots.push(Slot {
+                table,
+                row,
+                start,
+                width,
+            });
+        }
+        let range = self.slots[i].range();
+        &mut self.data[range]
     }
 
     /// The gradient of `(table, row)` if touched.
     pub fn get(&self, table: usize, row: usize) -> Option<&[f32]> {
-        self.grads.get(&(table, row)).map(Vec::as_slice)
+        let &i = self.index.get(&(table, row))?;
+        Some(&self.data[self.slots[i].range()])
     }
 
-    /// Iterates over all touched `(table, row)` gradients.
+    /// Iterates over all touched `(table, row)` gradients, in first-touch
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &[f32])> {
-        self.grads.iter().map(|(&(t, r), g)| (t, r, g.as_slice()))
+        self.slots
+            .iter()
+            .map(|s| (s.table, s.row, &self.data[s.range()]))
     }
 
     /// Number of touched rows.
     pub fn len(&self) -> usize {
-        self.grads.len()
+        self.slots.len()
     }
 
     /// `true` if nothing was accumulated.
     pub fn is_empty(&self) -> bool {
-        self.grads.is_empty()
+        self.slots.is_empty()
     }
 
     /// Clears all accumulated gradients, keeping allocations.
     pub fn clear(&mut self) {
-        self.grads.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.data.clear();
     }
 
     /// Accumulates every gradient of `other` into `self`.
     ///
-    /// Bit-exact: a row absent from `self` is copied (`0 + x = x` and
-    /// `x * 1.0 = x` hold exactly in IEEE-754), and rows are independent, so
-    /// calling this once per shard buffer in ascending shard order
-    /// reproduces the float-addition order of a sequential pass.
+    /// A row absent from `self` starts from zeros, exactly as a row a
+    /// backward pass touches first, so a merged row is `0 + 1·x`: that is
+    /// `x`, except that `−0.0` becomes `+0.0`, which no Adam update can tell
+    /// apart. Rows are independent, so calling this once per shard buffer
+    /// in ascending shard order reproduces the float-addition order of a
+    /// sequential pass.
     pub fn merge_from(&mut self, other: &Gradients) {
         for (table, row, grad) in other.iter() {
             self.add(table, row, grad, 1.0);

@@ -30,7 +30,7 @@
 use crate::optim::Adam;
 use crate::{
     new_model, CorruptSide, Gradients, KgeModel, LossKind, ModelKind, NegativeSampler,
-    OptimizerKind, ENTITY_TABLE,
+    OptimizerKind,
 };
 use kgfd_kg::{KgError, Triple, TripleStore};
 use rand::rngs::StdRng;
@@ -203,12 +203,17 @@ pub fn train(
 }
 
 /// Per-shard accumulation buffers; workers never share these, and the main
-/// thread reduces them in ascending shard order.
+/// thread reduces them in ascending shard order. The per-positive buffers
+/// (negatives, their scores and weights) live here too, so a shard
+/// allocates nothing once its buffers have grown to their largest batch.
 struct ShardOutput {
     grads: Gradients,
     loss_sum: f64,
     pairs: u64,
     sampling: Duration,
+    negatives: Vec<Triple>,
+    scores: Vec<f32>,
+    weights: Vec<f32>,
 }
 
 impl ShardOutput {
@@ -218,6 +223,9 @@ impl ShardOutput {
             loss_sum: 0.0,
             pairs: 0,
             sampling: Duration::ZERO,
+            negatives: Vec::new(),
+            scores: Vec::new(),
+            weights: Vec::new(),
         }
     }
 
@@ -242,30 +250,38 @@ fn process_shard(
     config: &TrainConfig,
     out: &mut ShardOutput,
 ) {
+    let ShardOutput {
+        grads,
+        loss_sum,
+        pairs,
+        sampling,
+        negatives,
+        scores,
+        weights,
+    } = out;
     for &pos in shard {
         let f_pos = model.score(pos);
         // Negatives are drawn before scoring (rather than interleaved)
         // so the sampling cost is measurable on its own; the RNG
         // stream is identical either way.
         let sample_start = Instant::now();
-        let neg_triples: Vec<Triple> = (0..config.negatives)
-            .map(|_| sampler.corrupt(pos, corrupt_side, filter, &mut rng))
-            .collect();
-        out.sampling += sample_start.elapsed();
-        let negs: Vec<(Triple, f32)> = neg_triples
-            .into_iter()
-            .map(|neg| (neg, model.score(neg)))
-            .collect();
-        let weights = negative_weights(&negs, config.adversarial_temperature);
-        for (&(neg, f_neg), &w) in negs.iter().zip(&weights) {
+        negatives.clear();
+        negatives.extend(
+            (0..config.negatives).map(|_| sampler.corrupt(pos, corrupt_side, filter, &mut rng)),
+        );
+        *sampling += sample_start.elapsed();
+        scores.clear();
+        scores.extend(negatives.iter().map(|&neg| model.score(neg)));
+        negative_weights(scores, config.adversarial_temperature, weights);
+        for ((&neg, &f_neg), &w) in negatives.iter().zip(scores.iter()).zip(weights.iter()) {
             let pair = config.loss.pair(f_pos, f_neg);
-            out.loss_sum += (w * pair.value) as f64;
-            out.pairs += 1;
+            *loss_sum += (w * pair.value) as f64;
+            *pairs += 1;
             if pair.d_pos != 0.0 {
-                model.backward(pos, w * pair.d_pos, &mut out.grads);
+                model.backward(pos, w * pair.d_pos, grads);
             }
             if pair.d_neg != 0.0 {
-                model.backward(neg, w * pair.d_neg, &mut out.grads);
+                model.backward(neg, w * pair.d_neg, grads);
             }
         }
     }
@@ -287,7 +303,7 @@ struct TrainerCore<'a> {
     corrupt_side: CorruptSide,
     sampler: NegativeSampler,
     /// Shard buffers and the batch accumulator outlive the epoch loop so
-    /// the HashMap allocations are reused across batches.
+    /// their slabs are reused across batches.
     outputs: Vec<ShardOutput>,
     grads: Gradients,
 }
@@ -415,22 +431,7 @@ impl<'a> TrainerCore<'a> {
             if grads.is_empty() {
                 continue;
             }
-            let touched: Vec<usize> = if config.normalize_entities {
-                grads
-                    .iter()
-                    .filter(|(table, _, _)| *table == ENTITY_TABLE)
-                    .map(|(_, row, _)| row)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            optimizer.step(model.params_mut(), grads);
-            if config.normalize_entities {
-                let table = model.params_mut().table_mut(ENTITY_TABLE);
-                for row in touched {
-                    crate::math::normalize_l2(table.row_mut(row));
-                }
-            }
+            optimizer.step(model.params_mut(), grads, config.normalize_entities);
         }
         let mean_loss = if pairs == 0 {
             0.0
@@ -717,21 +718,25 @@ impl<'a> TrainSession<'a> {
     }
 }
 
-/// Per-negative loss weights: uniform 1.0, or `k · softmax(α · f(neg))`
-/// under self-adversarial sampling (scaled by `k` so the total gradient
-/// magnitude stays comparable to the uniform setting).
-fn negative_weights(negs: &[(Triple, f32)], temperature: Option<f32>) -> Vec<f32> {
+/// Per-negative loss weights, written into `weights`: uniform 1.0, or
+/// `k · softmax(α · f(neg))` under self-adversarial sampling (scaled by `k`
+/// so the total gradient magnitude stays comparable to the uniform
+/// setting).
+fn negative_weights(scores: &[f32], temperature: Option<f32>, weights: &mut Vec<f32>) {
+    weights.clear();
     match temperature {
-        None => vec![1.0; negs.len()],
+        None => weights.resize(scores.len(), 1.0),
         Some(alpha) => {
-            let max = negs
+            let max = scores
                 .iter()
-                .map(|&(_, f)| alpha * f)
+                .map(|&f| alpha * f)
                 .fold(f32::NEG_INFINITY, f32::max);
-            let exps: Vec<f32> = negs.iter().map(|&(_, f)| (alpha * f - max).exp()).collect();
-            let sum: f32 = exps.iter().sum();
-            let k = negs.len() as f32;
-            exps.into_iter().map(|e| k * e / sum).collect()
+            weights.extend(scores.iter().map(|&f| (alpha * f - max).exp()));
+            let sum: f32 = weights.iter().sum();
+            let k = scores.len() as f32;
+            for w in weights.iter_mut() {
+                *w = k * *w / sum;
+            }
         }
     }
 }
@@ -739,6 +744,7 @@ fn negative_weights(negs: &[(Triple, f32)], temperature: Option<f32>) -> Vec<f32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ENTITY_TABLE;
     use kgfd_datasets::toy_biomedical;
 
     fn quick_config() -> TrainConfig {
@@ -943,19 +949,17 @@ mod tests {
 
     #[test]
     fn adversarial_weights_emphasize_hard_negatives() {
-        let negs = vec![
-            (Triple::new(0u32, 0u32, 1u32), 5.0f32),
-            (Triple::new(0u32, 0u32, 2u32), -5.0),
-        ];
-        let w = negative_weights(&negs, Some(1.0));
+        let scores = [5.0f32, -5.0];
+        let mut w = Vec::new();
+        negative_weights(&scores, Some(1.0), &mut w);
         assert!(w[0] > 1.9, "high-scoring negative dominates: {w:?}");
         assert!(w[1] < 0.1);
         assert!(
             (w.iter().sum::<f32>() - 2.0).abs() < 1e-5,
             "weights sum to k"
         );
-        let uniform = negative_weights(&negs, None);
-        assert_eq!(uniform, vec![1.0, 1.0]);
+        negative_weights(&scores, None, &mut w);
+        assert_eq!(w, vec![1.0, 1.0]);
     }
 
     #[test]

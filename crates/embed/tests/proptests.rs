@@ -11,6 +11,7 @@ use kgfd_kg::{EntityId, RelationId, Triple, TripleStore};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 const N: usize = 7;
 const K: usize = 3;
@@ -221,5 +222,166 @@ proptest! {
         }
         // And the same coordinates reproduce the same prefix.
         prop_assert_eq!(draw(a), xs);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The gradient slab against the map it replaced
+// ---------------------------------------------------------------------------
+
+/// Row width of each table: embedding rows, a one-wide bias-like table and
+/// a RESCAL-style flattened matrix.
+const SLAB_WIDTHS: [usize; 3] = [4, 1, 9];
+
+/// One accumulator operation. `kind` picks the operation and the target
+/// (the batch accumulator or a shard buffer); `values` are turned into a
+/// gradient row, with `−0.0` standing in for small values so the sign of
+/// zero is exercised.
+type SlabOp = (u8, usize, usize, Vec<f32>, f32);
+
+fn arb_slab_ops() -> impl Strategy<Value = Vec<SlabOp>> {
+    proptest::collection::vec(
+        (
+            0u8..7,
+            0..SLAB_WIDTHS.len(),
+            0usize..6,
+            proptest::collection::vec(-4.0f32..4.0, 9..10),
+            -2.0f32..2.0,
+        ),
+        0..80,
+    )
+}
+
+/// The accumulator `Gradients` was before the slab: one heap row per key,
+/// a fresh row starting from zeros.
+type MapGrads = HashMap<(usize, usize), Vec<f32>>;
+
+fn gradient_row(values: &[f32], width: usize) -> Vec<f32> {
+    values[..width]
+        .iter()
+        .map(|&v| if v.abs() < 0.5 { -0.0 } else { v })
+        .collect()
+}
+
+fn map_slot(map: &mut MapGrads, table: usize, row: usize, width: usize) -> &mut Vec<f32> {
+    map.entry((table, row)).or_insert_with(|| vec![0.0; width])
+}
+
+fn map_add(map: &mut MapGrads, table: usize, row: usize, grad: &[f32], alpha: f32) {
+    let slot = map_slot(map, table, row, grad.len());
+    for (o, v) in slot.iter_mut().zip(grad) {
+        *o += alpha * v;
+    }
+}
+
+/// An in-place write through `slot`, the way RESCAL and ConvE backward
+/// passes fill a row without a temporary. Unlike `add`, it can leave
+/// `−0.0` in a row (`−0.0 − 0.0 = −0.0`), so a merge that copied a fresh
+/// row instead of adding it to zeros would show.
+fn write_in_place(slot: &mut [f32], grad: &[f32], alpha: f32) {
+    for (o, v) in slot.iter_mut().zip(grad) {
+        *o = alpha * v - *o;
+    }
+}
+
+/// A slab and its map reference, fed the same operations.
+#[derive(Default)]
+struct Twin {
+    slab: Gradients,
+    map: MapGrads,
+}
+
+impl Twin {
+    fn clear(&mut self) {
+        self.slab.clear();
+        self.map.clear();
+    }
+}
+
+/// Applies `ops` to a batch accumulator and a shard buffer. Kinds 0–3 add
+/// or write in place into the batch (even) or the shard (odd); 4 merges
+/// the shard into the batch; 5 clears the shard and 6 the batch.
+fn apply_slab_ops(ops: &[SlabOp], batch: &mut Twin, shard: &mut Twin) {
+    for &(kind, table, row, ref values, alpha) in ops {
+        let grad = gradient_row(values, SLAB_WIDTHS[table]);
+        match kind {
+            0..=3 => {
+                let twin = if kind % 2 == 0 {
+                    &mut *batch
+                } else {
+                    &mut *shard
+                };
+                if kind < 2 {
+                    twin.slab.add(table, row, &grad, alpha);
+                    map_add(&mut twin.map, table, row, &grad, alpha);
+                } else {
+                    write_in_place(twin.slab.slot(table, row, grad.len()), &grad, alpha);
+                    let map_row = map_slot(&mut twin.map, table, row, grad.len());
+                    write_in_place(map_row, &grad, alpha);
+                }
+            }
+            4 => {
+                batch.slab.merge_from(&shard.slab);
+                for (&(t, r), g) in &shard.map {
+                    map_add(&mut batch.map, t, r, g, 1.0);
+                }
+            }
+            5 => shard.clear(),
+            _ => batch.clear(),
+        }
+    }
+}
+
+fn bits(row: &[f32]) -> Vec<u32> {
+    row.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The slab holds exactly the map's rows, bit for bit, and `iter` yields
+/// each of them once.
+fn check_twin(twin: &Twin) -> Result<(), TestCaseError> {
+    let (slab, map) = (&twin.slab, &twin.map);
+    prop_assert_eq!(slab.len(), map.len());
+    prop_assert_eq!(slab.is_empty(), map.is_empty());
+    let mut seen = std::collections::HashSet::new();
+    for (table, row, grad) in slab.iter() {
+        prop_assert!(seen.insert((table, row)), "({table}, {row}) yielded twice");
+        let expected = map.get(&(table, row)).map(|g| bits(g));
+        prop_assert_eq!(Some(bits(grad)), expected);
+        prop_assert_eq!(slab.get(table, row).map(bits), Some(bits(grad)));
+    }
+    Ok(())
+}
+
+fn slab_rows(slab: &Gradients) -> Vec<(usize, usize, Vec<u32>)> {
+    slab.iter().map(|(t, r, g)| (t, r, bits(g))).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random `add` / `slot` / `merge_from` / `clear` sequences over rows
+    /// of mixed widths leave the slab bit-equal to the hash-map
+    /// accumulator it replaced, and a cleared, reused slab behaves exactly
+    /// like a fresh one (same rows, same bits, same first-touch order).
+    #[test]
+    fn gradient_slab_matches_the_map_accumulator(
+        first in arb_slab_ops(),
+        second in arb_slab_ops(),
+    ) {
+        let (mut batch, mut shard) = (Twin::default(), Twin::default());
+        apply_slab_ops(&first, &mut batch, &mut shard);
+        check_twin(&batch)?;
+        check_twin(&shard)?;
+
+        batch.clear();
+        shard.clear();
+        prop_assert!(batch.slab.iter().next().is_none() && batch.slab.get(0, 0).is_none());
+        let (mut fresh_batch, mut fresh_shard) = (Twin::default(), Twin::default());
+        apply_slab_ops(&second, &mut batch, &mut shard);
+        apply_slab_ops(&second, &mut fresh_batch, &mut fresh_shard);
+        check_twin(&batch)?;
+        check_twin(&shard)?;
+        prop_assert_eq!(slab_rows(&batch.slab), slab_rows(&fresh_batch.slab));
+        prop_assert_eq!(slab_rows(&shard.slab), slab_rows(&fresh_shard.slab));
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Layout: triples are kept sorted by `(relation, subject, object)` with a
 //! CSR-style offset table over relations, so "all triples of relation r" is a
-//! contiguous slice. Membership is a hash set; per-relation unique
-//! subject/object lists and per-side frequency counts are precomputed because
-//! the sampling strategies of the paper (Section 3.1.2) consume them directly.
+//! contiguous slice. Membership is an FxHash set, which filtered negative
+//! sampling probes once per negative; stores are built only from
+//! operator-supplied files and generated data, so hash flooding is not a
+//! concern. Per-relation unique subject/object lists and per-side frequency
+//! counts are precomputed because the sampling strategies of the paper
+//! (Section 3.1.2) consume them directly.
 //! Tables derived from the whole graph follow one rule: each is built by
 //! its first use, at most once per store, and freed with the store. They
 //! are the filtered-ranking index ([`TripleStore::known`]) and the
@@ -12,7 +15,7 @@
 //! ([`TripleStore::node_measure`]).
 
 use crate::{EntityId, KgError, KnownTriples, RelationId, Result, Side, Triple};
-use std::collections::HashSet;
+use fxhash::FxHashSet;
 use std::sync::{Arc, OnceLock};
 
 /// A graph-global per-entity measure, one table per store (see
@@ -68,7 +71,7 @@ pub struct TripleStore {
     triples: Vec<Triple>,
     /// `relation_offsets[r]..relation_offsets[r+1]` delimits relation `r`'s slice.
     relation_offsets: Vec<usize>,
-    membership: HashSet<Triple>,
+    membership: FxHashSet<Triple>,
     /// Per-relation subject-side index.
     subjects: Vec<SideIndex>,
     /// Per-relation object-side index.
@@ -103,7 +106,7 @@ impl TripleStore {
         triples.sort_unstable();
         triples.dedup();
 
-        let membership: HashSet<Triple> = triples.iter().copied().collect();
+        let membership: FxHashSet<Triple> = triples.iter().copied().collect();
 
         let mut relation_offsets = Vec::with_capacity(num_relations + 1);
         relation_offsets.push(0);
