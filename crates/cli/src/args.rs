@@ -11,7 +11,8 @@ pub struct Args {
     flags: Vec<String>,
 }
 
-/// Parse errors with the offending token.
+/// Command-line mistakes, with the offending token. `kgfd` exits 2 on any
+/// of them (see [`crate::exit_code`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
     /// `--key` given twice.
@@ -29,6 +30,14 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
+    /// A name outside a fixed set: a subcommand, or the value of an option
+    /// such as `--model` or `--strategy`.
+    Unknown {
+        /// What the name names (`command`, `model`, `strategy`, ...).
+        what: &'static str,
+        /// The name given.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -42,6 +51,7 @@ impl std::fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "--{key} {value:?}: expected {expected}"),
+            ArgError::Unknown { what, name } => write!(f, "unknown {what} {name:?}"),
         }
     }
 }
@@ -103,14 +113,24 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::Invalid {
-                key: key.into(),
-                value: raw.into(),
-                expected,
-            }),
-        }
+        Ok(self.parse_opt(key, expected)?.unwrap_or(default))
+    }
+
+    /// Parses `--key` as `T` when present.
+    pub fn parse_opt<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|raw| {
+                raw.parse().map_err(|_| ArgError::Invalid {
+                    key: key.into(),
+                    value: raw.into(),
+                    expected,
+                })
+            })
+            .transpose()
     }
 }
 

@@ -4,20 +4,16 @@
 use crate::args::{ArgError, Args};
 use fact_discovery::{try_discover_facts, DiscoveryConfig, StrategyKind};
 use kgfd_datasets::{
-    codexl_like, fb15k237_like, find_inverse_pairs, generate, mini, toy_biomedical, wn18rr_like,
-    yago310_like,
+    codexl_like, fb15k237_like, generate, mini, toy_biomedical, wn18rr_like, yago310_like,
 };
 use kgfd_embed::{
     checkpoint_paths, read_model_file, resume_latest, write_model_file, CheckpointPolicy, KgeModel,
     LossKind, ModelKind, OptimizerKind, ResumeReport, StopSignal, TrainConfig, TrainOutcome,
     TrainSession,
 };
-use kgfd_eval::{
-    evaluate_per_relation, evaluate_ranking, train_with_early_stopping, EarlyStopping,
-};
+use kgfd_eval::{evaluate_per_relation, evaluate_ranking};
 use kgfd_graph_stats::{
-    connected_components, global_transitivity, local_triangle_counts, GraphSummary,
-    UndirectedAdjacency,
+    global_transitivity, local_triangle_counts, GraphSummary, UndirectedAdjacency,
 };
 use kgfd_kg::{
     read_triples_tsv, write_triples_tsv, Dataset, KgError, Triple, TripleStore, Vocabulary,
@@ -40,14 +36,14 @@ COMMANDS:
   generate  --profile <fb15k237|wn18rr|yago310|codexl|toy> --out <DIR>
             [--scale <mini|standard>]
             write a synthetic dataset as train/valid/test TSV
-  stats     --train <TSV>
-            structural statistics of a graph (density, triangles, components)
+  stats     --train <TSV> [--json]
+            structural statistics of a graph (density, triangles)
   train     --train <TSV> --out <FILE>
             --model <transe|distmult|complex|rescal|hole|conve>
             [--dim 32] [--epochs 30] [--lr 0.01] [--loss <margin|bce>]
             [--negatives 4] [--adversarial <TEMP>] [--seed 0]
-            [--threads <N>] [--valid <TSV> --early-stop]
-            [--checkpoint-every <N>] [--resume] [--deadline <SECS>]
+            [--threads <N>] [--checkpoint-every <N>] [--resume]
+            [--deadline <SECS>]
             train an embedding model and save it; --threads splits each
             mini-batch across N workers (results are bit-identical for
             any N; defaults to KGFD_THREADS or the CPU count, capped at 8;
@@ -63,9 +59,9 @@ COMMANDS:
             [--per-relation] [--threads <N>]
             filtered link-prediction metrics (MRR, Hits@k); --threads
             defaults as for train
-  discover  --train <TSV> --model-file <FILE> [--strategy <ur|ef|gd|cc|ct|cs|pr>]
+  discover  --train <TSV> --model-file <FILE> [--strategy <ur|ef|gd|cc|ct|cs>]
             [--top-n 500] [--max-candidates 500] [--relation <LABEL>]
-            [--explore <EPS>] [--consolidate] [--prune] [--seed 0]
+            [--consolidate] [--prune] [--seed 0]
             [--threads <N>] [--chunk-size 128] [--top-k <K>]
             [--heldout <TSV>] [--out <TSV>]
             discover missing facts (Algorithm 1 of the paper); --threads
@@ -74,13 +70,8 @@ COMMANDS:
             through the scorer --chunk-size at a time (results are
             bit-identical for any chunk size), and --top-k keeps only the
             K best facts per relation in a bounded heap
-  audit-inverse --train <TSV> [--threshold 0.8]
-            detect inverse-relation test-leakage pairs
   fit       --train <TSV> [--name <NAME>] [--seed 0]
             infer a synthetic-generator profile from an existing graph (JSON)
-  complete  --train <TSV> --model-file <FILE> --relation <LABEL>
-            (--subject <LABEL> | --object <LABEL>) [--top 10]
-            answer a link-prediction query: rank completions of one side
   serve     --train <TSV> (--model-file <FILE> | --models-dir <DIR>)
             [--addr 127.0.0.1:8080] [--workers 4] [--max-inflight 64]
             [--deadline-ms 10000] [--cache-entries 256] [--rank-threads 2]
@@ -118,13 +109,17 @@ EXIT CODES:
 
 /// Maps an error returned by [`run`] to the `kgfd` process exit code.
 ///
-/// Persistence failures get distinct codes (see the `EXIT CODES` section of
-/// [`USAGE`]) so scripts and CI can tell "the model file is damaged" from
-/// ordinary runtime errors; the error's source chain is walked so a wrapped
-/// [`KgError`] still maps correctly.
+/// A command-line mistake ([`ArgError`]) is a usage error, and persistence
+/// failures get distinct codes (see the `EXIT CODES` section of [`USAGE`])
+/// so scripts and CI can tell "the model file is damaged" from ordinary
+/// runtime errors; the error's source chain is walked so a wrapped
+/// [`ArgError`] or [`KgError`] still maps correctly.
 pub fn exit_code(err: &(dyn Error + 'static)) -> i32 {
     let mut current: Option<&(dyn Error + 'static)> = Some(err);
     while let Some(e) = current {
+        if e.downcast_ref::<ArgError>().is_some() {
+            return 2;
+        }
         if e.downcast_ref::<Interrupted>().is_some() {
             return 6;
         }
@@ -331,12 +326,10 @@ fn dispatch(args: &Args) -> CmdResult {
         Some("train") => cmd_train(args),
         Some("eval") => cmd_eval(args),
         Some("discover") => cmd_discover(args),
-        Some("audit-inverse") => cmd_audit_inverse(args),
         Some("fit") => cmd_fit(args),
-        Some("complete") => cmd_complete(args),
         Some("serve") => cmd_serve(args),
         Some("help") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+        Some(other) => Err(unknown("command", other)),
     }
 }
 
@@ -380,14 +373,20 @@ fn store_of(vocab: &Vocabulary, triples: Vec<Triple>) -> Result<TripleStore, KgE
     TripleStore::new(vocab.num_entities(), vocab.num_relations(), triples)
 }
 
+/// The usage error for a `name` outside the fixed set of `what`s.
+fn unknown(what: &'static str, name: &str) -> Box<dyn Error> {
+    Box::new(ArgError::Unknown {
+        what,
+        name: name.into(),
+    })
+}
+
 fn parse_model(name: &str) -> Result<ModelKind, Box<dyn Error>> {
-    ModelKind::from_name(name)
-        .ok_or_else(|| format!("unknown model {name:?}; see `kgfd help`").into())
+    ModelKind::from_name(name).ok_or_else(|| unknown("model", name))
 }
 
 fn parse_strategy(name: &str) -> Result<StrategyKind, Box<dyn Error>> {
-    StrategyKind::from_name(name)
-        .ok_or_else(|| format!("unknown strategy {name:?}; see `kgfd help`").into())
+    StrategyKind::from_name(name).ok_or_else(|| unknown("strategy", name))
 }
 
 fn cmd_generate(args: &Args) -> CmdResult {
@@ -402,12 +401,12 @@ fn cmd_generate(args: &Args) -> CmdResult {
             "wn18rr" => wn18rr_like(),
             "yago310" => yago310_like(),
             "codexl" => codexl_like(),
-            other => return Err(format!("unknown profile {other:?}").into()),
+            other => return Err(unknown("profile", other)),
         };
         let profile = match scale {
             "standard" => base,
             "mini" => mini(&base),
-            other => return Err(format!("unknown scale {other:?}").into()),
+            other => return Err(unknown("scale", other)),
         };
         generate(&profile)?
     };
@@ -440,16 +439,12 @@ fn cmd_stats(args: &Args) -> CmdResult {
     let adj = UndirectedAdjacency::from_store(&store);
     let triangles = local_triangle_counts(&adj);
     let transitivity = global_transitivity(&adj, &triangles);
-    let components = connected_components(&adj);
     if args.flag("json") {
         return Ok(serde_json::to_string_pretty(&serde_json::json!({
             "summary": summary,
             "transitivity": transitivity,
-            "components": components,
         }))?);
     }
-    let cards = kgfd_kg::relation_cardinalities(&store);
-    let count_of = |c: kgfd_kg::Cardinality| cards.iter().filter(|x| x.category == c).count();
     Ok(format!(
         "entities            {}\n\
          relations           {}\n\
@@ -460,8 +455,6 @@ fn cmd_stats(args: &Args) -> CmdResult {
          transitivity        {:.4}\n\
          triangles           {}\n\
          mean degree         {:.2} (max {})\n\
-         components          {} (largest {}, isolated {})\n\
-         relation categories 1-1: {}, 1-N: {}, N-1: {}, N-M: {}\n\
          complement size     {}",
         summary.num_entities,
         summary.num_relations,
@@ -473,13 +466,6 @@ fn cmd_stats(args: &Args) -> CmdResult {
         summary.total_triangles,
         summary.mean_degree,
         summary.max_degree,
-        components.count,
-        components.largest,
-        components.isolated,
-        count_of(kgfd_kg::Cardinality::OneToOne),
-        count_of(kgfd_kg::Cardinality::OneToMany),
-        count_of(kgfd_kg::Cardinality::ManyToOne),
-        count_of(kgfd_kg::Cardinality::ManyToMany),
         store.complement_size(),
     ))
 }
@@ -510,7 +496,7 @@ fn cmd_train(args: &Args) -> CmdResult {
     let loss = match args.get("loss").unwrap_or("bce") {
         "margin" => LossKind::MarginRanking { margin: 1.0 },
         "bce" => LossKind::BinaryCrossEntropy,
-        other => return Err(format!("unknown loss {other:?} (margin|bce)").into()),
+        other => return Err(unknown("loss", other)),
     };
     let config = TrainConfig {
         dim: args.parse_or("dim", 32, "integer")?,
@@ -523,14 +509,7 @@ fn cmd_train(args: &Args) -> CmdResult {
         },
         filter_negatives: true,
         normalize_entities: kind == ModelKind::TransE,
-        adversarial_temperature: match args.get("adversarial") {
-            Some(raw) => Some(raw.parse().map_err(|_| ArgError::Invalid {
-                key: "adversarial".into(),
-                value: raw.into(),
-                expected: "number",
-            })?),
-            None => None,
-        },
+        adversarial_temperature: args.parse_opt("adversarial", "number")?,
         seed: args.parse_or("seed", 0, "integer")?,
         threads: resolve_threads_arg(args.parse_or(
             "threads",
@@ -553,86 +532,49 @@ fn cmd_train(args: &Args) -> CmdResult {
         None => None,
     };
     let checkpointing = checkpoint_every > 0 || resume || deadline_s.is_some();
-    if checkpointing && args.flag("early-stop") {
-        return Err(
-            "--early-stop cannot be combined with --checkpoint-every/--resume/--deadline \
-             (early stopping keeps its best-so-far parameters in memory, which a \
-             checkpoint cannot capture yet)"
-                .into(),
-        );
-    }
     let out = args.required("out")?;
 
-    let mut resumed_from: Option<String> = None;
-    let (model, summary, final_loss): (Box<dyn KgeModel>, String, Option<f64>) =
-        if args.flag("early-stop") {
-            let valid_path = args
-                .get("valid")
-                .ok_or_else(|| ArgError::Missing("valid".into()))?;
-            let valid = load_with_vocab(valid_path, &vocab)?;
-            let (model, stats) =
-                train_with_early_stopping(kind, &store, &valid, &config, EarlyStopping::default());
-            (
-                model,
-                format!(
-                    "early stopping: best valid MRR {:.4} after {} epochs",
-                    stats.best_mrr, stats.epochs_trained
-                ),
-                None,
-            )
-        } else {
-            // Checkpoint flags only add a policy and a stop signal; without
-            // them this is the same session run to completion.
-            let (mut session, report) = if resume {
-                resume_latest(kind, &store, &config, Path::new(out))?
-            } else {
-                (
-                    TrainSession::new(kind, &store, &config)
-                        .map_err(|e| format!("cannot start training: {e}"))?,
-                    ResumeReport::default(),
-                )
-            };
-            resumed_from = report
-                .resumed_from
-                .as_ref()
-                .map(|p| p.display().to_string());
-            let policy =
-                checkpointing.then(|| CheckpointPolicy::new(PathBuf::from(out), checkpoint_every));
-            let stop = deadline_s.map(|s| StopSignal::with_deadline(Duration::from_secs_f64(s)));
-            let outcome = session.run(policy.as_ref(), stop.as_ref())?;
-            if let TrainOutcome::Interrupted {
-                epochs_done,
-                checkpoint,
-            } = outcome
-            {
-                emit_train_manifest(
-                    kind,
-                    &config,
-                    &store,
-                    start,
-                    None,
-                    resumed_from,
-                    checkpoint_every,
-                    Some(epochs_done),
-                );
-                return Err(Interrupted {
-                    epochs_done,
-                    checkpoint,
-                }
-                .into());
-            }
-            let (model, stats) = session.into_model();
-            let loss = stats.final_loss();
-            (
-                model,
-                format!(
-                    "final training loss {} over {} epochs",
-                    render_loss(loss),
-                    config.epochs
-                ),
-                Some(loss),
-            )
-        };
+    // Checkpoint flags only add a policy and a stop signal; without them
+    // this is the same session run to completion.
+    let (mut session, report) = if resume {
+        resume_latest(kind, &store, &config, Path::new(out))?
+    } else {
+        (
+            TrainSession::new(kind, &store, &config)
+                .map_err(|e| format!("cannot start training: {e}"))?,
+            ResumeReport::default(),
+        )
+    };
+    let resumed_from = report
+        .resumed_from
+        .as_ref()
+        .map(|p| p.display().to_string());
+    let policy = checkpointing.then(|| CheckpointPolicy::new(PathBuf::from(out), checkpoint_every));
+    let stop = deadline_s.map(|s| StopSignal::with_deadline(Duration::from_secs_f64(s)));
+    let outcome = session.run(policy.as_ref(), stop.as_ref())?;
+    if let TrainOutcome::Interrupted {
+        epochs_done,
+        checkpoint,
+    } = outcome
+    {
+        emit_train_manifest(
+            kind,
+            &config,
+            &store,
+            start,
+            None,
+            resumed_from,
+            checkpoint_every,
+            Some(epochs_done),
+        );
+        return Err(Interrupted {
+            epochs_done,
+            checkpoint,
+        }
+        .into());
+    }
+    let (model, stats) = session.into_model();
+    let final_loss = stats.final_loss();
 
     // Atomic temp-file + rename: an interrupted `kgfd train` can never
     // leave a partial (and thus unloadable) model file at --out.
@@ -650,17 +592,20 @@ fn cmd_train(args: &Args) -> CmdResult {
         &config,
         &store,
         start,
-        final_loss,
+        Some(final_loss),
         resumed_from,
         checkpoint_every,
         None,
     );
 
     Ok(format!(
-        "trained {kind} (dim {}, {} parameters) on {} triples\n{summary}\nsaved to {out}",
+        "trained {kind} (dim {}, {} parameters) on {} triples\n\
+         final training loss {} over {} epochs\nsaved to {out}",
         config.dim,
         model.params().num_parameters(),
         store.len(),
+        render_loss(final_loss),
+        config.epochs,
     ))
 }
 
@@ -803,19 +748,11 @@ fn cmd_discover(args: &Args) -> CmdResult {
             .ok_or_else(|| format!("relation {label:?} not in the graph"))?]),
         None => None,
     };
-    let top_k = match args.get("top-k") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("--top-k expects an integer, got {v:?}"))?,
-        ),
-        None => None,
-    };
     let config = DiscoveryConfig {
         strategy: parse_strategy(args.get("strategy").unwrap_or("ef"))?,
         top_n: args.parse_or("top-n", 500, "integer")?,
         max_candidates: args.parse_or("max-candidates", 500, "integer")?,
         relations,
-        exploration_epsilon: args.parse_or("explore", 0.0, "number")?,
         consolidate_sides: args.flag("consolidate"),
         prune_with_rules: args.flag("prune"),
         seed: args.parse_or("seed", 0, "integer")?,
@@ -829,7 +766,7 @@ fn cmd_discover(args: &Args) -> CmdResult {
             DiscoveryConfig::default().chunk_size,
             "integer",
         )?,
-        top_k,
+        top_k: args.parse_opt("top-k", "integer")?,
         ..DiscoveryConfig::default()
     };
     if config.chunk_size == 0 {
@@ -893,7 +830,6 @@ fn cmd_discover(args: &Args) -> CmdResult {
     manifest
         .with_config("top_n", config.top_n)
         .with_config("max_candidates", config.max_candidates)
-        .with_config("exploration_epsilon", config.exploration_epsilon)
         .with_config("consolidate_sides", config.consolidate_sides)
         .with_config("prune_with_rules", config.prune_with_rules)
         .with_config("chunk_size", config.chunk_size)
@@ -922,51 +858,6 @@ fn cmd_discover(args: &Args) -> CmdResult {
         .emit();
 
     Ok(result)
-}
-
-fn cmd_complete(args: &Args) -> CmdResult {
-    let (vocab, triples) = load_graph(args.required("train")?)?;
-    let store = store_of(&vocab, triples)?;
-    let model = load_model_file(args.required("model-file")?)?;
-    check_model_matches(model.as_ref(), &store)?;
-
-    let relation_label = args.required("relation")?;
-    let r = vocab
-        .relation(relation_label)
-        .ok_or_else(|| format!("relation {relation_label:?} not in the graph"))?;
-    let top = args.parse_or("top", 10usize, "integer")?;
-
-    let mut scores = vec![0.0f32; store.num_entities()];
-    let query = match (args.get("subject"), args.get("object")) {
-        (Some(s), None) => {
-            let sid = vocab
-                .entity(s)
-                .ok_or_else(|| format!("entity {s:?} not in the graph"))?;
-            model.score_objects(sid, r, &mut scores);
-            format!("({s}, {relation_label}, ?)")
-        }
-        (None, Some(o)) => {
-            let oid = vocab
-                .entity(o)
-                .ok_or_else(|| format!("entity {o:?} not in the graph"))?;
-            model.score_subjects(r, oid, &mut scores);
-            format!("(?, {relation_label}, {o})")
-        }
-        _ => return Err("provide exactly one of --subject or --object".into()),
-    };
-
-    let mut ranked: Vec<(usize, f32)> = scores.iter().copied().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-    let mut out = format!("top {top} completions of {query} ({}):\n", model.kind());
-    for (e, score) in ranked.into_iter().take(top) {
-        out.push_str(&format!(
-            "  {:<24} {score:.4}\n",
-            vocab
-                .entity_label(kgfd_kg::EntityId(e as u32))
-                .unwrap_or("?")
-        ));
-    }
-    Ok(out)
 }
 
 /// `kgfd serve` — the online serving mode: load models, answer HTTP
@@ -1018,13 +909,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
         enable_test_endpoints: args.flag("test-endpoints"),
         ..kgfd_serve::ServeConfig::default()
     };
-    let for_secs = match args.get("for-secs") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("--for-secs expects an integer, got {v:?}"))?,
-        ),
-        None => None,
-    };
+    let for_secs: Option<u64> = args.parse_opt("for-secs", "integer")?;
 
     kgfd_serve::install_termination_handler();
     let server = kgfd_serve::Server::start(config.clone(), Arc::clone(&registry))
@@ -1088,34 +973,4 @@ fn cmd_serve(args: &Args) -> CmdResult {
         stats.workers_spawned,
         stats.worker_panics,
     ))
-}
-
-fn cmd_audit_inverse(args: &Args) -> CmdResult {
-    let (vocab, triples) = load_graph(args.required("train")?)?;
-    let store = store_of(&vocab, triples)?;
-    let threshold = args.parse_or("threshold", 0.8, "number")?;
-    let pairs = find_inverse_pairs(&store, threshold);
-    if pairs.is_empty() {
-        return Ok(format!("no inverse pairs at threshold {threshold}"));
-    }
-    let mut out = format!(
-        "{} (near-)inverse pairs at threshold {threshold}:\n",
-        pairs.len()
-    );
-    for p in pairs {
-        let kind = if p.relation == p.inverse {
-            "symmetric"
-        } else {
-            "inverse"
-        };
-        out.push_str(&format!(
-            "  {:<10} {} ↔ {} (overlap {:.2})\n",
-            kind,
-            vocab.relation_label(p.relation).unwrap_or("?"),
-            vocab.relation_label(p.inverse).unwrap_or("?"),
-            p.overlap
-        ));
-    }
-    out.push_str("these relations leak test answers; consider removing one direction (cf. FB15K-237 / WN18RR)");
-    Ok(out)
 }

@@ -10,7 +10,6 @@
 //! kgfd eval     --train data/train.tsv --test data/test.tsv --model-file model.kgfd
 //! kgfd discover --train data/train.tsv --model-file model.kgfd \
 //!               --strategy ct --top-n 100 --max-candidates 200 --out facts.tsv
-//! kgfd audit-inverse --train data/train.tsv
 //! ```
 //!
 //! Command logic lives in [`commands::run`] and returns strings, so the

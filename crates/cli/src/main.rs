@@ -3,14 +3,10 @@
 use std::io::{ErrorKind, Write};
 
 fn main() {
-    let args = match kgfd_cli::Args::parse(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", kgfd_cli::USAGE);
-            std::process::exit(2);
-        }
-    };
-    match kgfd_cli::run(&args) {
+    let result = kgfd_cli::Args::parse(std::env::args().skip(1))
+        .map_err(Into::into)
+        .and_then(|args| kgfd_cli::run(&args));
+    match result {
         Ok(report) => {
             let mut stdout = std::io::stdout().lock();
             match writeln!(stdout, "{report}").and_then(|()| stdout.flush()) {
@@ -25,10 +21,17 @@ fn main() {
             }
         }
         Err(e) => {
-            eprintln!("error: {e}");
-            // Distinct exit codes for persistence failures (corrupt file,
-            // version skew, migration needed) — see `kgfd help`.
-            std::process::exit(kgfd_cli::exit_code(e.as_ref()));
+            // Distinct exit codes for usage errors and persistence failures
+            // (corrupt file, version skew, migration needed) — see
+            // `kgfd help`. A usage error also prints the usage. The code
+            // stands even when stderr is closed.
+            let code = kgfd_cli::exit_code(e.as_ref());
+            let mut stderr = std::io::stderr().lock();
+            let _ = writeln!(stderr, "error: {e}");
+            if code == 2 {
+                let _ = writeln!(stderr, "\n{}", kgfd_cli::USAGE);
+            }
+            std::process::exit(code);
         }
     }
 }

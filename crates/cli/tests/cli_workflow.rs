@@ -1,5 +1,5 @@
 //! End-to-end CLI workflow tests: generate → stats → train → eval →
-//! discover → audit, all through the library surface the binary wraps.
+//! discover, all through the library surface the binary wraps.
 
 use kgfd_cli::{exit_code, run, Args};
 
@@ -59,12 +59,6 @@ fn full_workflow_on_toy_dataset() {
     for line in written.lines() {
         assert_eq!(line.split('\t').count(), 4, "s, r, o, rank: {line}");
     }
-
-    let out = run(&args(&format!("audit-inverse --train {d}/train.tsv"))).unwrap();
-    assert!(
-        out.contains("inverse pairs") || out.contains("no inverse pairs"),
-        "{out}"
-    );
 
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -134,23 +128,7 @@ fn stats_emits_json_when_asked() {
     let parsed: serde_json::Value = serde_json::from_str(&out).unwrap();
     assert_eq!(parsed["summary"]["num_entities"], 16);
     assert!(parsed["transitivity"].is_number());
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn early_stopping_path_works() {
-    let dir = tempdir("earlystop");
-    let d = dir.display();
-    run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
-    let model = dir.join("m.kgfd");
-    let out = run(&args(&format!(
-        "train --train {d}/train.tsv --valid {d}/valid.tsv --early-stop \
-         --model distmult --dim 16 --epochs 40 --out {}",
-        model.display()
-    )))
-    .unwrap();
-    assert!(out.contains("early stopping"), "{out}");
-    assert!(model.exists());
+    assert!(parsed.get("components").is_none(), "{out}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -214,65 +192,89 @@ fn eval_per_relation_lists_relations() {
 }
 
 #[test]
-fn complete_ranks_entities_for_a_query() {
-    let dir = tempdir("complete");
-    let d = dir.display();
-    run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
-    let model = dir.join("m.kgfd");
-    run(&args(&format!(
-        "train --train {d}/train.tsv --model complex --dim 16 --epochs 30 --seed 4 --out {}",
-        model.display()
-    )))
-    .unwrap();
-    let out = run(&args(&format!(
-        "complete --train {d}/train.tsv --model-file {} --relation treats --subject drug0 --top 3",
-        model.display()
-    )))
-    .unwrap();
-    assert!(
-        out.contains("top 3 completions of (drug0, treats, ?)"),
-        "{out}"
-    );
-    assert_eq!(out.lines().count(), 4, "{out}");
-    // Requiring both or neither side is an error.
-    let err = run(&args(&format!(
-        "complete --train {d}/train.tsv --model-file {} --relation treats",
-        model.display()
-    )))
-    .unwrap_err()
-    .to_string();
-    assert!(err.contains("exactly one"), "{err}");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn stats_reports_relation_categories() {
-    let dir = tempdir("cats");
-    let d = dir.display();
-    run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
-    let out = run(&args(&format!("stats --train {d}/train.tsv"))).unwrap();
-    assert!(out.contains("relation categories"), "{out}");
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
 fn helpful_errors() {
-    // Unknown command mentions usage.
-    let err = run(&args("frobnicate")).unwrap_err().to_string();
-    assert!(err.contains("unknown command"));
-    // Missing required option is named.
-    let err = run(&args("stats")).unwrap_err().to_string();
-    assert!(err.contains("--train"), "{err}");
-    // Unknown strategy/model are named.
     let dir = tempdir("errors");
     let d = dir.display();
     run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
-    let err = run(&args(&format!(
-        "train --train {d}/train.tsv --model gpt --out {d}/x"
+    // Command-line mistakes are usage errors (exit 2, as `kgfd help`
+    // documents) that name what was wrong; a failure of a well-formed
+    // command stays exit 1.
+    let model = dir.join("m.kgfd");
+    run(&args(&format!(
+        "train --train {d}/train.tsv --model transe --dim 8 --epochs 1 --out {}",
+        model.display()
     )))
-    .unwrap_err()
-    .to_string();
-    assert!(err.contains("unknown model"), "{err}");
+    .unwrap();
+    let m = model.display();
+    let cases = [
+        (
+            "frobnicate".to_string(),
+            2,
+            "unknown command \"frobnicate\"",
+        ),
+        (format!("complete --train {d}/train.tsv"), 2, "complete"),
+        (
+            format!("audit-inverse --train {d}/train.tsv"),
+            2,
+            "audit-inverse",
+        ),
+        ("stats".to_string(), 2, "--train"),
+        (format!("generate --profile nell --out {d}/g"), 2, "nell"),
+        (
+            format!("generate --profile wn18rr --scale huge --out {d}/g"),
+            2,
+            "huge",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model gpt --out {d}/x"),
+            2,
+            "unknown model \"gpt\"",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model transe --loss hinge --out {d}/x"),
+            2,
+            "hinge",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model transe --dim abc --out {d}/x"),
+            2,
+            "abc",
+        ),
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --strategy pr"),
+            2,
+            "unknown strategy \"pr\"",
+        ),
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --top-k many"),
+            2,
+            "many",
+        ),
+        (
+            format!("eval --train {d}/train.tsv --test {d}/test.tsv --model-file {d}/none"),
+            1,
+            "none",
+        ),
+    ];
+    for (line, code, named) in &cases {
+        let err = run(&args(line)).expect_err(line);
+        assert_eq!(exit_code(err.as_ref()), *code, "{line}: {err}");
+        assert!(err.to_string().contains(named), "{line}: {err}");
+    }
+
+    // The binary applies the code and prints the usage after the error.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_kgfd"))
+        .arg("complete")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown command \"complete\"\n\nkgfd"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("EXIT CODES"), "{stderr}");
+    assert!(out.stdout.is_empty());
     let _ = std::fs::remove_dir_all(dir);
 }
 

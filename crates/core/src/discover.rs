@@ -47,11 +47,6 @@ pub struct DiscoveryConfig {
     /// Restrict discovery to these relations (`None` = all used relations,
     /// as in Algorithm 1 line 3).
     pub relations: Option<Vec<RelationId>>,
-    /// Mixes this fraction of uniform probability into every strategy's
-    /// weights — the exploration/exploitation dial the paper's §6 calls for
-    /// (`0.0` = the paper's pure-exploitation behaviour). Must be finite;
-    /// [`try_discover_facts`] rejects NaN/∞ with a typed error.
-    pub exploration_epsilon: f64,
     /// Sample from graph-global side pools instead of per-relation pools
     /// (AmpliGraph's `consolidate_sides=True`); reaches entities never seen
     /// with the target relation, at the cost of more implausible candidates.
@@ -94,7 +89,6 @@ impl Default for DiscoveryConfig {
             top_n: 500,
             max_candidates: 500,
             relations: None,
-            exploration_epsilon: 0.0,
             consolidate_sides: false,
             prune_with_rules: false,
             seed: 0,
@@ -107,16 +101,9 @@ impl Default for DiscoveryConfig {
 }
 
 impl DiscoveryConfig {
-    /// The checks [`try_discover_facts`] runs on `store` before any work:
-    /// [`KgError::Invariant`] for a non-finite `exploration_epsilon` or an
-    /// unreachable `max_candidates`.
+    /// The check [`try_discover_facts`] runs on `store` before any work:
+    /// [`KgError::Invariant`] for an unreachable `max_candidates`.
     pub fn validate(&self, store: &TripleStore) -> Result<(), KgError> {
-        if !self.exploration_epsilon.is_finite() {
-            return Err(KgError::Invariant(format!(
-                "exploration_epsilon must be finite, got {}",
-                self.exploration_epsilon
-            )));
-        }
         let candidate_space = store.num_entities().saturating_mul(store.num_entities());
         if self.max_candidates > candidate_space.max(MAX_UNCHECKED_CANDIDATES) {
             return Err(KgError::Invariant(format!(
@@ -142,9 +129,8 @@ const MAX_UNCHECKED_CANDIDATES: usize = 1 << 20;
 /// the scorer in `config.chunk_size` batches, so memory per relation is
 /// bounded by `chunk_size + top_k` rather than `max_candidates`.
 ///
-/// Panics if the configuration is invalid (non-finite
-/// `exploration_epsilon`, unreachable `max_candidates`); use
-/// [`try_discover_facts`] for a typed error.
+/// Panics if the configuration is invalid (an unreachable
+/// `max_candidates`); use [`try_discover_facts`] for a typed error.
 pub fn discover_facts(
     model: &dyn KgeModel,
     store: &TripleStore,
@@ -154,11 +140,10 @@ pub fn discover_facts(
 }
 
 /// [`discover_facts`] with configuration validation. Returns
-/// [`KgError::Invariant`] for a non-finite `exploration_epsilon` instead of
-/// silently treating NaN as "no exploration", and for a `max_candidates`
-/// above both `num_entities²` and 2²⁰: no relation can yield that many
-/// distinct candidates, and the mesh walk, whose side grows with
-/// `√max_candidates`, would be sized for a budget the graph cannot fill.
+/// [`KgError::Invariant`] for a `max_candidates` above both
+/// `num_entities²` and 2²⁰: no relation can yield that many distinct
+/// candidates, and the mesh walk, whose side grows with `√max_candidates`,
+/// would be sized for a budget the graph cannot fill.
 pub fn try_discover_facts(
     model: &dyn KgeModel,
     store: &TripleStore,
@@ -483,21 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_epsilon_is_rejected_with_a_typed_error() {
-        let (data, model) = trained_toy();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut cfg = quick_config(StrategyKind::UniformRandom);
-            cfg.exploration_epsilon = bad;
-            match try_discover_facts(model.as_ref(), &data.train, &cfg) {
-                Err(KgError::Invariant(msg)) => {
-                    assert!(msg.contains("exploration_epsilon"), "{msg}")
-                }
-                other => panic!("expected Invariant error, got {:?}", other.map(|r| r.facts)),
-            }
-        }
-    }
-
-    #[test]
     fn unreachable_max_candidates_is_rejected_with_a_typed_error() {
         let (data, model) = trained_toy();
         let entities = data.train.num_entities();
@@ -623,32 +593,6 @@ mod tests {
         );
         if !report.facts.is_empty() {
             assert!(report.mrr() >= 1.0 / 8.0 - 1e-12);
-        }
-    }
-
-    #[test]
-    fn full_exploration_equals_uniform_random() {
-        // ε = 1.0 replaces any strategy's weights with the uniform ones, so
-        // the sampled candidates (same seeded stream) must match UNIFORM
-        // RANDOM exactly.
-        let (data, model) = trained_toy();
-        let mut explore = quick_config(StrategyKind::ClusteringTriangles);
-        explore.exploration_epsilon = 1.0;
-        let uniform = quick_config(StrategyKind::UniformRandom);
-        let a = discover_facts(model.as_ref(), &data.train, &explore);
-        let b = discover_facts(model.as_ref(), &data.train, &uniform);
-        assert_eq!(a.facts, b.facts);
-    }
-
-    #[test]
-    fn exploration_epsilon_keeps_invariants() {
-        let (data, model) = trained_toy();
-        let mut cfg = quick_config(StrategyKind::EntityFrequency);
-        cfg.exploration_epsilon = 0.3;
-        let report = discover_facts(model.as_ref(), &data.train, &cfg);
-        for fact in &report.facts {
-            assert!(!data.train.contains(&fact.triple));
-            assert!(fact.rank <= 8.0);
         }
     }
 

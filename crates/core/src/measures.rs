@@ -41,7 +41,7 @@ pub enum Measures {
     /// (UNIFORM RANDOM and ENTITY FREQUENCY).
     PoolLocal,
     /// A global per-entity non-negative measure (degree, triangles,
-    /// clustering coefficient, squares coefficient, PageRank).
+    /// clustering coefficient, squares coefficient).
     Global(Arc<[f64]>),
 }
 
@@ -69,7 +69,7 @@ impl Measures {
 /// shared by every later one on the same store: discovery runs on one graph
 /// (grid cells iterating strategies, sweep cells iterating
 /// `max_candidates`/`top_n`, served requests) stop recomputing the
-/// superlinear triangle/coefficient/PageRank tables, and concurrent first
+/// superlinear triangle/coefficient/squares tables, and concurrent first
 /// lookups wait for one build. The lookup that builds counts on
 /// `discover.cache.measures_miss`, every other one on
 /// `discover.cache.measures_hit`. A build here runs on the calling thread.
@@ -120,7 +120,6 @@ fn build(measure: NodeMeasure, store: &TripleStore, threads: usize) -> Arc<[f64]
             .collect(),
         NodeMeasure::ClusteringCoefficient => local_clustering_coefficients(&adj()).into(),
         NodeMeasure::SquareClustering => square_clustering_table(&adj(), threads),
-        NodeMeasure::PageRank => kgfd_graph_stats::pagerank(&adj(), 0.85, 100, 1e-9).into(),
     }
 }
 
@@ -246,22 +245,6 @@ mod tests {
         let coeff = Measures::compute(StrategyKind::ClusteringCoefficient, &star);
         assert!(deg.value(EntityId(0)) > deg.value(EntityId(1)));
         assert_eq!(coeff.value(EntityId(0)), 0.0);
-    }
-
-    #[test]
-    fn pagerank_measure_favors_hubs() {
-        let star = TripleStore::new(
-            4,
-            1,
-            vec![
-                Triple::new(0u32, 0u32, 1u32),
-                Triple::new(0u32, 0u32, 2u32),
-                Triple::new(0u32, 0u32, 3u32),
-            ],
-        )
-        .unwrap();
-        let m = Measures::compute(StrategyKind::PageRank, &star);
-        assert!(m.value(EntityId(0)) > m.value(EntityId(1)));
     }
 
     #[test]

@@ -20,9 +20,6 @@ pub enum StrategyKind {
     /// from the paper's grid for cost (§4.3: one run took ~54 h); available
     /// here for the `repro squares` ablation.
     ClusteringSquares,
-    /// Probability ∝ PageRank — a library extension following the paper's
-    /// conclusion that popularity-correlated measures sample well (§4.2.4).
-    PageRank,
 }
 
 impl StrategyKind {
@@ -34,17 +31,6 @@ impl StrategyKind {
         StrategyKind::ClusteringCoefficient,
         StrategyKind::ClusteringTriangles,
         StrategyKind::ClusteringSquares,
-    ];
-
-    /// The paper's six plus the library-extension strategies.
-    pub const WITH_EXTENSIONS: [StrategyKind; 7] = [
-        StrategyKind::UniformRandom,
-        StrategyKind::EntityFrequency,
-        StrategyKind::GraphDegree,
-        StrategyKind::ClusteringCoefficient,
-        StrategyKind::ClusteringTriangles,
-        StrategyKind::ClusteringSquares,
-        StrategyKind::PageRank,
     ];
 
     /// The five strategies of the paper's comparative figures (2, 4, 6),
@@ -66,7 +52,6 @@ impl StrategyKind {
             StrategyKind::ClusteringCoefficient => "CLUSTERING COEFFICIENT",
             StrategyKind::ClusteringTriangles => "CLUSTERING TRIANGLES",
             StrategyKind::ClusteringSquares => "CLUSTERING SQUARES",
-            StrategyKind::PageRank => "PAGERANK (extension)",
         }
     }
 
@@ -79,7 +64,6 @@ impl StrategyKind {
             StrategyKind::ClusteringCoefficient => "CC",
             StrategyKind::ClusteringTriangles => "CT",
             StrategyKind::ClusteringSquares => "CS",
-            StrategyKind::PageRank => "PR",
         }
     }
 
@@ -101,12 +85,11 @@ impl StrategyKind {
             StrategyKind::ClusteringCoefficient => Some(NodeMeasure::ClusteringCoefficient),
             StrategyKind::ClusteringTriangles => Some(NodeMeasure::Triangles),
             StrategyKind::ClusteringSquares => Some(NodeMeasure::SquareClustering),
-            StrategyKind::PageRank => Some(NodeMeasure::PageRank),
         }
     }
 
     /// Parses a strategy name, case-insensitively: the figure abbreviation
-    /// (`ur`, `ef`, `gd`, `cc`, `ct`, `cs`, `pr`) or a long form
+    /// (`ur`, `ef`, `gd`, `cc`, `ct`, `cs`) or a long form
     /// (`uniform`, `entity_frequency`, `cluster_squares`, ...).
     pub fn from_name(name: &str) -> Option<StrategyKind> {
         let kind = match name.to_ascii_lowercase().as_str() {
@@ -116,7 +99,6 @@ impl StrategyKind {
             "cc" | "coefficient" | "cluster_coefficient" => StrategyKind::ClusteringCoefficient,
             "ct" | "triangles" | "cluster_triangles" => StrategyKind::ClusteringTriangles,
             "cs" | "squares" | "cluster_squares" => StrategyKind::ClusteringSquares,
-            "pr" | "pagerank" => StrategyKind::PageRank,
             _ => return None,
         };
         Some(kind)
@@ -146,13 +128,6 @@ mod tests {
             .map(|s| s.abbrev())
             .collect();
         assert_eq!(abbrevs, vec!["UR", "EF", "GD", "CC", "CT"]);
-    }
-
-    #[test]
-    fn extensions_are_not_in_the_paper_lists() {
-        assert!(!StrategyKind::ALL.contains(&StrategyKind::PageRank));
-        assert!(!StrategyKind::PAPER_GRID.contains(&StrategyKind::PageRank));
-        assert!(StrategyKind::WITH_EXTENSIONS.contains(&StrategyKind::PageRank));
     }
 
     #[test]
@@ -195,10 +170,7 @@ mod tests {
                 assert_eq!(StrategyKind::from_name(&upper), Some(kind), "{upper}");
             }
         }
-        for name in ["pr", "pagerank", "PageRank"] {
-            assert_eq!(StrategyKind::from_name(name), Some(StrategyKind::PageRank));
-        }
-        for name in ["", "e f", "squares2", "PAGERANK (extension)"] {
+        for name in ["", "e f", "squares2", "pr", "pagerank", "PageRank"] {
             assert_eq!(StrategyKind::from_name(name), None, "{name:?}");
         }
     }

@@ -61,8 +61,7 @@ pub struct CandidateStream<'a> {
 impl<'a> CandidateStream<'a> {
     /// Builds the stream for relation `r`: resolves the side pools
     /// (per-relation, or the consolidated graph-global ones), computes the
-    /// strategy weights, applies the exploration mix, and seeds the
-    /// relation's independent RNG stream.
+    /// strategy weights, and seeds the relation's independent RNG stream.
     ///
     /// Returns [`KgError::NonFiniteWeight`] if the computed weights contain
     /// a NaN or infinity (impossible for the built-in strategies, which
@@ -87,12 +86,8 @@ impl<'a> CandidateStream<'a> {
         let samplers = if subject_pool.is_empty() || object_pool.is_empty() {
             None
         } else {
-            let mut s_weights = compute_weights(config.strategy, measures, subject_pool);
-            let mut o_weights = compute_weights(config.strategy, measures, object_pool);
-            if config.exploration_epsilon > 0.0 {
-                mix_uniform(&mut s_weights, config.exploration_epsilon);
-                mix_uniform(&mut o_weights, config.exploration_epsilon);
-            }
+            let s_weights = compute_weights(config.strategy, measures, subject_pool);
+            let o_weights = compute_weights(config.strategy, measures, object_pool);
             Some((
                 AliasSampler::try_new(&s_weights)?,
                 AliasSampler::try_new(&o_weights)?,
@@ -219,15 +214,6 @@ impl Iterator for CandidateStream<'_> {
 
     fn next(&mut self) -> Option<Triple> {
         self.next_candidate()
-    }
-}
-
-/// `w ← (1 − ε) w + ε / n` — keeps every pool member reachable.
-fn mix_uniform(weights: &mut [f64], epsilon: f64) {
-    let epsilon = epsilon.clamp(0.0, 1.0);
-    let u = epsilon / weights.len() as f64;
-    for w in weights.iter_mut() {
-        *w = (1.0 - epsilon) * *w + u;
     }
 }
 

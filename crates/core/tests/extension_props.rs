@@ -1,6 +1,6 @@
-//! Property-based tests of the §6 extension features: exploration mixing,
-//! consolidated pools, and rule pruning must preserve every discovery
-//! invariant under arbitrary graphs and parameters.
+//! Property-based tests of the extension features: consolidated pools and
+//! rule pruning must preserve every discovery invariant under arbitrary
+//! graphs and parameters.
 
 use fact_discovery::{discover_facts, CandidateRules, DiscoveryConfig, StrategyKind};
 use kgfd_embed::{new_model, ModelKind};
@@ -26,7 +26,6 @@ proptest! {
     #[test]
     fn extensions_preserve_novelty_and_topn(
         store in arb_store(),
-        epsilon in 0.0f64..1.0,
         consolidate in any::<bool>(),
         prune in any::<bool>(),
         seed in 0u64..100,
@@ -36,7 +35,6 @@ proptest! {
             strategy: StrategyKind::GraphDegree,
             top_n: 5,
             max_candidates: 25,
-            exploration_epsilon: epsilon,
             consolidate_sides: consolidate,
             prune_with_rules: prune,
             seed,

@@ -6,8 +6,7 @@
 //! controlling the clustering coefficient, relation locality, and
 //! leakage-free train/valid/test splits. See DESIGN.md §1 for why each
 //! substitution preserves the behaviour the paper measures. Beside the
-//! generator sit the inverse-relation leakage audit ([`find_inverse_pairs`])
-//! and profile fitting from an existing graph ([`fit_profile`]).
+//! generator sits profile fitting from an existing graph ([`fit_profile`]).
 //!
 //! ```
 //! use kgfd_datasets::{generate, mini, fb15k237_like};
@@ -23,7 +22,6 @@
 mod builtin;
 mod fit;
 mod generator;
-mod inverse;
 mod profile;
 mod toy;
 mod zipf;
@@ -31,7 +29,6 @@ mod zipf;
 pub use builtin::{codexl_like, fb15k237_like, mini, wn18rr_like, yago310_like};
 pub use fit::fit_profile;
 pub use generator::generate;
-pub use inverse::{find_inverse_pairs, InversePair};
 pub use profile::DatasetProfile;
 pub use toy::toy_biomedical;
 pub use zipf::Zipf;

@@ -291,9 +291,8 @@ fn process_shard(
 /// (whose order carries over between epochs — each epoch shuffles the
 /// previous epoch's order), the negative sampler, and the per-shard scratch
 /// buffers. One [`TrainerCore::run_epoch`] call is exactly one epoch;
-/// [`TrainSession`] drives it for [`train`], checkpointed runs, and early
-/// stopping alike, which is what makes their results mutually
-/// bit-identical.
+/// [`TrainSession`] drives it for [`train`] and checkpointed runs alike,
+/// which is what makes their results mutually bit-identical.
 struct TrainerCore<'a> {
     store: &'a TripleStore,
     config: TrainConfig,
@@ -709,12 +708,6 @@ impl<'a> TrainSession<'a> {
                 epoch_losses: self.epoch_losses,
             },
         )
-    }
-
-    /// Swaps in externally chosen parameters (early stopping keeps the best
-    /// validation checkpoint, not the last epoch's).
-    pub fn set_params(&mut self, params: crate::Parameters) {
-        *self.model.params_mut() = params;
     }
 }
 

@@ -3,9 +3,8 @@
 //! The standard evaluation machinery the paper relies on (§2.1 "Testing",
 //! §3.3): both-side corruption [`ranking`](rank_triple), raw and *filtered*
 //! settings, mean-tie rank resolution, MRR / Hits@k / mean-rank aggregation,
-//! parallel whole-split evaluation ([`evaluate_ranking`]), per-relation and
-//! popularity-stratified breakdowns, validation-driven early stopping and
-//! held-out discovery scoring.
+//! parallel whole-split evaluation ([`evaluate_ranking`]), per-relation
+//! breakdowns and held-out discovery scoring.
 //!
 //! ```
 //! use kgfd_datasets::toy_biomedical;
@@ -28,13 +27,9 @@ mod heldout;
 mod metrics;
 mod protocol;
 mod ranking;
-mod selection;
-mod stratified;
 
 pub use batch::{BatchRankStats, BatchRanker};
 pub use heldout::{score_against_held_out, HeldOutReport};
 pub use metrics::{hits_at, mean_rank, mrr, RankingSummary};
 pub use protocol::{evaluate_per_relation, evaluate_ranking, rank_all, PerRelationSummary};
 pub use ranking::{rank_triple, rank_with_exclusions, RankScratch, TripleRanks};
-pub use selection::{train_with_early_stopping, EarlyStopping, SelectionStats};
-pub use stratified::{evaluate_stratified, StratifiedSummary};

@@ -31,10 +31,8 @@
 
 mod adjacency;
 mod clustering;
-mod components;
 mod degree;
 mod histogram;
-mod pagerank;
 mod squares;
 mod summary;
 mod triangles;
@@ -44,10 +42,8 @@ pub use clustering::{
     average_clustering, clustering_from_triangles, global_transitivity,
     local_clustering_coefficients,
 };
-pub use components::{connected_components, ComponentSummary, UnionFind};
 pub use degree::{avg_triples_per_entity, occurrence_degrees, simple_degrees};
 pub use histogram::Histogram;
-pub use pagerank::pagerank;
 pub use squares::{square_clustering_coefficients, square_clustering_of};
 pub use summary::{Descriptive, GraphSummary};
 pub use triangles::{local_triangle_counts, total_triangles};

@@ -5,7 +5,7 @@
 //!       [--threads N] [--trace-out FILE] [--flame-out FILE]
 //!       [--serve-metrics ADDR]
 //!   TARGET: all | table1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8
-//!           | fig9 | fig10 | squares | longtail | grid | sweep | experiments
+//!           | fig9 | fig10 | squares | grid | sweep | experiments
 //!           (default: all; `experiments` emits EXPERIMENTS.md content)
 //!   SCALE:  mini | standard                             (default: mini)
 //!   --quiet         suppress stderr entirely
@@ -20,9 +20,12 @@
 //!                   the run is in flight
 //! ```
 //!
-//! Text reports go to stdout; JSON series to `target/kgfd-results/`.
+//! Text reports go to stdout; JSON series to `target/kgfd-results/`. A
+//! reader that closes stdout early (`repro ... | head`) ends the run
+//! cleanly: exit 0, nothing on stderr.
 
 use kgfd_harness::{figures, run_grid, run_sweep, GridOptions, Scale, SweepOptions};
+use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 
 fn main() {
@@ -184,9 +187,6 @@ fn main() {
     if want("squares") {
         sections.push(figures::squares_cost::render(scale));
     }
-    if want("longtail") {
-        sections.push(figures::longtail::render(scale));
-    }
     if target == "experiments" || target == "all" {
         if let (Some(grid), Some(sweep)) = (&grid, &sweep) {
             sections.push(kgfd_harness::render_experiments_md(scale, grid, sweep));
@@ -197,9 +197,19 @@ fn main() {
         eprintln!("unknown target {target:?}");
         std::process::exit(2);
     }
-    for s in sections {
-        println!("{s}");
-        println!("{}", "=".repeat(80));
+    let rule = "=".repeat(80);
+    let mut stdout = std::io::stdout().lock();
+    let written = sections
+        .iter()
+        .try_for_each(|s| writeln!(stdout, "{s}\n{rule}"))
+        .and_then(|()| stdout.flush());
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            eprintln!("cannot write the report to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 
     drop(root_span);

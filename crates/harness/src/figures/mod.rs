@@ -12,7 +12,6 @@ pub mod fig6_efficiency;
 pub mod fig7_runtime_sweep;
 pub mod fig8_quality_sweep;
 pub mod fig9_topn_efficiency;
-pub mod longtail;
 pub mod squares_cost;
 pub mod table1_datasets;
 

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod categories;
 mod error;
 mod filter;
 mod ids;
@@ -34,7 +33,6 @@ mod store;
 mod triple;
 mod vocab;
 
-pub use categories::{relation_cardinalities, Cardinality, RelationCardinality};
 pub use error::{KgError, Result};
 pub use filter::KnownTriples;
 pub use ids::{EntityId, RelationId};

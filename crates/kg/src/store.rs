@@ -30,8 +30,6 @@ pub enum NodeMeasure {
     ClusteringCoefficient,
     /// Square (C4) clustering coefficient.
     SquareClustering,
-    /// PageRank.
-    PageRank,
 }
 
 /// Unique entities appearing on one side of one relation, with their
@@ -81,7 +79,7 @@ pub struct TripleStore {
     known: OnceLock<KnownTriples>,
     /// One slot per [`NodeMeasure`], indexed by discriminant and filled by
     /// the first [`TripleStore::node_measure`] call for it.
-    node_measures: [OnceLock<Arc<[f64]>>; 5],
+    node_measures: [OnceLock<Arc<[f64]>>; 4],
 }
 
 impl TripleStore {
@@ -327,12 +325,12 @@ mod tests {
     #[test]
     fn node_measure_is_built_once_per_store() {
         let s = store();
-        assert!(s.built_node_measure(NodeMeasure::PageRank).is_none());
-        let first = s.node_measure(NodeMeasure::PageRank, || vec![0.5; 4].into());
-        let again = s.node_measure(NodeMeasure::PageRank, || unreachable!("built twice"));
+        assert!(s.built_node_measure(NodeMeasure::Triangles).is_none());
+        let first = s.node_measure(NodeMeasure::Triangles, || vec![0.5; 4].into());
+        let again = s.node_measure(NodeMeasure::Triangles, || unreachable!("built twice"));
         assert!(Arc::ptr_eq(first, again), "one table per store");
         assert_eq!(&first[..], &[0.5; 4]);
-        let built = s.built_node_measure(NodeMeasure::PageRank);
+        let built = s.built_node_measure(NodeMeasure::Triangles);
         assert!(built.is_some_and(|t| Arc::ptr_eq(t, first)));
         // Each measure has its own slot.
         assert!(s.built_node_measure(NodeMeasure::Degree).is_none());

@@ -34,7 +34,7 @@ impl Triple {
     }
 
     /// The triple with subject and object swapped and relation `r` replaced —
-    /// used when reasoning about inverse-relation test leakage.
+    /// the reciprocal triples ConvE-style training adds.
     #[inline]
     pub fn inverted_as(self, relation: RelationId) -> Self {
         Triple {

@@ -513,6 +513,18 @@ fn bad_requests_partition_into_4xx() {
         oversized.json()["error"].as_str(),
         Some("payload_too_large")
     );
+    // A strategy name `StrategyKind` does not know → 400 that names it.
+    let removed = post(
+        addr,
+        "/v1/discover",
+        "{\"model\": \"toy\", \"strategy\": \"pr\"}",
+    );
+    assert_eq!(removed.status, 400);
+    assert_eq!(removed.json()["error"].as_str(), Some("bad_request"));
+    assert_eq!(
+        removed.json()["detail"].as_str(),
+        Some("unknown strategy \"pr\"")
+    );
     // A discovery budget no relation can fill → 400, and the server lives on.
     let unreachable = post(
         addr,

@@ -121,12 +121,8 @@ fn discover_facts_materialized(
             rows.push(row);
             continue;
         }
-        let mut s_weights = compute_weights(config.strategy, &measures, subject_pool);
-        let mut o_weights = compute_weights(config.strategy, &measures, object_pool);
-        if config.exploration_epsilon > 0.0 {
-            mix_uniform(&mut s_weights, config.exploration_epsilon);
-            mix_uniform(&mut o_weights, config.exploration_epsilon);
-        }
+        let s_weights = compute_weights(config.strategy, &measures, subject_pool);
+        let o_weights = compute_weights(config.strategy, &measures, object_pool);
         let s_sampler = AliasSampler::new(&s_weights);
         let o_sampler = AliasSampler::new(&o_weights);
         let mut rng = StdRng::seed_from_u64(
@@ -199,15 +195,6 @@ fn global_side_index(store: &TripleStore, side: Side) -> SideIndex {
     index
 }
 
-/// `w ← (1 − ε) w + ε / n` — keeps every pool member reachable.
-fn mix_uniform(weights: &mut [f64], epsilon: f64) {
-    let epsilon = epsilon.clamp(0.0, 1.0);
-    let u = epsilon / weights.len() as f64;
-    for w in weights.iter_mut() {
-        *w = (1.0 - epsilon) * *w + u;
-    }
-}
-
 /// Facts (triples AND ranks) and per-relation bookkeeping must agree
 /// exactly between the engine and the oracle.
 fn assert_conformance(
@@ -254,7 +241,7 @@ fn all_strategies_and_models_stream_bit_identically_to_the_oracle() {
 }
 
 #[test]
-fn streaming_conforms_with_pruning_consolidation_and_exploration() {
+fn streaming_conforms_with_pruning_and_consolidation() {
     let (data, model) = trained_toy(ModelKind::ComplEx);
     for threads in [1, env_threads()] {
         let mut cfg = base_config(StrategyKind::GraphDegree, threads);
@@ -273,15 +260,6 @@ fn streaming_conforms_with_pruning_consolidation_and_exploration() {
             &data.train,
             &cfg,
             &format!("consolidated/threads={threads}"),
-        );
-
-        let mut cfg = base_config(StrategyKind::ClusteringTriangles, threads);
-        cfg.exploration_epsilon = 0.3;
-        assert_conformance(
-            model.as_ref(),
-            &data.train,
-            &cfg,
-            &format!("exploration/threads={threads}"),
         );
     }
 }
