@@ -1,14 +1,13 @@
 //! Minimal `--key value` / `--flag` argument parsing (no external deps).
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand, keyed options, and boolean flags.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// The first positional argument (subcommand).
     pub command: Option<String>,
-    options: HashMap<String, String>,
-    flags: Vec<String>,
+    /// Every `--key` in command-line order, with its value (`None` for a
+    /// flag).
+    options: Vec<(String, Option<String>)>,
 }
 
 /// Command-line mistakes, with the offending token. `kgfd` exits 2 on any
@@ -30,8 +29,9 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
-    /// A name outside a fixed set: a subcommand, or the value of an option
-    /// such as `--model` or `--strategy`.
+    /// A name outside a fixed set: a subcommand, an option the command does
+    /// not read, or the value of an option such as `--model` or
+    /// `--strategy`.
     Unknown {
         /// What the name names (`command`, `model`, `strategy`, ...).
         what: &'static str,
@@ -61,27 +61,18 @@ impl std::error::Error for ArgError {}
 impl Args {
     /// Parses raw arguments (without the program name). An option is any
     /// `--key` token; if the next token exists and does not start with
-    /// `--`, it becomes the value, otherwise the option is a flag.
+    /// `--`, it becomes the value, otherwise the option is a flag. A key
+    /// may appear once, as an option or as a flag.
     pub fn parse(raw: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter().peekable();
         while let Some(token) = iter.next() {
             if let Some(key) = token.strip_prefix("--") {
-                let takes_value = iter
-                    .peek()
-                    .map(|next| !next.starts_with("--"))
-                    .unwrap_or(false);
-                if takes_value {
-                    let value = iter.next().expect("peeked");
-                    if args.options.insert(key.to_string(), value).is_some() {
-                        return Err(ArgError::Duplicate(key.to_string()));
-                    }
-                } else {
-                    if args.flags.contains(&key.to_string()) {
-                        return Err(ArgError::Duplicate(key.to_string()));
-                    }
-                    args.flags.push(key.to_string());
+                if args.keys().any(|k| k == key) {
+                    return Err(ArgError::Duplicate(key.to_string()));
                 }
+                let value = iter.next_if(|next| !next.starts_with("--"));
+                args.options.push((key.to_string(), value));
             } else if args.command.is_none() {
                 args.command = Some(token);
             } else {
@@ -91,9 +82,17 @@ impl Args {
         Ok(args)
     }
 
+    /// Every `--key` given, options and flags alike, in command-line order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.iter().map(|(key, _)| key.as_str())
+    }
+
     /// The value of `--key`, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.options
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, value)| value.as_deref())
     }
 
     /// The value of a required `--key`.
@@ -103,7 +102,9 @@ impl Args {
 
     /// `true` if `--key` appeared as a flag.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.options
+            .iter()
+            .any(|(k, value)| k == key && value.is_none())
     }
 
     /// Parses `--key` as `T`, with a default when absent.
@@ -167,6 +168,19 @@ mod tests {
         assert_eq!(
             parse("x --a --a").unwrap_err(),
             ArgError::Duplicate("a".into())
+        );
+        assert_eq!(
+            parse("x --out --out f").unwrap_err(),
+            ArgError::Duplicate("out".into())
+        );
+    }
+
+    #[test]
+    fn keys_keep_command_line_order() {
+        let a = parse("discover --top_n 10 --consolidate --explore 0.5").unwrap();
+        assert_eq!(
+            a.keys().collect::<Vec<_>>(),
+            ["top_n", "consolidate", "explore"]
         );
     }
 

@@ -20,6 +20,7 @@ use kgfd_kg::{
 };
 use std::error::Error;
 use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,6 +33,9 @@ kgfd — fact discovery from knowledge graph embeddings
 
 USAGE: kgfd <COMMAND> [OPTIONS]
 
+Each command takes the options listed with it and the OBSERVABILITY
+options; any other option is a usage error.
+
 COMMANDS:
   generate  --profile <fb15k237|wn18rr|yago310|codexl|toy> --out <DIR>
             [--scale <mini|standard>]
@@ -40,9 +44,9 @@ COMMANDS:
             structural statistics of a graph (density, triangles)
   train     --train <TSV> --out <FILE>
             --model <transe|distmult|complex|rescal|hole|conve>
-            [--dim 32] [--epochs 30] [--lr 0.01] [--loss <margin|bce>]
-            [--negatives 4] [--adversarial <TEMP>] [--seed 0]
-            [--threads <N>] [--checkpoint-every <N>] [--resume]
+            [--dim 32] [--epochs 30] [--batch-size 256] [--lr 0.01]
+            [--loss <margin|bce>] [--negatives 4] [--adversarial <TEMP>]
+            [--seed 0] [--threads <N>] [--checkpoint-every <N>] [--resume]
             [--deadline <SECS>]
             train an embedding model and save it; --threads splits each
             mini-batch across N workers (results are bit-identical for
@@ -77,13 +81,13 @@ COMMANDS:
             [--deadline-ms 10000] [--cache-entries 256] [--rank-threads 2]
             [--for-secs <SECS>]
             serve POST /v1/score, /v1/rank, /v1/discover (plus /healthz,
-            /metrics, /v1/models, /v1/reload) over HTTP; models come from
-            `kgfd train` files (named by file stem) and hot-reload on
-            demand; requests beyond --max-inflight are shed with 429 +
-            Retry-After, each request gets a --deadline-ms budget (typed
-            408 on expiry), repeated queries hit an LRU response cache
-            (bit-identical to the cold path), and SIGTERM drains
-            gracefully: in-flight requests finish, new ones get 503
+            /metrics, /trace, /v1/models, /v1/reload) over HTTP; models
+            come from `kgfd train` files (named by file stem) and
+            hot-reload on demand; requests beyond --max-inflight are shed
+            with 429 + Retry-After, each request gets a --deadline-ms
+            budget (typed 408 on expiry), repeated queries hit an LRU
+            response cache (bit-identical to the cold path), and SIGTERM
+            drains gracefully: in-flight requests finish, new ones get 503
   help      this text
 
 OBSERVABILITY (any command):
@@ -95,9 +99,6 @@ OBSERVABILITY (any command):
                         Chrome trace-event JSON (chrome://tracing, Perfetto)
   --flame-out <FILE>    write the span tree as collapsed-stack flamegraph
                         text (flamegraph.pl / inferno input)
-  --serve-metrics <ADDR>  serve GET /metrics (Prometheus), /healthz, and
-                        /trace on ADDR (e.g. 127.0.0.1:9464) for the
-                        duration of the run
 
 EXIT CODES:
   0 success            1 runtime error       2 usage error
@@ -208,82 +209,6 @@ fn optional_value(args: &Args, key: &'static str) -> Result<Option<String>, Box<
     }
 }
 
-/// What `--trace-out` / `--flame-out` asked for; exports happen in
-/// [`finish_tracing`] after the command completes.
-struct TraceFlags {
-    trace_out: Option<String>,
-    flame_out: Option<String>,
-    enabled: bool,
-}
-
-/// Handles the tracing/serving flags: enables span collection when any of
-/// them is present and binds the live metrics endpoint for
-/// `--serve-metrics`.
-fn tracing_setup(
-    args: &Args,
-) -> Result<(TraceFlags, Option<kgfd_serve::MetricsServer>), Box<dyn Error>> {
-    let trace_out = optional_value(args, "trace-out")?;
-    let flame_out = optional_value(args, "flame-out")?;
-    let serve = optional_value(args, "serve-metrics")?;
-    let enabled = trace_out.is_some() || flame_out.is_some() || serve.is_some();
-    if enabled {
-        kgfd_obs::enable_tracing();
-    }
-    let server = match serve {
-        Some(addr) => {
-            let server = kgfd_serve::MetricsServer::start(&addr)
-                .map_err(|e| format!("cannot serve metrics on {addr}: {e}"))?;
-            // Announce the bound address so `--serve-metrics 127.0.0.1:0`
-            // (ephemeral port) is usable by whoever wants to scrape us.
-            if !args.flag("quiet") {
-                eprintln!("serving metrics on http://{}", server.local_addr());
-            }
-            Some(server)
-        }
-        None => None,
-    };
-    Ok((
-        TraceFlags {
-            trace_out,
-            flame_out,
-            enabled,
-        },
-        server,
-    ))
-}
-
-/// Shuts the metrics endpoint down, drains the collected span tree, and
-/// writes the requested exports. Runs after the command finishes (success
-/// or failure) so a failing run still leaves its partial trace behind.
-fn finish_tracing(
-    flags: &TraceFlags,
-    server: Option<kgfd_serve::MetricsServer>,
-) -> Result<(), Box<dyn Error>> {
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    if !flags.enabled {
-        return Ok(());
-    }
-    // Drain unconditionally: it frees the collected nodes and restores the
-    // disabled-by-default state for in-process callers (tests, harness).
-    let records = kgfd_obs::collector().drain();
-    kgfd_obs::disable_tracing();
-    if flags.trace_out.is_none() && flags.flame_out.is_none() {
-        return Ok(());
-    }
-    let tree = kgfd_obs::TraceTree::build(records);
-    if let Some(path) = &flags.trace_out {
-        std::fs::write(path, kgfd_obs::chrome_trace(&tree))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    if let Some(path) = &flags.flame_out {
-        std::fs::write(path, kgfd_obs::flamegraph_collapsed(&tree))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-    }
-    Ok(())
-}
-
 /// The dataset shape of a training graph, for run manifests.
 fn dataset_shape(store: &TripleStore) -> kgfd_obs::DatasetShape {
     kgfd_obs::DatasetShape {
@@ -293,44 +218,131 @@ fn dataset_shape(store: &TripleStore) -> kgfd_obs::DatasetShape {
     }
 }
 
-/// Dispatches a parsed command line.
-pub fn run(args: &Args) -> CmdResult {
-    let _observer = install_observer(args)?;
-    // Set the phase before `tracing_setup` can bind (and announce) the
-    // `--serve-metrics` endpoint: a scraper that hits /healthz the moment
-    // the address is printed must already see this command's phase, not a
-    // leftover of whatever ran before.
-    if let Some(cmd) = args.command.as_deref() {
-        kgfd_obs::set_phase(cmd);
-    }
-    let (trace_flags, server) = tracing_setup(args)?;
-    let root_span = args.command.as_deref().map(|cmd| {
-        // One trace-only root per invocation: everything the command opens
-        // (discover.total, training epochs, ...) nests under it, so trace
-        // exports have a single root whose duration is the run itself.
-        kgfd_obs::Span::with_fields_traced(
-            "cli.command",
-            vec![kgfd_obs::Field::new("command", cmd)],
-        )
-    });
-    let result = dispatch(args);
-    drop(root_span);
-    finish_tracing(&trace_flags, server)?;
-    result
-}
+/// The options every command accepts: where a run reports (the
+/// `OBSERVABILITY` section of [`USAGE`]).
+const SHARED_OPTIONS: &[&str] = &["metrics-out", "progress", "quiet", "trace-out", "flame-out"];
 
-fn dispatch(args: &Args) -> CmdResult {
-    match args.command.as_deref() {
-        Some("generate") => cmd_generate(args),
-        Some("stats") => cmd_stats(args),
-        Some("train") => cmd_train(args),
-        Some("eval") => cmd_eval(args),
-        Some("discover") => cmd_discover(args),
-        Some("fit") => cmd_fit(args),
-        Some("serve") => cmd_serve(args),
-        Some("help") | None => Ok(USAGE.to_string()),
-        Some(other) => Err(unknown("command", other)),
+/// A command: its name, its handler, and the options it reads besides
+/// [`SHARED_OPTIONS`].
+type Command = (
+    &'static str,
+    fn(&Args) -> CmdResult,
+    &'static [&'static str],
+);
+
+/// Every command; [`USAGE`] lists exactly these, with these options.
+const COMMANDS: &[Command] = &[
+    ("generate", cmd_generate, &["profile", "out", "scale"]),
+    ("stats", cmd_stats, &["train", "json"]),
+    (
+        "train",
+        cmd_train,
+        &[
+            "train",
+            "out",
+            "model",
+            "dim",
+            "epochs",
+            "batch-size",
+            "lr",
+            "loss",
+            "negatives",
+            "adversarial",
+            "seed",
+            "threads",
+            "checkpoint-every",
+            "resume",
+            "deadline",
+        ],
+    ),
+    (
+        "eval",
+        cmd_eval,
+        &[
+            "train",
+            "test",
+            "model-file",
+            "valid",
+            "per-relation",
+            "threads",
+        ],
+    ),
+    (
+        "discover",
+        cmd_discover,
+        &[
+            "train",
+            "model-file",
+            "strategy",
+            "top-n",
+            "max-candidates",
+            "relation",
+            "consolidate",
+            "prune",
+            "seed",
+            "threads",
+            "chunk-size",
+            "top-k",
+            "heldout",
+            "out",
+        ],
+    ),
+    ("fit", cmd_fit, &["train", "name", "seed"]),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "train",
+            "model-file",
+            "models-dir",
+            "addr",
+            "workers",
+            "max-inflight",
+            "deadline-ms",
+            "cache-entries",
+            "rank-threads",
+            "for-secs",
+        ],
+    ),
+    ("help", |_| Ok(USAGE.to_string()), &[]),
+];
+
+/// Dispatches a parsed command line. An unknown command, or an option the
+/// command does not read, is refused before any work starts.
+pub fn run(args: &Args) -> CmdResult {
+    let command = args.command.as_deref().unwrap_or("help");
+    let &(_, handler, options) = COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == command)
+        .ok_or_else(|| unknown("command", command))?;
+    if let Some(key) = args
+        .keys()
+        .find(|key| !options.contains(key) && !SHARED_OPTIONS.contains(key))
+    {
+        return Err(unknown("option", &format!("--{key}")));
     }
+    let _observer = install_observer(args)?;
+    // The phase labels the pool's per-phase utilization and `kgfd serve`'s
+    // `/healthz`.
+    kgfd_obs::set_phase(command);
+    let trace_out = optional_value(args, "trace-out")?;
+    let flame_out = optional_value(args, "flame-out")?;
+    if trace_out.is_some() || flame_out.is_some() {
+        kgfd_obs::enable_tracing();
+    }
+    // One trace-only root per invocation: everything the command opens
+    // (discover.total, training epochs, ...) nests under it, so trace
+    // exports have a single root whose duration is the run itself.
+    let root_span = kgfd_obs::Span::with_fields_traced(
+        "cli.command",
+        vec![kgfd_obs::Field::new("command", command)],
+    );
+    let result = handler(args);
+    drop(root_span);
+    // After the command, failed or not, so a failing run still leaves its
+    // partial trace behind.
+    kgfd_obs::finish_tracing(trace_out.as_deref(), flame_out.as_deref())?;
+    result
 }
 
 fn load_graph(path: &str) -> Result<(Vocabulary, Vec<Triple>), Box<dyn Error>> {
@@ -906,7 +918,6 @@ fn cmd_serve(args: &Args) -> CmdResult {
         deadline_ms: args.parse_or("deadline-ms", 10_000u64, "integer")?,
         cache_entries: args.parse_or("cache-entries", 256usize, "integer")?,
         rank_threads: args.parse_or("rank-threads", 2usize, "integer")?.max(1),
-        enable_test_endpoints: args.flag("test-endpoints"),
         ..kgfd_serve::ServeConfig::default()
     };
     let for_secs: Option<u64> = args.parse_opt("for-secs", "integer")?;
@@ -914,10 +925,14 @@ fn cmd_serve(args: &Args) -> CmdResult {
     kgfd_serve::install_termination_handler();
     let server = kgfd_serve::Server::start(config.clone(), Arc::clone(&registry))
         .map_err(|e| format!("cannot serve on {}: {e}", config.addr))?;
-    // Announce the bound address (ephemeral ports become usable) in the
-    // same shape `--serve-metrics` uses.
+    // Announce the bound address, so an ephemeral port is usable. A closed
+    // stderr loses the line but does not stop the server.
     if !args.flag("quiet") {
-        eprintln!("serving kgfd on http://{}", server.local_addr());
+        let _ = writeln!(
+            std::io::stderr(),
+            "serving kgfd on http://{}",
+            server.local_addr()
+        );
     }
 
     loop {
@@ -973,4 +988,56 @@ fn cmd_serve(args: &Args) -> CmdResult {
         stats.workers_spawned,
         stats.worker_panics,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The `--options` a piece of text names.
+    fn options_in(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|word| word.strip_prefix("--"))
+            .collect()
+    }
+
+    /// The part of `USAGE` between two headings.
+    fn section(from: &str, to: &str) -> &'static str {
+        let start = USAGE.find(from).expect(from) + from.len();
+        let end = start + USAGE[start..].find(to).expect(to);
+        &USAGE[start..end]
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_options_each_command_accepts() {
+        // A command's block starts at its name, indented by two spaces.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in section("COMMANDS:\n", "\nOBSERVABILITY").lines() {
+            if !line.starts_with("   ") {
+                let name = line.split_whitespace().next().expect("a command name");
+                blocks.push((name, String::new()));
+            }
+            let (_, text) = blocks.last_mut().expect("a command block");
+            text.push_str(line);
+            text.push('\n');
+        }
+        assert_eq!(
+            blocks.iter().map(|(name, _)| *name).collect::<Vec<_>>(),
+            COMMANDS.iter().map(|(name, ..)| *name).collect::<Vec<_>>(),
+            "USAGE lists every command, in dispatch order"
+        );
+        for ((name, text), (_, _, options)) in blocks.iter().zip(COMMANDS) {
+            assert_eq!(
+                options_in(text),
+                options.iter().copied().collect(),
+                "kgfd {name}"
+            );
+        }
+        assert_eq!(
+            options_in(section("OBSERVABILITY (any command):\n", "\nEXIT CODES")),
+            SHARED_OPTIONS.iter().copied().collect(),
+            "the options every command accepts"
+        );
+    }
 }

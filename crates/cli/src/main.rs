@@ -15,7 +15,10 @@ fn main() {
                 Ok(()) => {}
                 Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
                 Err(e) => {
-                    eprintln!("error: cannot write the report to stdout: {e}");
+                    let _ = writeln!(
+                        std::io::stderr(),
+                        "error: cannot write the report to stdout: {e}"
+                    );
                     std::process::exit(1);
                 }
             }

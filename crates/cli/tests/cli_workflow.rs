@@ -250,6 +250,38 @@ fn helpful_errors() {
             2,
             "many",
         ),
+        // An option the command does not read is refused before any work:
+        // a misspelling, a removed flag, or another command's option.
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --top_n 10"),
+            2,
+            "unknown option \"--top_n\"",
+        ),
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --explore 0.5"),
+            2,
+            "unknown option \"--explore\"",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model transe --out {d}/x --serve-metrics 127.0.0.1:0"),
+            2,
+            "unknown option \"--serve-metrics\"",
+        ),
+        (
+            format!("serve --train {d}/train.tsv --model-file {m} --test-endpoints"),
+            2,
+            "unknown option \"--test-endpoints\"",
+        ),
+        (
+            format!("serve --train {d}/train.tsv --model-file {m} --max-body-bytes 10"),
+            2,
+            "unknown option \"--max-body-bytes\"",
+        ),
+        (
+            format!("generate --profile toy --out {d}/g --threads 2"),
+            2,
+            "unknown option \"--threads\"",
+        ),
         (
             format!("eval --train {d}/train.tsv --test {d}/test.tsv --model-file {d}/none"),
             1,
@@ -275,6 +307,27 @@ fn helpful_errors() {
     );
     assert!(stderr.contains("EXIT CODES"), "{stderr}");
     assert!(out.stdout.is_empty());
+
+    // A refused option starts nothing: no model, no metrics file.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_kgfd"))
+        .args(["train", "--model", "transe", "--epochs", "1"])
+        .arg("--train")
+        .arg(dir.join("train.tsv"))
+        .arg("--out")
+        .arg(dir.join("refused.kgfd"))
+        .arg("--metrics-out")
+        .arg(dir.join("refused.jsonl"))
+        .args(["--serve-metrics", "127.0.0.1:0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: unknown option \"--serve-metrics\"\n\nkgfd"),
+        "{stderr}"
+    );
+    assert!(!dir.join("refused.kgfd").exists());
+    assert!(!dir.join("refused.jsonl").exists());
     let _ = std::fs::remove_dir_all(dir);
 }
 

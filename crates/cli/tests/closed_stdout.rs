@@ -1,6 +1,7 @@
 //! The binary prints its report on stdout. A reader that stops early
 //! (`kgfd train ... --quiet | head -c0`) closes the pipe; the run already
-//! did its work, so that must be a clean exit, not a panic on stderr.
+//! did its work, so that must be a clean exit, not a panic on stderr. The
+//! same holds for `--progress` lines on a closed stderr.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -12,9 +13,9 @@ fn tempdir(name: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn closed_stdout_exits_cleanly_with_an_empty_stderr_under_quiet() {
-    let dir = tempdir("train");
+/// A fresh directory holding the toy graph.
+fn toy_graph(name: &str) -> PathBuf {
+    let dir = tempdir(name);
     let status = Command::new(env!("CARGO_BIN_EXE_kgfd"))
         .args(["generate", "--profile", "toy", "--out"])
         .arg(&dir)
@@ -22,7 +23,12 @@ fn closed_stdout_exits_cleanly_with_an_empty_stderr_under_quiet() {
         .status()
         .unwrap();
     assert!(status.success());
+    dir
+}
 
+#[test]
+fn closed_stdout_exits_cleanly_with_an_empty_stderr_under_quiet() {
+    let dir = toy_graph("train");
     let model = dir.join("m.kgfd");
     let mut child = Command::new(env!("CARGO_BIN_EXE_kgfd"))
         .args(["train", "--model", "transe", "--dim", "8", "--epochs", "3"])
@@ -52,5 +58,32 @@ fn closed_stdout_exits_cleanly_with_an_empty_stderr_under_quiet() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(model.exists(), "the model is written before the report");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stderr_does_not_stop_a_progress_run() {
+    let dir = toy_graph("progress");
+    let model = dir.join("m.kgfd");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_kgfd"))
+        .args(["train", "--model", "transe", "--dim", "8", "--epochs", "50"])
+        .arg("--train")
+        .arg(dir.join("train.tsv"))
+        .arg("--out")
+        .arg(&model)
+        .arg("--progress")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Close the read end before the first progress line: every line the
+    // run writes then fails with a broken pipe.
+    drop(child.stderr.take());
+    let out = child.wait_with_output().unwrap();
+
+    assert_eq!(out.status.code(), Some(0));
+    assert!(model.exists(), "the run finished and wrote its model");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("trained transe"), "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -238,97 +238,6 @@ fn trace_out_and_flame_out_write_valid_exports() {
 }
 
 #[test]
-fn serve_metrics_exposes_prometheus_text_during_train() {
-    use std::io::{BufRead, BufReader, Read, Write};
-
-    let dir = tempdir("serve");
-    let d = dir.display();
-    {
-        let _serial = OBSERVER_LOCK.lock().unwrap();
-        run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
-    }
-    // Train long enough that the run is still in flight when we scrape it.
-    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_kgfd"))
-        .args([
-            "train",
-            "--train",
-            &format!("{d}/train.tsv"),
-            "--model",
-            "distmult",
-            "--dim",
-            "64",
-            "--epochs",
-            "4000",
-            "--out",
-            &format!("{d}/m.kgfd"),
-            "--serve-metrics",
-            "127.0.0.1:0",
-        ])
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("kgfd binary runs");
-
-    // The CLI announces the bound (ephemeral) port on stderr.
-    let mut stderr = BufReader::new(child.stderr.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        if stderr.read_line(&mut line).unwrap() == 0 {
-            let _ = child.kill();
-            panic!("child exited before announcing the metrics endpoint");
-        }
-        if let Some(rest) = line.trim().strip_prefix("serving metrics on http://") {
-            break rest.to_string();
-        }
-    };
-
-    // Scrape /metrics until the per-epoch loss gauge appears (the first
-    // epochs may not have finished yet).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let body = loop {
-        let mut stream = std::net::TcpStream::connect(&addr).expect("endpoint is up");
-        stream
-            .write_all(format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        let (head, body) = response.split_once("\r\n\r\n").expect("headers then body");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(head.contains("text/plain"), "{head}");
-        if body.contains("embed_train_epoch_loss") {
-            break body.to_string();
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no embed_train_epoch_loss gauge after 30s; last body:\n{body}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
-    // Valid Prometheus exposition: TYPE comments and `name value` samples.
-    assert!(
-        body.contains("# TYPE embed_train_epoch_loss gauge"),
-        "{body}"
-    );
-    for line in body.lines().filter(|l| !l.starts_with('#')) {
-        let (name, value) = line.rsplit_once(' ').expect("name value");
-        assert!(!name.is_empty());
-        assert!(
-            value.parse::<f64>().is_ok() || ["NaN", "+Inf", "-Inf"].contains(&value),
-            "unparseable sample value in {line:?}"
-        );
-    }
-    let loss_sample = body
-        .lines()
-        .find(|l| l.starts_with("embed_train_epoch_loss "))
-        .expect("per-epoch loss gauge sample");
-    let loss: f64 = loss_sample.split(' ').nth(1).unwrap().parse().unwrap();
-    assert!(loss.is_finite());
-
-    let _ = child.kill();
-    let _ = child.wait();
-}
-
-#[test]
 fn quiet_run_produces_no_stderr() {
     let dir = tempdir("quiet");
     let d = dir.display();

@@ -69,8 +69,6 @@ fn serve_boots_answers_and_drains_on_sigterm() {
             model_file.to_str().unwrap(),
             "--addr",
             "127.0.0.1:0",
-            "--serve-metrics",
-            "127.0.0.1:0",
             "--workers",
             "2",
             "--for-secs",
@@ -81,38 +79,23 @@ fn serve_boots_answers_and_drains_on_sigterm() {
         .spawn()
         .expect("spawn kgfd serve");
 
-    // Both endpoints announce their bound (ephemeral) addresses on stderr.
-    let stderr = BufReader::new(child.stderr.take().unwrap());
-    let mut serve_addr = None;
-    let mut metrics_addr = None;
-    let parse = |line: &str, prefix: &str| {
-        line.strip_prefix(prefix)
-            .map(|rest| rest.trim().trim_start_matches("http://").to_string())
-    };
-    for line in stderr.lines() {
-        let line = line.unwrap();
-        if let Some(a) = parse(&line, "serving kgfd on ") {
-            serve_addr = Some(a);
-        } else if let Some(a) = parse(&line, "serving metrics on ") {
-            metrics_addr = Some(a);
-        }
-        if serve_addr.is_some() && metrics_addr.is_some() {
-            break;
-        }
-    }
-    let serve_addr = serve_addr.expect("serve address announced");
-    let metrics_addr = metrics_addr.expect("metrics address announced");
+    // The server announces its bound (ephemeral) address on stderr.
+    let serve_addr = BufReader::new(child.stderr.take().unwrap())
+        .lines()
+        .map_while(Result::ok)
+        .find_map(|line| {
+            line.strip_prefix("serving kgfd on http://")
+                .map(|rest| rest.trim().to_string())
+        })
+        .expect("serve address announced");
 
-    // The phase race regression, end to end: the *first* scrape after the
+    // The phase race regression, end to end: the *first* request after the
     // announce must already report this command's phase.
-    let health = request(&metrics_addr, "GET", "/healthz", "");
+    let health = request(&serve_addr, "GET", "/healthz", "");
     assert!(
         health.contains("\"phase\":\"serve\""),
-        "metrics /healthz must show phase serve immediately, got: {health}"
+        "/healthz must show phase serve immediately, got: {health}"
     );
-
-    // The serving endpoints answer.
-    let health = request(&serve_addr, "GET", "/healthz", "");
     assert!(health.contains("\"status\":\"ok\""), "got: {health}");
     assert!(health.contains("toy"), "got: {health}");
     let t = data.train.triples()[0];

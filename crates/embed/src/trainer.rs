@@ -452,10 +452,6 @@ impl<'a> TrainerCore<'a> {
             kgfd_obs::Field::new("threads", threads),
         ];
         kgfd_obs::metric("embed.train.epoch_loss", mean_loss, epoch_fields.clone());
-        // Mirror the loss into a registry gauge so the live `/metrics`
-        // endpoint exposes it between epochs (events only reach sinks).
-        kgfd_obs::gauge("embed.train.epoch_loss").set(mean_loss);
-        kgfd_obs::gauge("embed.train.epoch").set(epoch as f64);
         if wall > Duration::ZERO {
             kgfd_obs::metric(
                 "embed.train.examples_per_sec",

@@ -3,7 +3,6 @@
 //! ```text
 //! repro [TARGET] [SCALE] [--quiet | --progress] [--metrics-dir DIR]
 //!       [--threads N] [--trace-out FILE] [--flame-out FILE]
-//!       [--serve-metrics ADDR]
 //!   TARGET: all | table1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | fig8
 //!           | fig9 | fig10 | squares | grid | sweep | experiments
 //!           (default: all; `experiments` emits EXPERIMENTS.md content)
@@ -16,9 +15,10 @@
 //!                   the CPU count, capped at 8)
 //!   --trace-out     write the hierarchical span tree as Chrome trace JSON
 //!   --flame-out     write the span tree as collapsed-stack flamegraph text
-//!   --serve-metrics serve live /metrics, /healthz, /trace on ADDR while
-//!                   the run is in flight
 //! ```
+//!
+//! Any other option, or a third positional argument, is a usage error
+//! (exit 2).
 //!
 //! Text reports go to stdout; JSON series to `target/kgfd-results/`. A
 //! reader that closes stdout early (`repro ... | head`) ends the run
@@ -28,6 +28,13 @@ use kgfd_harness::{figures, run_grid, run_sweep, GridOptions, Scale, SweepOption
 use std::io::{ErrorKind, Write};
 use std::sync::Arc;
 
+/// Writes `message` to stderr and exits with `code`; a closed stderr loses
+/// the message, not the code.
+fn exit_with(code: i32, message: &str) -> ! {
+    let _ = writeln!(std::io::stderr(), "{message}");
+    std::process::exit(code);
+}
+
 fn main() {
     let mut positional: Vec<String> = Vec::new();
     let mut quiet = false;
@@ -36,7 +43,6 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut trace_out: Option<String> = None;
     let mut flame_out: Option<String> = None;
-    let mut serve_metrics: Option<String> = None;
     let mut raw = std::env::args().skip(1);
     while let Some(arg) = raw.next() {
         match arg.as_str() {
@@ -44,31 +50,15 @@ fn main() {
             "--progress" => progress = true,
             "--metrics-dir" => match raw.next() {
                 Some(dir) => metrics_dir = Some(dir.into()),
-                None => {
-                    eprintln!("--metrics-dir needs a directory argument");
-                    std::process::exit(2);
-                }
+                None => exit_with(2, "--metrics-dir needs a directory argument"),
             },
             "--trace-out" => match raw.next() {
                 Some(path) => trace_out = Some(path),
-                None => {
-                    eprintln!("--trace-out needs a file argument");
-                    std::process::exit(2);
-                }
+                None => exit_with(2, "--trace-out needs a file argument"),
             },
             "--flame-out" => match raw.next() {
                 Some(path) => flame_out = Some(path),
-                None => {
-                    eprintln!("--flame-out needs a file argument");
-                    std::process::exit(2);
-                }
-            },
-            "--serve-metrics" => match raw.next() {
-                Some(addr) => serve_metrics = Some(addr),
-                None => {
-                    eprintln!("--serve-metrics needs an address argument");
-                    std::process::exit(2);
-                }
+                None => exit_with(2, "--flame-out needs a file argument"),
             },
             "--threads" => match raw
                 .next()
@@ -76,11 +66,10 @@ fn main() {
                 .map(kgfd_pool::resolve_threads)
             {
                 Some(Ok(n)) => threads = Some(n),
-                _ => {
-                    eprintln!("--threads needs a positive integer argument");
-                    std::process::exit(2);
-                }
+                _ => exit_with(2, "--threads needs a positive integer argument"),
             },
+            _ if arg.starts_with("--") => exit_with(2, &format!("unknown option {arg:?}")),
+            _ if positional.len() == 2 => exit_with(2, &format!("unexpected argument {arg:?}")),
             _ => positional.push(arg),
         }
     }
@@ -92,24 +81,9 @@ fn main() {
         Arc::new(kgfd_obs::StderrProgress::warnings_only())
     });
 
-    if trace_out.is_some() || flame_out.is_some() || serve_metrics.is_some() {
+    if trace_out.is_some() || flame_out.is_some() {
         kgfd_obs::enable_tracing();
     }
-    let server = serve_metrics.map(|addr| {
-        kgfd_obs::set_phase("repro:start");
-        match kgfd_serve::MetricsServer::start(&addr) {
-            Ok(server) => {
-                if !quiet {
-                    eprintln!("serving metrics on http://{}", server.local_addr());
-                }
-                server
-            }
-            Err(e) => {
-                eprintln!("cannot serve metrics on {addr}: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
     let root_span = kgfd_obs::Span::start_traced("repro.run");
 
     let target = positional.first().map(String::as_str).unwrap_or("all");
@@ -117,8 +91,7 @@ fn main() {
         Some("standard") => Scale::Standard,
         Some("mini") | None => Scale::Mini,
         Some(other) => {
-            eprintln!("unknown scale {other:?}; use mini or standard");
-            std::process::exit(2);
+            exit_with(2, &format!("unknown scale {other:?}; use mini or standard"));
         }
     };
 
@@ -194,8 +167,7 @@ fn main() {
     }
 
     if sections.is_empty() {
-        eprintln!("unknown target {target:?}");
-        std::process::exit(2);
+        exit_with(2, &format!("unknown target {target:?}"));
     }
     let rule = "=".repeat(80);
     let mut stdout = std::io::stdout().lock();
@@ -206,29 +178,11 @@ fn main() {
     match written {
         Ok(()) => {}
         Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
-        Err(e) => {
-            eprintln!("cannot write the report to stdout: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => exit_with(1, &format!("cannot write the report to stdout: {e}")),
     }
 
     drop(root_span);
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    if trace_out.is_some() || flame_out.is_some() {
-        let tree = kgfd_obs::TraceTree::build(kgfd_obs::collector().drain());
-        if let Some(path) = &trace_out {
-            if let Err(e) = std::fs::write(path, kgfd_obs::chrome_trace(&tree)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-        if let Some(path) = &flame_out {
-            if let Err(e) = std::fs::write(path, kgfd_obs::flamegraph_collapsed(&tree)) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Err(e) = kgfd_obs::finish_tracing(trace_out.as_deref(), flame_out.as_deref()) {
+        exit_with(1, &e);
     }
 }

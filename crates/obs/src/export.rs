@@ -253,7 +253,7 @@ fn collapse_into<'a>(
 }
 
 /// The top-`n` aggregated rows by self time as a standalone JSON document —
-/// the body of the live `GET /trace` endpoint.
+/// the body of `kgfd serve`'s `GET /trace` route.
 pub fn top_spans_json(tree: &TraceTree, n: usize) -> String {
     let rows = tree.aggregate_by_name();
     let mut out = format!(

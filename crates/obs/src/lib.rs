@@ -21,10 +21,11 @@
 //! [`SpanHandle::enter`]), finished spans land
 //! in the process-wide [`TraceCollector`] (opt-in via
 //! [`enable_tracing`]), the tree exports as Chrome trace-event JSON and
-//! collapsed-stack flamegraph text ([`export`]). The live endpoint that
-//! serves them over HTTP lives in `kgfd-serve`; this crate supplies its
-//! content: [`prometheus_text`], [`current_phase`], and
-//! [`top_spans_json`].
+//! collapsed-stack flamegraph text ([`export`]), and [`finish_tracing`]
+//! writes them at the end of a run. A batch run reports through these
+//! files and its JSONL sink; `kgfd serve` also renders [`prometheus_text`],
+//! [`current_phase`], and [`top_spans_json`] on its `GET` routes (this
+//! crate has no networking).
 //!
 //! Metric and span names follow `<crate>.<phase>.<name>`, e.g.
 //! `embed.train.epoch_loss` or `discover.generation.duration_us`.
@@ -65,6 +66,6 @@ pub use observer::{
 pub use span::{emit_span_aggregate, Span};
 pub use trace::{
     collector, current_span, current_span_handle, disable as disable_tracing,
-    enable as enable_tracing, record_manual, thread_id, EnteredSpan, SpanHandle, SpanId,
-    SpanRecord, TraceCollector,
+    enable as enable_tracing, finish as finish_tracing, record_manual, thread_id, EnteredSpan,
+    SpanHandle, SpanId, SpanRecord, TraceCollector,
 };

@@ -389,6 +389,13 @@ mod tests {
     use super::*;
 
     #[test]
+    fn prometheus_text_is_deterministic() {
+        registry().counter("obs.det.a").inc();
+        registry().counter("obs.det.b").inc();
+        assert_eq!(prometheus_text(), prometheus_text());
+    }
+
+    #[test]
     fn counters_count_and_gauges_hold_last() {
         let r = Registry::default();
         let c = r.counter("x");

@@ -80,12 +80,17 @@ impl Default for StderrProgress {
 
 impl Observer for StderrProgress {
     fn event(&self, event: &Event) {
-        match &event.payload {
+        // A closed stderr (`kgfd ... 2>&1 >/dev/null | head -1`) loses the
+        // line but must not end the run, so write errors are dropped.
+        let mut stderr = std::io::stderr();
+        let _ = match &event.payload {
             Payload::Message { level, text } => {
                 if *level >= Level::Warn {
-                    eprintln!("{}: {text}", level_name(*level));
+                    writeln!(stderr, "{}: {text}", level_name(*level))
                 } else if *level >= self.min_level && self.admit() {
-                    eprintln!("{text}");
+                    writeln!(stderr, "{text}")
+                } else {
+                    Ok(())
                 }
             }
             Payload::SpanEnd {
@@ -93,27 +98,25 @@ impl Observer for StderrProgress {
                 duration_us,
                 fields,
                 ..
-            } if self.min_level <= Level::Progress && self.admit() => {
-                eprintln!(
-                    "[{:>10.3}s] {name} {} ({:.3}s)",
-                    event.t_us as f64 / 1e6,
-                    render_fields(fields),
-                    *duration_us as f64 / 1e6
-                );
-            }
+            } if self.min_level <= Level::Progress && self.admit() => writeln!(
+                stderr,
+                "[{:>10.3}s] {name} {} ({:.3}s)",
+                event.t_us as f64 / 1e6,
+                render_fields(fields),
+                *duration_us as f64 / 1e6
+            ),
             Payload::Metric {
                 name,
                 value,
                 fields,
-            } if self.min_level <= Level::Progress && self.admit() => {
-                eprintln!(
-                    "[{:>10.3}s] {name} = {value:.6} {}",
-                    event.t_us as f64 / 1e6,
-                    render_fields(fields)
-                );
-            }
-            _ => {}
-        }
+            } if self.min_level <= Level::Progress && self.admit() => writeln!(
+                stderr,
+                "[{:>10.3}s] {name} = {value:.6} {}",
+                event.t_us as f64 / 1e6,
+                render_fields(fields)
+            ),
+            _ => Ok(()),
+        };
     }
 }
 

@@ -197,8 +197,8 @@ impl TraceCollector {
     }
 
     /// A copy of every record collected so far without draining, in the
-    /// order they were recorded. Used by the live `/trace` endpoint, which
-    /// must not steal the records from the end-of-run export.
+    /// order they were recorded. Used by `kgfd serve`'s `/trace` route,
+    /// which must not steal the records from the end-of-run export.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         self.records().clone()
     }
@@ -211,8 +211,8 @@ pub fn collector() -> &'static TraceCollector {
     COLLECTOR.get_or_init(TraceCollector::default)
 }
 
-/// Turns span collection on process-wide (`--trace-out` / `--flame-out` /
-/// `--serve-metrics` do this before the run starts).
+/// Turns span collection on process-wide (`--trace-out` / `--flame-out`
+/// do this before the run starts).
 pub fn enable() {
     collector().set_enabled(true);
 }
@@ -221,6 +221,30 @@ pub fn enable() {
 /// measure the disabled path).
 pub fn disable() {
     collector().set_enabled(false);
+}
+
+/// Ends a run's span collection and writes the exports it asked for: drains
+/// the collector, turns collection off, and writes the span tree as Chrome
+/// trace-event JSON to `trace_out` and as collapsed-stack flamegraph text
+/// to `flame_out`. Does nothing when neither path is given. This is what
+/// `--trace-out` / `--flame-out` do after a `kgfd` or `repro` run.
+pub fn finish(trace_out: Option<&str>, flame_out: Option<&str>) -> Result<(), String> {
+    if trace_out.is_none() && flame_out.is_none() {
+        return Ok(());
+    }
+    let records = collector().drain();
+    disable();
+    let tree = crate::TraceTree::build(records);
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+    };
+    if let Some(path) = trace_out {
+        write(path, crate::chrome_trace(&tree))?;
+    }
+    if let Some(path) = flame_out {
+        write(path, crate::flamegraph_collapsed(&tree))?;
+    }
+    Ok(())
 }
 
 /// Records a synthetic span that was measured by hand rather than scoped —

@@ -1,6 +1,6 @@
 //! Minimal HTTP/1.1 request parsing and response writing over raw
-//! `TcpStream`s: the workspace's one request-head parser and one response
-//! writer, shared by [`crate::Server`] and [`crate::MetricsServer`].
+//! `TcpStream`s: the request-head parser and response writer of
+//! [`crate::Server`].
 //!
 //! The split matters for the acceptor/worker design: the acceptor reads
 //! only the *head* (request line + headers, bounded), which is enough to

@@ -21,10 +21,10 @@
 //! | `GET /trace`       | Top spans by self time from the live collector  |
 //! | `GET /v1/models`   | Loaded models with kind/dim/generation          |
 //!
-//! The three observability `GET` routes are also what [`MetricsServer`]
-//! serves on its own port for `kgfd --serve-metrics` and
-//! `repro --serve-metrics`; both listeners share one route function and
-//! the one HTTP parser and writer in [`http`].
+//! This is the workspace's one HTTP listener. The three observability
+//! `GET` routes show a running server; a batch run (`kgfd train`,
+//! `discover`, `eval`, `repro`) reports through the files it writes
+//! instead (`--metrics-out`, `--trace-out`, `--flame-out`).
 //!
 //! The architecture (bounded queue, `429` load shedding, per-request
 //! deadlines, response cache, graceful drain) is documented on
@@ -38,13 +38,11 @@
 pub mod api;
 pub mod cache;
 pub mod http;
-mod metrics;
 pub mod registry;
 pub mod server;
 pub mod signal;
 
 pub use cache::ResponseCache;
-pub use metrics::MetricsServer;
 pub use registry::{GraphContext, ModelEntry, ModelRegistry};
 pub use server::{ServeConfig, ServeStats, Server};
 pub use signal::{install_termination_handler, request_termination, termination_requested};

@@ -11,12 +11,20 @@
 //!
 //! **Acceptor.** One thread owns the (non-blocking) listener. It reads only
 //! the request *head* under a short timeout, then: answers `GET` routes
-//! (`/healthz`, `/metrics`, `/trace` — shared with
-//! [`crate::MetricsServer`] — and `/v1/models`) inline, so liveness never
-//! queues behind model work, and either enqueues a `POST` or sheds it with
-//! `429 Retry-After` when `max_inflight` requests are already admitted.
-//! Oversized, unroutable, and bad-`Content-Length` requests are refused
-//! inline (`413` / `404` / `400`) without being admitted.
+//! inline, so liveness never queues behind model work, and either enqueues
+//! a `POST` or sheds it with `429 Retry-After` when `max_inflight` requests
+//! are already admitted. Oversized, unroutable, and bad-`Content-Length`
+//! requests are refused inline (`413` / `404` / `400`) without being
+//! admitted. The `GET` routes:
+//!
+//! * `/metrics` — the obs registry as Prometheus text
+//!   ([`kgfd_obs::prometheus_text`]);
+//! * `/healthz` — `status` (`ok`, or `draining`), the `run` id,
+//!   `uptime_s`, the process `phase` ([`kgfd_obs::set_phase`]), `inflight`
+//!   and the loaded `models`;
+//! * `/trace` — the top spans by self time from the live trace collector
+//!   ([`kgfd_obs::top_spans_json`]);
+//! * `/v1/models` — each loaded model's kind, dimension and generation.
 //!
 //! **Workers.** A fixed pool of `workers` threads pops requests, finishes
 //! the body read, and dispatches to the handlers in [`crate::api`]. Model
@@ -42,7 +50,6 @@
 use crate::api::{self, ApiError};
 use crate::cache::ResponseCache;
 use crate::http::{self, HeadError, RequestHead, Status};
-use crate::metrics;
 use crate::registry::ModelRegistry;
 use serde_json::json;
 use std::collections::VecDeque;
@@ -306,19 +313,33 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
         Err(HeadError::BadContentLength) => {
             kgfd_obs::counter("serve.requests").inc();
             http::discard_buffered(&mut stream);
-            let body = metrics::bad_content_length();
+            let body = api::error_body(&ApiError::BadRequest(
+                "Content-Length must be one unsigned decimal integer".to_string(),
+            ));
             finish(&mut stream, Status(400), &[], &body);
             return;
         }
     };
     kgfd_obs::counter("serve.requests").inc();
 
-    if let Some((content_type, body)) = metrics::observe_route(&head, || health(shared)) {
-        kgfd_obs::counter("serve.responses.2xx").inc();
-        http::respond(&mut stream, Status(200), content_type, &[], &body);
-        return;
-    }
     match (head.method.as_str(), head.path.as_str()) {
+        ("GET", "/metrics") => {
+            let body = kgfd_obs::prometheus_text();
+            kgfd_obs::counter("serve.responses.2xx").inc();
+            http::respond(
+                &mut stream,
+                Status(200),
+                http::PROMETHEUS_TEXT,
+                &[],
+                body.as_bytes(),
+            );
+        }
+        ("GET", "/healthz") => finish(&mut stream, Status(200), &[], &health_body(shared)),
+        ("GET", "/trace") => {
+            let tree = kgfd_obs::TraceTree::build(kgfd_obs::collector().snapshot());
+            let body = kgfd_obs::top_spans_json(&tree, 20);
+            finish(&mut stream, Status(200), &[], body.as_bytes());
+        }
         ("GET", "/v1/models") => finish(&mut stream, Status(200), &[], &models_body(shared)),
         ("POST", path) if is_post_route(path, &shared.config) => {
             if shared.draining.load(Ordering::SeqCst) {
@@ -371,13 +392,13 @@ fn admit(mut stream: TcpStream, shared: &Shared) {
             drop(queue);
             shared.queue_cv.notify_one();
         }
-        _ => refuse(
-            &mut stream,
-            &head,
-            Status(404),
-            &[],
-            &metrics::not_found(&head),
-        ),
+        _ => {
+            let body = api::error_json(
+                "not_found",
+                &format!("no route for {} {}", head.method, head.path),
+            );
+            refuse(&mut stream, &head, Status(404), &[], &body);
+        }
     }
 }
 
@@ -606,18 +627,20 @@ fn refuse(
     finish(stream, status, headers, body);
 }
 
-/// The `/healthz` status and the fields this server adds to it.
-fn health(shared: &Shared) -> (&'static str, serde_json::Value) {
+fn health_body(shared: &Shared) -> Vec<u8> {
     let status = if shared.draining.load(Ordering::SeqCst) {
         "draining"
     } else {
         "ok"
     };
-    let extra = json!({
+    api::render(&json!({
+        "status": status,
+        "run": (kgfd_obs::run_id()),
+        "uptime_s": (kgfd_obs::clock_us() as f64 / 1e6),
+        "phase": (kgfd_obs::current_phase()),
         "inflight": (shared.inflight.load(Ordering::SeqCst) as u64),
         "models": (shared.registry.names()),
-    });
-    (status, extra)
+    }))
 }
 
 fn models_body(shared: &Shared) -> Vec<u8> {
@@ -636,4 +659,114 @@ fn models_body(shared: &Shared) -> Vec<u8> {
         })
         .collect();
     api::render(&json!({"models": (serde_json::Value::Array(models))}))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GraphContext;
+    use kgfd_obs::registry;
+    use std::io::{Read, Write};
+
+    fn send(addr: SocketAddr, request: &str) -> String {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(request.as_bytes()).expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        response
+    }
+
+    fn request(addr: SocketAddr, method: &str, path: &str) -> String {
+        send(
+            addr,
+            &format!("{method} {path} HTTP/1.1\r\nHost: test\r\n\r\n"),
+        )
+    }
+
+    fn json_body(response: &str) -> serde_json::Value {
+        let body = response.split("\r\n\r\n").nth(1).expect("body");
+        serde_json::from_str(body).expect("body is JSON")
+    }
+
+    /// A server over the toy graph with no models loaded.
+    fn empty_server(config: ServeConfig) -> Server {
+        let data = kgfd_datasets::toy_biomedical();
+        let registry = ModelRegistry::new(GraphContext::new(data.vocab, data.train));
+        Server::start(config, Arc::new(registry)).expect("bind")
+    }
+
+    #[test]
+    fn observability_routes_answer_and_other_requests_404() {
+        registry().counter("serve.test.requests").add(3);
+        registry().gauge("serve.test.loss").set(0.25);
+        let h = registry().histogram("serve.test.latency_us");
+        h.record(10.0);
+        h.record(1000.0);
+        kgfd_obs::set_phase("unit-test");
+
+        let serve = empty_server(ServeConfig::default());
+        let addr = serve.local_addr();
+        let text = request(addr, "GET", "/metrics");
+        assert!(text.starts_with("HTTP/1.1 200 OK"), "got {text}");
+        for line in [
+            http::PROMETHEUS_TEXT,
+            "# TYPE serve_test_requests counter",
+            "serve_test_requests 3",
+            "serve_test_loss 0.25",
+            "serve_test_latency_us_bucket{le=\"+Inf\"} 2",
+            "serve_test_latency_us_count 2",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in {text}");
+        }
+        let health = json_body(&request(addr, "GET", "/healthz"));
+        assert_eq!(health["status"].as_str(), Some("ok"));
+        assert_eq!(health["phase"].as_str(), Some("unit-test"));
+        assert!(health["run"].as_str().is_some());
+        assert!(health["uptime_s"].as_f64().is_some());
+        assert_eq!(health["inflight"].as_u64(), Some(0));
+        assert!(health["models"].as_array().is_some_and(Vec::is_empty));
+        let trace = json_body(&request(addr, "GET", "/trace"));
+        assert!(trace["spans"].as_u64().is_some());
+        // An unknown path and a POST to a GET route are one 404.
+        for (method, path) in [("GET", "/nope"), ("POST", "/metrics")] {
+            let response = request(addr, method, path);
+            assert!(response.starts_with("HTTP/1.1 404"), "got {response}");
+            assert_eq!(
+                json_body(&response),
+                json!({"error": "not_found", "detail": (format!("no route for {method} {path}"))})
+            );
+        }
+        serve.shutdown();
+    }
+
+    #[test]
+    fn shutdown_releases_the_port() {
+        let server = empty_server(ServeConfig::default());
+        let addr = server.local_addr();
+        server.shutdown();
+        // The acceptor, which owns the listener, has been joined; rebinding
+        // the same port must succeed immediately.
+        TcpListener::bind(addr).expect("port released");
+    }
+
+    #[test]
+    fn bad_content_length_is_refused_before_admission() {
+        // No admission slots at all: an admitted POST could only be shed
+        // with 429, so a 400 proves the refusal came first.
+        let serve = empty_server(ServeConfig {
+            max_inflight: 0,
+            ..ServeConfig::default()
+        });
+        for request in [
+            "POST /v1/score HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            "POST /v1/score HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}",
+            "GET /metrics HTTP/1.1\r\nContent-Length: +5\r\n\r\n",
+        ] {
+            let response = send(serve.local_addr(), request);
+            assert!(response.starts_with("HTTP/1.1 400"), "got {response}");
+            assert_eq!(json_body(&response)["error"].as_str(), Some("bad_request"));
+        }
+        assert_eq!(serve.inflight(), 0);
+        serve.shutdown();
+    }
 }
