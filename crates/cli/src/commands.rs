@@ -729,6 +729,7 @@ fn cmd_eval(args: &Args) -> CmdResult {
     manifest
         .with_config("test_triples", test.len())
         .with_config("mrr", summary.mrr)
+        .with_config("embed.kernel", kgfd_embed::kernel_path())
         .with_config(
             "eval.rank.dedup_ratio",
             kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
@@ -847,6 +848,7 @@ fn cmd_discover(args: &Args) -> CmdResult {
         .with_config("chunk_size", config.chunk_size)
         .with_config("top_k", config.top_k.map(|k| k as u64).unwrap_or(0))
         .with_config("facts", report.facts.len())
+        .with_config("embed.kernel", kgfd_embed::kernel_path())
         .with_config(
             "eval.rank.dedup_ratio",
             kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
@@ -969,6 +971,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
         .with_config("serve.worker_panics", stats.worker_panics)
         .with_config("serve.workers_spawned", stats.workers_spawned)
         .with_config("serve.workers_joined", stats.workers_joined)
+        .with_config("embed.kernel", kgfd_embed::kernel_path())
         .emit();
 
     Ok(format!(

@@ -1,5 +1,6 @@
-//! Observability behaviour of the CLI: `--metrics-out` JSONL files,
-//! `--quiet`, and the `"n/a"` rendering of undefined losses.
+//! Observability behaviour of the CLI: `--metrics-out` JSONL files and the
+//! manifests they close with, `--quiet`, and the `"n/a"` rendering of
+//! undefined losses.
 //!
 //! These tests install process-global observers, so they serialize on a
 //! mutex; they live in their own test binary to keep the workflow tests'
@@ -111,6 +112,47 @@ fn discover_metrics_out_is_parseable_jsonl_with_spans_and_manifest() {
             assert!(m.config.iter().any(|f| f.key == "top_n"));
         }
         other => panic!("expected a closing manifest, got {other:?}"),
+    }
+}
+
+#[test]
+fn ranking_manifests_name_the_kernel_codegen() {
+    let _serial = OBSERVER_LOCK.lock().unwrap();
+    let dir = tempdir("kernel");
+    let d = dir.display();
+    run(&args(&format!("generate --profile toy --out {d}"))).unwrap();
+    run(&args(&format!(
+        "train --train {d}/train.tsv --model transe --dim 16 --epochs 3 --out {d}/m.kgfd"
+    )))
+    .unwrap();
+
+    // The value is the scoring kernels' own detection, and one of two.
+    let kernel = kgfd_embed::kernel_path();
+    assert!(matches!(kernel, "avx2" | "portable"), "{kernel}");
+    let model = format!("--train {d}/train.tsv --model-file {d}/m.kgfd");
+    for (command, options) in [
+        ("eval", format!("--test {d}/test.tsv")),
+        ("discover", "--top-n 10 --max-candidates 40".to_string()),
+        (
+            "serve",
+            "--addr 127.0.0.1:0 --for-secs 0 --quiet".to_string(),
+        ),
+    ] {
+        let metrics = dir.join(format!("{command}.jsonl"));
+        run(&args(&format!(
+            "{command} {model} {options} --metrics-out {}",
+            metrics.display()
+        )))
+        .unwrap();
+        match &read_events(&metrics).last().unwrap().payload {
+            kgfd_obs::Payload::Manifest(m) => {
+                assert_eq!(m.command, command);
+                let entry = m.config.iter().find(|f| f.key == "embed.kernel");
+                let expect = kgfd_obs::FieldValue::Text(kernel.to_string());
+                assert_eq!(entry.map(|f| &f.value), Some(&expect), "{command}");
+            }
+            other => panic!("expected a closing manifest, got {other:?}"),
+        }
     }
 }
 

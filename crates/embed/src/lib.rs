@@ -21,7 +21,7 @@
 //! assert!(model.score(data.train.triples()[0]).is_finite());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;
@@ -38,6 +38,7 @@ mod trainer;
 
 pub mod init;
 
+pub use batch::kernel_path;
 pub use checkpoint::{
     checkpoint_paths, config_fingerprint, read_checkpoint_file, resume_latest, write_checkpoint,
     CheckpointPolicy, ResumeReport, TrainCheckpoint, CHECKPOINT_VERSION,

@@ -219,10 +219,13 @@ pub trait KgeModel: Send + Sync {
     /// The default loops [`score_objects`](KgeModel::score_objects). The
     /// dot-product-family models and ConvE override it with a query-lane
     /// sweep (see `crate::batch`): it reads each entity row once per tile
-    /// of queries, and each query's lane folds its reduction over `dim` in
-    /// the single-query order from the same starting value, so batched
-    /// scores are **bit-identical** to looped ones — ranks computed from
-    /// either path are equal.
+    /// of queries, folds a block of entity rows per pass over the tile, and
+    /// each query's lane folds its reduction over `dim` in the single-query
+    /// order from the same starting value, so batched scores are
+    /// **bit-identical** to looped ones — ranks computed from either path
+    /// are equal. The sweep runs as AVX2 code on a CPU that has it and as
+    /// portable code otherwise ([`crate::kernel_path`] says which); both
+    /// give the same bits.
     fn score_objects_batch(&self, queries: &[(EntityId, RelationId)], out: &mut [f32]) {
         let n = self.num_entities();
         debug_assert_eq!(out.len(), queries.len() * n);

@@ -8,11 +8,16 @@
 //! state, so exporting is pure and testable.
 //!
 //! **Self time vs. total time.** A node's *total* time is its own recorded
-//! wall-clock duration; its *self* time is the total minus the summed
-//! durations of its direct children, clamped at zero. The clamp matters:
-//! children dispatched to worker threads overlap each other, so their sum
-//! can legitimately exceed the parent's duration — in a sequential run the
-//! self-times over a tree add back up to the root's total exactly.
+//! wall-clock duration; its *self* time is the part of that interval that
+//! none of its direct children covers: the total minus the length of the
+//! union of the children's `[start_us, start_us + duration_us)` intervals,
+//! clipped to the parent's. Children dispatched to worker threads overlap
+//! each other, so their summed durations can exceed the parent's; the union
+//! counts the time they overlap once, and the parent's serial work before,
+//! between and after them stays visible at any thread count. In a
+//! sequential run the children are disjoint and nested, so the union is
+//! their sum and the self times over a tree add back up to the root's
+//! total.
 
 use crate::trace::SpanRecord;
 use std::collections::HashMap;
@@ -25,8 +30,9 @@ pub struct TraceTree {
     pub children: Vec<Vec<usize>>,
     /// Indices of roots (no parent, or parent never recorded).
     pub roots: Vec<usize>,
-    /// `self_us[i]` — duration of `records[i]` minus its direct children's
-    /// durations, clamped at 0 (see the module docs).
+    /// `self_us[i]` — duration of `records[i]` minus the union of its
+    /// direct children's intervals, clipped to its own (see the module
+    /// docs).
     pub self_us: Vec<u64>,
     /// `depth[i]` — 0 for roots, parent depth + 1 otherwise.
     pub depth: Vec<u32>,
@@ -48,11 +54,11 @@ impl TraceTree {
                 None => roots.push(i),
             }
         }
-        let mut self_us = vec![0u64; records.len()];
-        for (i, r) in records.iter().enumerate() {
-            let child_total: u64 = children[i].iter().map(|&c| records[c].duration_us).sum();
-            self_us[i] = r.duration_us.saturating_sub(child_total);
-        }
+        let self_us = records
+            .iter()
+            .zip(&children)
+            .map(|(r, kids)| r.duration_us - covered_us(r, kids.iter().map(|&c| &records[c])))
+            .collect();
         let mut depth = vec![0u32; records.len()];
         // Ids ascend with creation order and a child is always created
         // after its parent, so one forward pass settles every depth.
@@ -127,6 +133,27 @@ impl TraceTree {
     }
 }
 
+/// Microseconds of `parent`'s interval that at least one of `children`'s
+/// intervals covers: the length of their union, clipped to the parent.
+fn covered_us<'a>(parent: &SpanRecord, children: impl Iterator<Item = &'a SpanRecord>) -> u64 {
+    let (start, end) = (parent.start_us, parent.start_us + parent.duration_us);
+    let mut intervals: Vec<(u64, u64)> = children
+        .map(|c| (c.start_us.max(start), (c.start_us + c.duration_us).min(end)))
+        .filter(|(from, to)| from < to)
+        .collect();
+    intervals.sort_unstable();
+    let mut covered = 0;
+    let mut reached = start;
+    for (from, to) in intervals {
+        let from = from.max(reached);
+        if to > from {
+            covered += to - from;
+            reached = to;
+        }
+    }
+    covered
+}
+
 /// One aggregated row of the trace (all spans sharing a name).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TraceNode {
@@ -136,7 +163,8 @@ pub struct TraceNode {
     pub count: u64,
     /// Summed wall-clock duration, microseconds.
     pub total_us: u64,
-    /// Summed self time (total minus direct children), microseconds.
+    /// Summed self time (total minus the union of the direct children's
+    /// intervals), microseconds.
     pub self_us: u64,
 }
 
@@ -316,14 +344,47 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_children_clamp_self_time_at_zero() {
-        // Parallel children: 2 × 80us inside a 100us parent.
+    fn overlapping_children_count_their_union_once() {
+        // Parallel children: 2 × 80us from one start inside a 100us parent
+        // cover 80us of it, so the parent's serial 20us stays visible.
         let t = TraceTree::build(vec![
             record(1, None, "root", 0, 100),
             record(2, Some(1), "w", 0, 80),
             record(3, Some(1), "w", 0, 80),
         ]);
-        assert_eq!(t.self_us[0], 0);
+        assert_eq!(t.self_us, vec![20, 80, 80]);
+    }
+
+    #[test]
+    fn disjoint_children_subtract_their_summed_durations() {
+        let t = TraceTree::build(vec![
+            record(1, None, "root", 10, 100),
+            record(2, Some(1), "w", 20, 30),
+            record(3, Some(1), "w", 60, 20),
+        ]);
+        assert_eq!(t.self_us[0], 50);
+    }
+
+    #[test]
+    fn partly_overlapping_children_subtract_their_union() {
+        // [10, 50) and [30, 70) cover [10, 70): 60us of the 100us parent.
+        let t = TraceTree::build(vec![
+            record(1, None, "root", 0, 100),
+            record(2, Some(1), "w", 10, 40),
+            record(3, Some(1), "w", 30, 40),
+        ]);
+        assert_eq!(t.self_us[0], 40);
+    }
+
+    #[test]
+    fn a_child_that_outlives_its_parent_is_clipped_to_it() {
+        // The child covers [60, 100) of the parent's [0, 100) and runs on
+        // past its end; only the covered 40us leave the parent's self time.
+        let t = TraceTree::build(vec![
+            record(1, None, "root", 0, 100),
+            record(2, Some(1), "late", 60, 90),
+        ]);
+        assert_eq!(t.self_us, vec![60, 90]);
     }
 
     #[test]
