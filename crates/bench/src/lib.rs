@@ -11,7 +11,13 @@ use kgfd_kg::Dataset;
 /// The FB15K-237-like mini dataset with a trained TransE.
 pub fn fb_mini_transe() -> (Dataset, Box<dyn KgeModel>) {
     let data = DatasetRef::Fb15k237.load(Scale::Mini);
-    let model = trained_model(DatasetRef::Fb15k237, ModelKind::TransE, Scale::Mini, &data);
+    let model = trained_model(
+        DatasetRef::Fb15k237,
+        ModelKind::TransE,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     (data, model)
 }
 

@@ -117,6 +117,18 @@ impl Args {
         Ok(self.parse_opt(key, expected)?.unwrap_or(default))
     }
 
+    /// Parses `--key` as a count of at least 1, with a default when absent.
+    pub fn positive_or(&self, key: &str, default: usize) -> Result<usize, ArgError> {
+        match self.parse_or(key, default, "positive integer")? {
+            0 => Err(ArgError::Invalid {
+                key: key.into(),
+                value: self.get(key).unwrap_or_default().into(),
+                expected: "positive integer",
+            }),
+            n => Ok(n),
+        }
+    }
+
     /// Parses `--key` as `T` when present.
     pub fn parse_opt<T: std::str::FromStr>(
         &self,

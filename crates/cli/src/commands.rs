@@ -15,6 +15,9 @@ use kgfd_eval::{evaluate_per_relation, evaluate_ranking};
 use kgfd_graph_stats::{
     global_transitivity, local_triangle_counts, GraphSummary, UndirectedAdjacency,
 };
+use kgfd_harness::{
+    figures, run_grid, run_sweep, GridOptions, GridResults, Scale, SweepOptions, SweepResults,
+};
 use kgfd_kg::{
     read_triples_tsv, write_triples_tsv, Dataset, KgError, Triple, TripleStore, Vocabulary,
 };
@@ -88,6 +91,14 @@ COMMANDS:
             budget (typed 408 on expiry), repeated queries hit an LRU
             response cache (bit-identical to the cold path), and SIGTERM
             drains gracefully: in-flight requests finish, new ones get 503
+  repro     [--target <all|table1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10
+            |squares|grid|sweep|experiments>] [--scale <mini|standard>]
+            [--threads <N>]
+            regenerate the paper's tables and figures (default: all, mini):
+            text reports on stdout, JSON series under target/kgfd-results/;
+            `experiments` renders EXPERIMENTS.md. Each grid and sweep cell
+            closes with its grid-cell or sweep-cell run manifest; --threads
+            trains zoo models and ranks candidates (default as for train)
   help      this text
 
 OBSERVABILITY (any command):
@@ -304,6 +315,7 @@ const COMMANDS: &[Command] = &[
             "for-secs",
         ],
     ),
+    ("repro", cmd_repro, &["target", "scale", "threads"]),
     ("help", |_| Ok(USAGE.to_string()), &[]),
 ];
 
@@ -482,12 +494,12 @@ fn cmd_stats(args: &Args) -> CmdResult {
     ))
 }
 
-/// Resolves a user-requested `--threads` value through the pool's central
-/// policy: zero is rejected, requests beyond the pool's width are clamped
-/// (with a warning event). One helper so train/eval/discover, the harness,
-/// and `repro` all agree on the rule.
-fn resolve_threads_arg(requested: usize) -> Result<usize, String> {
-    kgfd_pool::resolve_threads(requested).map_err(|e| format!("--threads: {e}"))
+/// The `--threads` value (default [`kgfd_pool::default_threads`]) through
+/// the pool's one policy: requests beyond the pool's width are clamped with
+/// a warning event. Zero is a usage error.
+fn threads_arg(args: &Args) -> Result<usize, ArgError> {
+    let requested = args.positive_or("threads", kgfd_pool::default_threads())?;
+    Ok(kgfd_pool::resolve_threads(requested).expect("a positive thread count is never refused"))
 }
 
 /// Renders a loss value for reports: `NaN` (a zero-epoch run) becomes
@@ -511,9 +523,9 @@ fn cmd_train(args: &Args) -> CmdResult {
         other => return Err(unknown("loss", other)),
     };
     let config = TrainConfig {
-        dim: args.parse_or("dim", 32, "integer")?,
+        dim: args.positive_or("dim", 32)?,
         epochs: args.parse_or("epochs", 30, "integer")?,
-        batch_size: args.parse_or("batch-size", 256, "integer")?,
+        batch_size: args.positive_or("batch-size", 256)?,
         negatives: args.parse_or("negatives", 4, "integer")?,
         loss,
         optimizer: OptimizerKind::Adam {
@@ -523,11 +535,7 @@ fn cmd_train(args: &Args) -> CmdResult {
         normalize_entities: kind == ModelKind::TransE,
         adversarial_temperature: args.parse_opt("adversarial", "number")?,
         seed: args.parse_or("seed", 0, "integer")?,
-        threads: resolve_threads_arg(args.parse_or(
-            "threads",
-            kgfd_pool::default_threads(),
-            "integer",
-        )?)?,
+        threads: threads_arg(args)?,
     };
     config
         .validate()
@@ -702,8 +710,7 @@ fn cmd_eval(args: &Args) -> CmdResult {
     let model = load_model_file(args.required("model-file")?)?;
     check_model_matches(model.as_ref(), &store)?;
 
-    let threads =
-        resolve_threads_arg(args.parse_or("threads", kgfd_pool::default_threads(), "integer")?)?;
+    let threads = threads_arg(args)?;
     let known = kgfd_kg::KnownTriples::from_slices([store.triples(), &valid[..], &test[..]]);
     let summary = evaluate_ranking(model.as_ref(), &test, Some(&known), threads);
     let mut out = format!(
@@ -769,22 +776,11 @@ fn cmd_discover(args: &Args) -> CmdResult {
         consolidate_sides: args.flag("consolidate"),
         prune_with_rules: args.flag("prune"),
         seed: args.parse_or("seed", 0, "integer")?,
-        threads: resolve_threads_arg(args.parse_or(
-            "threads",
-            kgfd_pool::default_threads(),
-            "integer",
-        )?)?,
-        chunk_size: args.parse_or(
-            "chunk-size",
-            DiscoveryConfig::default().chunk_size,
-            "integer",
-        )?,
+        threads: threads_arg(args)?,
+        chunk_size: args.positive_or("chunk-size", DiscoveryConfig::default().chunk_size)?,
         top_k: args.parse_opt("top-k", "integer")?,
         ..DiscoveryConfig::default()
     };
-    if config.chunk_size == 0 {
-        return Err("--chunk-size must be at least 1".into());
-    }
     let report = try_discover_facts(model.as_ref(), &store, &config)?;
 
     let mut facts = report.facts.clone();
@@ -915,11 +911,11 @@ fn cmd_serve(args: &Args) -> CmdResult {
 
     let config = kgfd_serve::ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
-        workers: args.parse_or("workers", 4usize, "integer")?.max(1),
-        max_inflight: args.parse_or("max-inflight", 64usize, "integer")?.max(1),
+        workers: args.positive_or("workers", 4)?,
+        max_inflight: args.positive_or("max-inflight", 64)?,
         deadline_ms: args.parse_or("deadline-ms", 10_000u64, "integer")?,
         cache_entries: args.parse_or("cache-entries", 256usize, "integer")?,
-        rank_threads: args.parse_or("rank-threads", 2usize, "integer")?.max(1),
+        rank_threads: args.positive_or("rank-threads", 2)?,
         ..kgfd_serve::ServeConfig::default()
     };
     let for_secs: Option<u64> = args.parse_opt("for-secs", "integer")?;
@@ -991,6 +987,91 @@ fn cmd_serve(args: &Args) -> CmdResult {
         stats.workers_spawned,
         stats.worker_panics,
     ))
+}
+
+/// `kgfd repro` — regenerates the paper's tables and figures (DESIGN.md
+/// §4): each section of the `--target` closes with a rule of `=`.
+fn cmd_repro(args: &Args) -> CmdResult {
+    let target = args.get("target").unwrap_or("all");
+    let scale = match args.get("scale").unwrap_or("mini") {
+        "mini" => Scale::Mini,
+        "standard" => Scale::Standard,
+        other => return Err(unknown("scale", other)),
+    };
+    let threads = threads_arg(args)?;
+    let want = |name: &str| target == "all" || target == name;
+    // The figures drawn from one shared grid or sweep run; the targets
+    // `grid` and `sweep` select all of a runner's figures.
+    type Figure<R> = (&'static str, fn(&R) -> String);
+    let grid_figures: [Figure<GridResults>; 3] = [
+        ("fig2", figures::fig2_runtime::render),
+        ("fig4", figures::fig4_mrr::render),
+        ("fig6", figures::fig6_efficiency::render),
+    ];
+    let grid_figures: Vec<_> = grid_figures
+        .into_iter()
+        .filter(|(name, _)| want(name) || target == "grid")
+        .collect();
+    let sweep_figures: [Figure<SweepResults>; 4] = [
+        ("fig7", figures::fig7_runtime_sweep::render),
+        ("fig8", figures::fig8_quality_sweep::render),
+        ("fig9", figures::fig9_topn_efficiency::render),
+        ("fig10", figures::fig10_candidates_efficiency::render),
+    ];
+    let sweep_figures: Vec<_> = sweep_figures
+        .into_iter()
+        .filter(|(name, _)| want(name) || target == "sweep")
+        .collect();
+    let grid = (!grid_figures.is_empty() || want("experiments")).then(|| {
+        let options = GridOptions {
+            threads,
+            ..GridOptions::for_scale(scale)
+        };
+        run_grid(scale, &options)
+    });
+    let sweep = (!sweep_figures.is_empty() || want("experiments")).then(|| {
+        let options = SweepOptions {
+            threads,
+            ..SweepOptions::for_scale(scale)
+        };
+        run_sweep(scale, &options)
+    });
+
+    let mut sections: Vec<String> = Vec::new();
+    if want("table1") {
+        sections.push(figures::table1_datasets::render(scale));
+    }
+    if let Some(grid) = &grid {
+        sections.extend(grid_figures.iter().map(|(_, render)| render(grid)));
+    }
+    if want("fig3") {
+        sections.push(figures::fig3_clustering_dist::render(scale));
+    }
+    if want("fig5") {
+        sections.push(figures::fig5_node_profiles::render(scale));
+    }
+    if let Some(sweep) = &sweep {
+        sections.extend(sweep_figures.iter().map(|(_, render)| render(sweep)));
+    }
+    if want("squares") {
+        sections.push(figures::squares_cost::render(scale, threads));
+    }
+    if let (true, Some(grid), Some(sweep)) = (want("experiments"), &grid, &sweep) {
+        sections.push(kgfd_harness::render_experiments_md(
+            scale, grid, sweep, threads,
+        ));
+    }
+
+    // Every target renders at least one section.
+    if sections.is_empty() {
+        return Err(unknown("target", target));
+    }
+    let rule = "=".repeat(80);
+    Ok(sections
+        .iter()
+        .map(|section| format!("{section}\n{rule}"))
+        .collect::<Vec<_>>()
+        .join("\n"))
 }
 
 #[cfg(test)]

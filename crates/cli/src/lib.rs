@@ -10,6 +10,7 @@
 //! kgfd eval     --train data/train.tsv --test data/test.tsv --model-file model.kgfd
 //! kgfd discover --train data/train.tsv --model-file model.kgfd \
 //!               --strategy ct --top-n 100 --max-candidates 200 --out facts.tsv
+//! kgfd repro    --target fig4 --scale mini    # the paper's tables and figures
 //! ```
 //!
 //! Command logic lives in [`commands::run`] and returns strings, so the

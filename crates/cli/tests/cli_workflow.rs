@@ -282,6 +282,52 @@ fn helpful_errors() {
             2,
             "unknown option \"--threads\"",
         ),
+        // A zero count is a usage error, not a runtime one.
+        (
+            format!("train --train {d}/train.tsv --model transe --out {d}/x --threads 0"),
+            2,
+            "--threads \"0\": expected positive integer",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model transe --out {d}/x --dim 0"),
+            2,
+            "--dim",
+        ),
+        (
+            format!("train --train {d}/train.tsv --model transe --out {d}/x --batch-size 0"),
+            2,
+            "--batch-size",
+        ),
+        (
+            format!("eval --train {d}/train.tsv --test {d}/test.tsv --model-file {m} --threads 0"),
+            2,
+            "--threads",
+        ),
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --threads 0"),
+            2,
+            "--threads",
+        ),
+        (
+            format!("discover --train {d}/train.tsv --model-file {m} --chunk-size 0"),
+            2,
+            "--chunk-size",
+        ),
+        (
+            format!("serve --train {d}/train.tsv --model-file {m} --workers 0"),
+            2,
+            "--workers",
+        ),
+        (
+            format!("serve --train {d}/train.tsv --model-file {m} --max-inflight 0"),
+            2,
+            "--max-inflight",
+        ),
+        (
+            format!("serve --train {d}/train.tsv --model-file {m} --rank-threads 0"),
+            2,
+            "--rank-threads",
+        ),
         (
             format!("eval --train {d}/train.tsv --test {d}/test.tsv --model-file {d}/none"),
             1,

@@ -18,7 +18,7 @@ pub enum StrategyKind {
     ClusteringTriangles,
     /// Probability ∝ square (C4) clustering coefficient (Eq. 6). Excluded
     /// from the paper's grid for cost (§4.3: one run took ~54 h); available
-    /// here for the `repro squares` ablation.
+    /// here for the `kgfd repro --target squares` ablation.
     ClusteringSquares,
 }
 

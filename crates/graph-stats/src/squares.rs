@@ -16,8 +16,8 @@
 //!
 //! This is the strategy the paper *excludes* from the main grid because a
 //! single run took ~54 hours (§4.3): per node the cost is quadratic in the
-//! degree with a neighbourhood intersection inside, and `repro squares`
-//! reproduces that blow-up on scaled data.
+//! degree with a neighbourhood intersection inside, and
+//! `kgfd repro --target squares` reproduces that blow-up on scaled data.
 
 use crate::adjacency::{sorted_intersection_count, UndirectedAdjacency};
 use kgfd_kg::EntityId;

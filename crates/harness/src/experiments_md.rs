@@ -48,13 +48,14 @@ fn strategy_mean(grid: &GridResults, s: StrategyKind, f: impl Fn(&GridCell) -> f
     grid.strategy_mean(s, f)
 }
 
-/// Renders the full markdown document.
-pub fn render(scale: Scale, grid: &GridResults, sweep: &SweepResults) -> String {
+/// Renders the full markdown document; the §4.3 squares ablation runs on
+/// `threads` workers.
+pub fn render(scale: Scale, grid: &GridResults, sweep: &SweepResults, threads: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "# EXPERIMENTS — paper vs. measured ({} scale)\n\n\
-         Generated by `cargo run --release -p kgfd-harness --bin repro -- experiments {}`.\n\n\
+         Generated by `kgfd repro --target experiments --scale {}`.\n\n\
          Datasets are structure-matched synthetic stand-ins (DESIGN.md §1); the KGE stack\n\
          is the pure-Rust reimplementation in `kgfd-embed`. All claims below are the\n\
          paper's *shape* claims — orderings and trends — checked programmatically against\n\
@@ -319,7 +320,7 @@ pub fn render(scale: Scale, grid: &GridResults, sweep: &SweepResults) -> String 
     );
 
     // ---- §4.3 squares ----
-    let rows = squares_cost::measure(scale, grid.top_n, grid.max_candidates);
+    let rows = squares_cost::measure(scale, grid.top_n, grid.max_candidates, threads);
     let ratio = rows[1].preparation_s / rows[0].preparation_s.max(1e-9);
     let claims = vec![claim(
         "CLUSTERING SQUARES is an order of magnitude costlier than the other \
@@ -462,7 +463,7 @@ mod tests {
         let _log = crate::recovery_log_lock();
         let grid = run_grid(Scale::Mini, &grid_options);
         let sweep = run_sweep(Scale::Mini, &SweepOptions::for_scale(Scale::Mini));
-        let md = render(Scale::Mini, &grid, &sweep);
+        let md = render(Scale::Mini, &grid, &sweep, kgfd_pool::default_threads());
         for heading in [
             "Table 1",
             "Figure 2",

@@ -9,10 +9,7 @@ use fact_discovery::StrategyKind;
 /// Renders both panels and writes `fig10-<scale>.json`.
 pub fn render(results: &SweepResults) -> String {
     write_json(&format!("fig10-{}", results.scale.name()), &results.cells);
-    let mut tops: Vec<usize> = results.cells.iter().map(|c| c.top_n).collect();
-    tops.sort_unstable();
-    tops.dedup();
-    let pivot_top = *tops.last().unwrap_or(&0);
+    let pivot_top = results.cells.iter().map(|c| c.top_n).max().unwrap_or(0);
 
     let mut out = format!(
         "Figure 10 — efficiency vs max_candidates (top_n = {pivot_top}, fb15k237-like, TransE, {} scale)\n",
@@ -22,13 +19,10 @@ pub fn render(results: &SweepResults) -> String {
         ("(a)", StrategyKind::ClusteringTriangles),
         ("(b)", StrategyKind::UniformRandom),
     ] {
-        let cells = results.series(strategy);
-        if cells.is_empty() {
+        let (mcs, _) = results.axes(strategy);
+        if mcs.is_empty() {
             continue;
         }
-        let mut mcs: Vec<usize> = cells.iter().map(|c| c.max_candidates).collect();
-        mcs.dedup();
-
         out.push_str(&format!("\n{panel} {strategy}\n"));
         let mut table = TextTable::new(["max_candidates", "facts/hour", "facts", "runtime (s)"]);
         for &mc in &mcs {

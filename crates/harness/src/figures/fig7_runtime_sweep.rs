@@ -3,7 +3,8 @@
 //! `top_n` lines overlap (the filter costs nothing) while runtime rises
 //! roughly linearly with `max_candidates`.
 
-use crate::{write_json, SweepResults, TextTable};
+use crate::figures::{sweep_matrix, SweepRows};
+use crate::{write_json, SweepResults};
 use fact_discovery::StrategyKind;
 
 /// Renders the runtime sweep and writes `fig7-<scale>.json`.
@@ -17,32 +18,11 @@ pub fn render(results: &SweepResults) -> String {
         StrategyKind::UniformRandom,
         StrategyKind::ClusteringTriangles,
     ] {
-        let cells = results.series(strategy);
-        if cells.is_empty() {
-            continue;
+        if let Some(table) = sweep_matrix(results, strategy, SweepRows::MaxCandidates, |c| {
+            format!("{:.2}", c.runtime_s)
+        }) {
+            out.push_str(&format!("\n{strategy}: runtime (s)\n{table}"));
         }
-        let mut mcs: Vec<usize> = cells.iter().map(|c| c.max_candidates).collect();
-        mcs.dedup();
-        let mut tops: Vec<usize> = cells.iter().map(|c| c.top_n).collect();
-        tops.sort_unstable();
-        tops.dedup();
-
-        out.push_str(&format!("\n{strategy}: runtime (s)\n"));
-        let mut headers = vec!["max_candidates".to_string()];
-        headers.extend(tops.iter().map(|t| format!("top_n={t}")));
-        let mut table = TextTable::new(headers);
-        for &mc in &mcs {
-            let mut row = vec![mc.to_string()];
-            for &t in &tops {
-                row.push(
-                    results
-                        .at(strategy, mc, t)
-                        .map_or("-".into(), |c| format!("{:.2}", c.runtime_s)),
-                );
-            }
-            table.row(row);
-        }
-        out.push_str(&table.render());
     }
     out
 }

@@ -11,12 +11,7 @@ use fact_discovery::StrategyKind;
 pub fn render(results: &SweepResults) -> String {
     write_json(&format!("fig8-{}", results.scale.name()), &results.cells);
     let strategy = StrategyKind::ClusteringTriangles;
-    let cells = results.series(strategy);
-    let mut mcs: Vec<usize> = cells.iter().map(|c| c.max_candidates).collect();
-    mcs.dedup();
-    let mut tops: Vec<usize> = cells.iter().map(|c| c.top_n).collect();
-    tops.sort_unstable();
-    tops.dedup();
+    let (mcs, tops) = results.axes(strategy);
     let pivot_top = *tops.last().unwrap_or(&0);
     let pivot_mc = *mcs.last().unwrap_or(&0);
 

@@ -4,7 +4,8 @@
 //! filter at zero extra cost), with the triangles strategy leveling off
 //! around `top_n ≈ 200` (the elbow the paper declines in favor of 500).
 
-use crate::{write_json, SweepResults, TextTable};
+use crate::figures::{sweep_matrix, SweepRows};
+use crate::{write_json, SweepResults};
 use fact_discovery::StrategyKind;
 
 /// Renders both panels and writes `fig9-<scale>.json`.
@@ -18,32 +19,11 @@ pub fn render(results: &SweepResults) -> String {
         ("(a)", StrategyKind::ClusteringTriangles),
         ("(b)", StrategyKind::UniformRandom),
     ] {
-        let cells = results.series(strategy);
-        if cells.is_empty() {
-            continue;
+        if let Some(table) = sweep_matrix(results, strategy, SweepRows::TopN, |c| {
+            format!("{:.0}", c.facts_per_hour)
+        }) {
+            out.push_str(&format!("\n{panel} {strategy}: facts/hour\n{table}"));
         }
-        let mut mcs: Vec<usize> = cells.iter().map(|c| c.max_candidates).collect();
-        mcs.dedup();
-        let mut tops: Vec<usize> = cells.iter().map(|c| c.top_n).collect();
-        tops.sort_unstable();
-        tops.dedup();
-
-        out.push_str(&format!("\n{panel} {strategy}: facts/hour\n"));
-        let mut headers = vec!["top_n".to_string()];
-        headers.extend(mcs.iter().map(|m| format!("mc={m}")));
-        let mut table = TextTable::new(headers);
-        for &t in &tops {
-            let mut row = vec![t.to_string()];
-            for &mc in &mcs {
-                row.push(
-                    results
-                        .at(strategy, mc, t)
-                        .map_or("-".into(), |c| format!("{:.0}", c.facts_per_hour)),
-                );
-            }
-            table.row(row);
-        }
-        out.push_str(&table.render());
     }
     out
 }

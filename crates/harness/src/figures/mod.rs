@@ -15,7 +15,7 @@ pub mod fig9_topn_efficiency;
 pub mod squares_cost;
 pub mod table1_datasets;
 
-use crate::{GridCell, GridResults, TextTable};
+use crate::{GridCell, GridResults, SweepCell, SweepResults, TextTable};
 use fact_discovery::StrategyKind;
 use kgfd_embed::ModelKind;
 
@@ -49,6 +49,49 @@ pub(crate) fn grid_matrix(
         out.push_str(&table.render());
     }
     out
+}
+
+/// The sweep parameter that runs down the rows of a [`sweep_matrix`]; the
+/// other one runs across its columns.
+pub(crate) enum SweepRows {
+    /// One row per `max_candidates`, one `top_n=` column per `top_n`.
+    MaxCandidates,
+    /// One row per `top_n`, one `mc=` column per `max_candidates`.
+    TopN,
+}
+
+/// Renders one strategy's sweep cells as a table of `metric`, `-` where a
+/// combination is missing — the line charts of Figures 7 and 9. `None` when
+/// the sweep has no cells of the strategy.
+pub(crate) fn sweep_matrix(
+    results: &SweepResults,
+    strategy: StrategyKind,
+    rows: SweepRows,
+    metric: impl Fn(&SweepCell) -> String,
+) -> Option<String> {
+    let (mcs, tops) = results.axes(strategy);
+    if mcs.is_empty() {
+        return None;
+    }
+    let (row_name, row_values, column_prefix, column_values) = match rows {
+        SweepRows::MaxCandidates => ("max_candidates", mcs, "top_n=", tops),
+        SweepRows::TopN => ("top_n", tops, "mc=", mcs),
+    };
+    let mut headers = vec![row_name.to_string()];
+    headers.extend(column_values.iter().map(|v| format!("{column_prefix}{v}")));
+    let mut table = TextTable::new(headers);
+    for &r in &row_values {
+        let mut row = vec![r.to_string()];
+        for &c in &column_values {
+            let (mc, top_n) = match rows {
+                SweepRows::MaxCandidates => (r, c),
+                SweepRows::TopN => (c, r),
+            };
+            row.push(results.at(strategy, mc, top_n).map_or("-".into(), &metric));
+        }
+        table.row(row);
+    }
+    Some(table.render())
 }
 
 /// Pearson correlation coefficient of two equal-length series.

@@ -25,11 +25,17 @@ pub struct SquaresCost {
     pub facts_per_hour: f64,
 }
 
-/// Runs the comparison on FB15K-237-like with TransE.
-pub fn measure(scale: Scale, top_n: usize, max_candidates: usize) -> Vec<SquaresCost> {
+/// Runs the comparison on FB15K-237-like with TransE; `threads` trains the
+/// zoo model on a cache miss and ranks the candidates.
+pub fn measure(
+    scale: Scale,
+    top_n: usize,
+    max_candidates: usize,
+    threads: usize,
+) -> Vec<SquaresCost> {
     let dataset = DatasetRef::Fb15k237;
     let data = dataset.load(scale);
-    let model = trained_model(dataset, ModelKind::TransE, scale, &data);
+    let model = trained_model(dataset, ModelKind::TransE, scale, &data, threads);
     [
         StrategyKind::ClusteringTriangles,
         StrategyKind::ClusteringSquares,
@@ -41,6 +47,7 @@ pub fn measure(scale: Scale, top_n: usize, max_candidates: usize) -> Vec<Squares
             top_n,
             max_candidates,
             seed: 5,
+            threads,
             ..DiscoveryConfig::default()
         };
         // `data` is freshly loaded, so this lookup builds the table: time
@@ -63,13 +70,14 @@ pub fn measure(scale: Scale, top_n: usize, max_candidates: usize) -> Vec<Squares
     .collect()
 }
 
-/// Renders the ablation and writes `squares-cost-<scale>.json`.
-pub fn render(scale: Scale) -> String {
+/// Renders the ablation, run on `threads` workers, and writes
+/// `squares-cost-<scale>.json`.
+pub fn render(scale: Scale, threads: usize) -> String {
     let (top_n, max_candidates) = match scale {
         Scale::Standard => (500, 500),
         Scale::Mini => (50, 100),
     };
-    let rows = measure(scale, top_n, max_candidates);
+    let rows = measure(scale, top_n, max_candidates, threads);
     write_json(&format!("squares-cost-{}", scale.name()), &rows);
     let ratio = if rows[0].preparation_s > 0.0 {
         rows[1].preparation_s / rows[0].preparation_s
@@ -105,7 +113,7 @@ mod tests {
 
     #[test]
     fn squares_preparation_dominates_triangles() {
-        let rows = measure(Scale::Mini, 20, 40);
+        let rows = measure(Scale::Mini, 20, 40, kgfd_pool::default_threads());
         let triangles = &rows[0];
         let squares = &rows[1];
         assert!(

@@ -2,8 +2,9 @@
 //! strategy combination, measuring runtime, fact quality (MRR), and
 //! discovery efficiency — the shared input of Figures 2, 4, and 6.
 
-use crate::{trained_model_threaded, DatasetRef, Scale};
-use fact_discovery::{discover_facts, DiscoveryConfig, StrategyKind};
+use crate::cell::{run_cell, Runner};
+use crate::{trained_model, DatasetRef, Scale};
+use fact_discovery::{DiscoveryConfig, StrategyKind};
 use kgfd_embed::ModelKind;
 use serde::{Deserialize, Serialize};
 
@@ -83,10 +84,6 @@ pub struct GridOptions {
     pub models: Vec<ModelKind>,
     /// Strategies to include (defaults to the paper's five).
     pub strategies: Vec<StrategyKind>,
-    /// When set, each grid cell writes its structured events (spans,
-    /// metrics, manifest) to
-    /// `<dir>/grid-<dataset>-<model>-<strategy>.jsonl`.
-    pub metrics_dir: Option<std::path::PathBuf>,
 }
 
 impl GridOptions {
@@ -106,7 +103,6 @@ impl GridOptions {
             datasets: DatasetRef::ALL.to_vec(),
             models: ModelKind::PAPER_GRID.to_vec(),
             strategies: StrategyKind::PAPER_GRID.to_vec(),
-            metrics_dir: None,
         }
     }
 }
@@ -122,29 +118,8 @@ pub fn run_grid(scale: Scale, options: &GridOptions) -> GridResults {
     for &dataset in &options.datasets {
         let data = dataset.load(scale);
         for &model_kind in &options.models {
-            let model = trained_model_threaded(dataset, model_kind, scale, &data, threads);
+            let model = trained_model(dataset, model_kind, scale, &data, threads);
             for &strategy in &options.strategies {
-                let _cell = crate::cell_observer(
-                    options.metrics_dir.as_deref(),
-                    &format!(
-                        "grid-{}-{}-{}",
-                        dataset.name(),
-                        model_kind.name(),
-                        strategy.abbrev()
-                    ),
-                );
-                kgfd_obs::set_phase(format!(
-                    "grid:{}/{}/{}",
-                    dataset.name(),
-                    model_kind.name(),
-                    strategy.abbrev()
-                ));
-                let cell_span = kgfd_obs::span_traced!(
-                    "harness.grid.cell",
-                    dataset = dataset.name(),
-                    model = model_kind.name(),
-                    strategy = strategy.abbrev()
-                );
                 let config = DiscoveryConfig {
                     strategy,
                     top_n: options.top_n,
@@ -153,43 +128,14 @@ pub fn run_grid(scale: Scale, options: &GridOptions) -> GridResults {
                     threads,
                     ..DiscoveryConfig::default()
                 };
-                let report = discover_facts(model.as_ref(), &data.train, &config);
-                drop(cell_span);
-                kgfd_obs::progress(format!(
-                    "[grid {}] {dataset} × {model_kind} × {strategy}: {} facts, {:.1}s",
-                    scale.name(),
-                    report.facts.len(),
-                    report.total.as_secs_f64()
-                ));
-                // The manifest goes last so it closes the cell's JSONL file.
-                let mut manifest = kgfd_obs::RunManifest::new("grid-cell");
-                manifest.strategy = strategy.to_string();
-                manifest.model = model_kind.to_string();
-                manifest.seed = options.seed;
-                manifest.dataset = kgfd_obs::DatasetShape {
-                    entities: data.train.num_entities() as u64,
-                    relations: data.train.num_relations() as u64,
-                    triples: data.train.len() as u64,
-                };
-                manifest.wall_clock_s = report.total.as_secs_f64();
-                manifest
-                    .with_config("top_n", options.top_n)
-                    .with_config("max_candidates", options.max_candidates)
-                    .with_config("chunk_size", config.chunk_size)
-                    .with_config("facts", report.facts.len())
-                    .with_config(
-                        "eval.rank.dedup_ratio",
-                        kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
-                    )
-                    .with_config(
-                        "discover.stream.peak_buffer",
-                        kgfd_obs::gauge("discover.stream.peak_buffer").get(),
-                    )
-                    .with_config(
-                        "discover.cache.measures_hit",
-                        kgfd_obs::counter("discover.cache.measures_hit").get(),
-                    )
-                    .emit();
+                let report = run_cell(
+                    Runner::Grid,
+                    dataset,
+                    model_kind,
+                    model.as_ref(),
+                    &data.train,
+                    &config,
+                );
                 cells.push(GridCell {
                     dataset,
                     model: model_kind,

@@ -10,12 +10,13 @@
 //! * [`run_sweep`] — the `max_candidates` × `top_n` sweeps behind
 //!   Figures 7–10.
 //!
-//! The `repro` binary drives everything:
-//! `cargo run --release -p kgfd-harness --bin repro -- all mini`.
+//! `kgfd repro` (in `kgfd-cli`) drives everything:
+//! `kgfd repro --target all --scale mini`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cell;
 mod experiment;
 mod experiments_md;
 pub mod figures;
@@ -37,8 +38,8 @@ fn recovery_log_lock() -> std::sync::MutexGuard<'static, ()> {
 pub use experiment::{DatasetRef, Scale};
 pub use experiments_md::render as render_experiments_md;
 pub use grid::{run_grid, GridCell, GridOptions, GridResults};
-pub use output::{cell_observer, results_dir, write_json, TextTable};
+pub use output::{results_dir, write_json, TextTable};
 pub use sweep::{
     run_sweep, SweepCell, SweepOptions, SweepResults, MAX_CANDIDATES_VALUES, TOP_N_VALUES,
 };
-pub use zoo::{cache_dir, train_config, trained_model, trained_model_threaded};
+pub use zoo::{cache_dir, train_config, trained_model};

@@ -31,31 +31,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
-/// Scopes a per-cell JSONL sink at `<dir>/<name>.jsonl` (when `dir` is
-/// set): until the returned guard drops, events go both to the current
-/// observer and to the cell's file. Failures are reported as warnings and
-/// the cell runs with the unchanged observer.
-pub fn cell_observer(
-    dir: Option<&std::path::Path>,
-    name: &str,
-) -> Option<kgfd_obs::ScopedObserver> {
-    let dir = dir?;
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        kgfd_obs::warn(format!("cannot create {}: {e}", dir.display()));
-        return None;
-    }
-    let path = dir.join(format!("{name}.jsonl"));
-    match kgfd_obs::JsonlSink::create(&path) {
-        Ok(sink) => Some(kgfd_obs::scoped(std::sync::Arc::new(
-            kgfd_obs::Fanout::new(vec![kgfd_obs::observer(), std::sync::Arc::new(sink)]),
-        ))),
-        Err(e) => {
-            kgfd_obs::warn(format!("cannot create {}: {e}", path.display()));
-            None
-        }
-    }
-}
-
 /// A simple aligned text table.
 #[derive(Debug, Clone, Default)]
 pub struct TextTable {

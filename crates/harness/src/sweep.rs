@@ -2,8 +2,9 @@
 //! FB15K-237 with TransE, for UNIFORM RANDOM and CLUSTERING TRIANGLES —
 //! the shared input of Figures 7, 8, 9, and 10.
 
-use crate::{trained_model_threaded, DatasetRef, Scale};
-use fact_discovery::{discover_facts, DiscoveryConfig, StrategyKind};
+use crate::cell::{run_cell, Runner};
+use crate::{trained_model, DatasetRef, Scale};
+use fact_discovery::{DiscoveryConfig, StrategyKind};
 use kgfd_embed::ModelKind;
 use serde::{Deserialize, Serialize};
 
@@ -52,6 +53,18 @@ impl SweepResults {
         v
     }
 
+    /// The `max_candidates` and the `top_n` values of a strategy's cells,
+    /// each ascending and without repeats: the axes of its figures.
+    pub fn axes(&self, strategy: StrategyKind) -> (Vec<usize>, Vec<usize>) {
+        let cells = self.series(strategy);
+        let mut max_candidates: Vec<usize> = cells.iter().map(|c| c.max_candidates).collect();
+        max_candidates.dedup();
+        let mut top_n: Vec<usize> = cells.iter().map(|c| c.top_n).collect();
+        top_n.sort_unstable();
+        top_n.dedup();
+        (max_candidates, top_n)
+    }
+
     /// The cell for an exact parameter combination.
     pub fn at(
         &self,
@@ -79,9 +92,6 @@ pub struct SweepOptions {
     /// Ranking threads, and training threads for the zoo model when it
     /// misses the disk cache.
     pub threads: usize,
-    /// When set, each grid cell writes its structured events (spans,
-    /// metrics, manifest) to `<dir>/sweep-<strategy>-mc<MC>-top<N>.jsonl`.
-    pub metrics_dir: Option<std::path::PathBuf>,
 }
 
 impl SweepOptions {
@@ -100,7 +110,6 @@ impl SweepOptions {
             ],
             seed: 11,
             threads: kgfd_pool::default_threads(),
-            metrics_dir: None,
         }
     }
 }
@@ -112,26 +121,12 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
         kgfd_pool::resolve_threads(options.threads).expect("sweep options: threads must be >= 1");
     let dataset = DatasetRef::Fb15k237;
     let data = dataset.load(scale);
-    let model = trained_model_threaded(dataset, ModelKind::TransE, scale, &data, threads);
+    let model = trained_model(dataset, ModelKind::TransE, scale, &data, threads);
 
     let mut cells = Vec::new();
     for &strategy in &options.strategies {
         for &max_candidates in &options.max_candidates {
             for &top_n in &options.top_n {
-                let _cell = crate::cell_observer(
-                    options.metrics_dir.as_deref(),
-                    &format!("sweep-{}-mc{max_candidates}-top{top_n}", strategy.abbrev()),
-                );
-                kgfd_obs::set_phase(format!(
-                    "sweep:{}/mc{max_candidates}/top{top_n}",
-                    strategy.abbrev()
-                ));
-                let cell_span = kgfd_obs::span_traced!(
-                    "harness.sweep.cell",
-                    strategy = strategy.abbrev(),
-                    max_candidates = max_candidates,
-                    top_n = top_n
-                );
                 let config = DiscoveryConfig {
                     strategy,
                     top_n,
@@ -140,36 +135,14 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
                     threads,
                     ..DiscoveryConfig::default()
                 };
-                let report = discover_facts(model.as_ref(), &data.train, &config);
-                drop(cell_span);
-                let mut manifest = kgfd_obs::RunManifest::new("sweep-cell");
-                manifest.strategy = strategy.to_string();
-                manifest.model = ModelKind::TransE.to_string();
-                manifest.seed = options.seed;
-                manifest.dataset = kgfd_obs::DatasetShape {
-                    entities: data.train.num_entities() as u64,
-                    relations: data.train.num_relations() as u64,
-                    triples: data.train.len() as u64,
-                };
-                manifest.wall_clock_s = report.total.as_secs_f64();
-                manifest
-                    .with_config("max_candidates", max_candidates)
-                    .with_config("top_n", top_n)
-                    .with_config("chunk_size", config.chunk_size)
-                    .with_config("facts", report.facts.len())
-                    .with_config(
-                        "eval.rank.dedup_ratio",
-                        kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
-                    )
-                    .with_config(
-                        "discover.stream.peak_buffer",
-                        kgfd_obs::gauge("discover.stream.peak_buffer").get(),
-                    )
-                    .with_config(
-                        "discover.cache.measures_hit",
-                        kgfd_obs::counter("discover.cache.measures_hit").get(),
-                    )
-                    .emit();
+                let report = run_cell(
+                    Runner::Sweep,
+                    dataset,
+                    ModelKind::TransE,
+                    model.as_ref(),
+                    &data.train,
+                    &config,
+                );
                 cells.push(SweepCell {
                     strategy,
                     max_candidates,
@@ -181,7 +154,6 @@ pub fn run_sweep(scale: Scale, options: &SweepOptions) -> SweepResults {
                 });
             }
         }
-        kgfd_obs::progress(format!("[sweep {}] finished {strategy}", scale.name()));
     }
     SweepResults { scale, cells }
 }
@@ -198,7 +170,6 @@ mod tests {
             strategies: vec![StrategyKind::UniformRandom],
             seed: 1,
             threads: 2,
-            ..SweepOptions::for_scale(Scale::Mini)
         };
         let _log = crate::recovery_log_lock();
         let results = run_sweep(Scale::Mini, &options);
@@ -215,7 +186,6 @@ mod tests {
             strategies: vec![StrategyKind::ClusteringTriangles],
             seed: 2,
             threads: 2,
-            ..SweepOptions::for_scale(Scale::Mini)
         };
         let _log = crate::recovery_log_lock();
         let results = run_sweep(Scale::Mini, &options);

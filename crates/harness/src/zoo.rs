@@ -147,26 +147,14 @@ fn probe_cache(path: &Path, data: &Dataset) -> CacheProbe {
 
 /// Returns a trained model for the pair, loading from the disk cache when
 /// possible and training + caching otherwise. `data` must be the dataset
-/// produced by `dataset.load(scale)`. Trains with
-/// [`kgfd_pool::default_threads`] workers; the cached parameters are
-/// thread-count independent.
-pub fn trained_model(
-    dataset: DatasetRef,
-    model: ModelKind,
-    scale: Scale,
-    data: &Dataset,
-) -> Box<dyn KgeModel> {
-    trained_model_threaded(dataset, model, scale, data, kgfd_pool::default_threads())
-}
-
-/// [`trained_model`] with an explicit training worker count. The disk cache
-/// is shared with every other thread count — training is deterministic
-/// regardless of `threads`, so cached parameters stay valid.
+/// produced by `dataset.load(scale)`. Training runs on `threads` workers;
+/// it is deterministic regardless of `threads`, so every thread count
+/// shares one cache entry.
 ///
 /// Cache probe → recovery → train → atomic cache write. A cache-write
 /// failure is downgraded to a warning (training already succeeded and is
 /// reproducible).
-pub fn trained_model_threaded(
+pub fn trained_model(
     dataset: DatasetRef,
     model: ModelKind,
     scale: Scale,
@@ -280,14 +268,26 @@ mod tests {
         let data = dataset.load(Scale::Mini);
         let path = cache_path(dataset, ModelKind::ComplEx, Scale::Mini);
         let _ = std::fs::remove_file(&path);
-        let a = trained_model(dataset, ModelKind::ComplEx, Scale::Mini, &data);
+        let a = trained_model(
+            dataset,
+            ModelKind::ComplEx,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         // Flip a payload byte: the checksum must catch it on the next probe.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
 
-        let b = trained_model(dataset, ModelKind::ComplEx, Scale::Mini, &data);
+        let b = trained_model(
+            dataset,
+            ModelKind::ComplEx,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         let t = data.train.triples()[0];
         // Deterministic training: the retrained model matches the original.
         assert_eq!(a.score(t).to_bits(), b.score(t).to_bits());
@@ -313,7 +313,13 @@ mod tests {
         // Plant a valid model file of the wrong shape.
         let wrong = kgfd_embed::new_model(ModelKind::DistMult, 3, 1, 8, 0);
         kgfd_embed::write_model_file(&path, wrong.as_ref()).unwrap();
-        let m = trained_model(dataset, ModelKind::DistMult, Scale::Mini, &data);
+        let m = trained_model(
+            dataset,
+            ModelKind::DistMult,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         assert_eq!(m.num_entities(), data.train.num_entities());
         let reloaded = read_model_file(&path).expect("cache repaired");
         assert_eq!(reloaded.num_entities(), data.train.num_entities());
@@ -346,7 +352,7 @@ mod tests {
         session.save_checkpoint(&policy).unwrap();
         drop(session);
 
-        let resumed = trained_model_threaded(dataset, kind, Scale::Mini, &data, 1);
+        let resumed = trained_model(dataset, kind, Scale::Mini, &data, 1);
         let (plain, _) = train(kind, &data.train, &config);
         for t in 0..plain.params().num_tables() {
             assert_eq!(
@@ -368,9 +374,21 @@ mod tests {
         let data = dataset.load(Scale::Mini);
         let path = cache_path(dataset, ModelKind::DistMult, Scale::Mini);
         let _ = std::fs::remove_file(&path);
-        let a = trained_model(dataset, ModelKind::DistMult, Scale::Mini, &data);
+        let a = trained_model(
+            dataset,
+            ModelKind::DistMult,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         assert!(path.exists(), "first call populates the cache");
-        let b = trained_model(dataset, ModelKind::DistMult, Scale::Mini, &data);
+        let b = trained_model(
+            dataset,
+            ModelKind::DistMult,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         let t = data.train.triples()[0];
         assert!((a.score(t) - b.score(t)).abs() < 1e-6, "cache hit matches");
     }

@@ -38,7 +38,6 @@ fn sweep_results_roundtrip_through_json() {
         strategies: vec![fact_discovery::StrategyKind::UniformRandom],
         seed: 1,
         threads: 2,
-        ..SweepOptions::for_scale(Scale::Mini)
     };
     let sweep = run_sweep(Scale::Mini, &options);
     let json = serde_json::to_string(&sweep).unwrap();

@@ -59,9 +59,9 @@ pub use metrics::{
     HistogramSummary, MetricsSnapshot, Registry,
 };
 pub use observer::{
-    clock_us, current_phase, drain_recoveries, emit, info, metric, observer, progress,
-    record_recovery, run_id, scoped, set_phase, warn, Fanout, JsonlSink, NullObserver, Observer,
-    ScopedObserver, StderrProgress,
+    clock_us, current_phase, drain_recoveries, emit, info, metric, progress, record_recovery,
+    run_id, scoped, set_phase, warn, Fanout, JsonlSink, NullObserver, Observer, ScopedObserver,
+    StderrProgress,
 };
 pub use span::{emit_span_aggregate, Span};
 pub use trace::{

@@ -234,7 +234,7 @@ fn default_observer() -> Arc<dyn Observer> {
 
 /// The currently installed observer (warnings-only stderr when none was
 /// installed).
-pub fn observer() -> Arc<dyn Observer> {
+fn observer() -> Arc<dyn Observer> {
     OBSERVER
         .read()
         .unwrap_or_else(PoisonError::into_inner)
@@ -253,8 +253,8 @@ fn set_observer(o: Arc<dyn Observer>) -> Arc<dyn Observer> {
 }
 
 /// Installs `o` until the returned guard drops, then restores the previous
-/// observer (flushing `o` first). Used by the harness to give each grid
-/// cell its own sink.
+/// observer (flushing `o` first). `kgfd` installs a run's observers this
+/// way.
 pub fn scoped(o: Arc<dyn Observer>) -> ScopedObserver {
     let previous = set_observer(o);
     ScopedObserver {

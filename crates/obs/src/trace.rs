@@ -227,7 +227,7 @@ pub fn disable() {
 /// the collector, turns collection off, and writes the span tree as Chrome
 /// trace-event JSON to `trace_out` and as collapsed-stack flamegraph text
 /// to `flame_out`. Does nothing when neither path is given. This is what
-/// `--trace-out` / `--flame-out` do after a `kgfd` or `repro` run.
+/// `--trace-out` / `--flame-out` do after a `kgfd` run.
 pub fn finish(trace_out: Option<&str>, flame_out: Option<&str>) -> Result<(), String> {
     if trace_out.is_none() && flame_out.is_none() {
         return Ok(());

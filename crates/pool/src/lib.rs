@@ -145,8 +145,8 @@ fn cores() -> usize {
 /// The one thread-count policy for the whole workspace: rejects `0` with a
 /// typed error and clamps requests beyond [`pool_size`] to the pool's width
 /// (recording a warning event and bumping `pool.threads_clamped`). Used by
-/// the CLI, the harness grid/sweep, and `repro`; results are identical at
-/// any accepted value — clamping only changes scheduling.
+/// the CLI (`kgfd repro` included) and the harness grid/sweep; results are
+/// identical at any accepted value — clamping only changes scheduling.
 pub fn resolve_threads(requested: usize) -> Result<usize, PoolError> {
     if requested == 0 {
         return Err(PoolError::ZeroThreads);

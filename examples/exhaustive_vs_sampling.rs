@@ -38,7 +38,13 @@ fn main() {
     ]);
     for dataset in DatasetRef::ALL {
         let data = dataset.load(scale);
-        let model = trained_model(dataset, ModelKind::DistMult, scale, &data);
+        let model = trained_model(
+            dataset,
+            ModelKind::DistMult,
+            scale,
+            &data,
+            kgfd_pool::default_threads(),
+        );
 
         // Measure batched scoring throughput: one score_objects call scores
         // N candidates.

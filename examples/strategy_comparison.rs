@@ -22,7 +22,13 @@ fn main() {
         data.train.num_entities(),
         data.train.num_relations()
     );
-    let model = trained_model(dataset, ModelKind::TransE, scale, &data);
+    let model = trained_model(
+        dataset,
+        ModelKind::TransE,
+        scale,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     println!("model: transe (zoo-trained, disk-cached)\n");
 
     let mut table = TextTable::new([

@@ -17,7 +17,13 @@ fn strategy_averages() -> HashMap<StrategyKind, (f64, f64)> {
     let models = [ModelKind::TransE, ModelKind::DistMult, ModelKind::ComplEx];
     let mut sums: HashMap<StrategyKind, (f64, f64)> = HashMap::new();
     for kind in models {
-        let model = trained_model(dataset, kind, Scale::Mini, &data);
+        let model = trained_model(
+            dataset,
+            kind,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         for strategy in StrategyKind::PAPER_GRID {
             let report = discover_facts(
                 model.as_ref(),
@@ -133,7 +139,13 @@ fn top_n_widens_output_without_touching_generation() {
     // only filters; max_candidates scales the evaluated set.
     let dataset = DatasetRef::Fb15k237;
     let data = dataset.load(Scale::Mini);
-    let model = trained_model(dataset, ModelKind::TransE, Scale::Mini, &data);
+    let model = trained_model(
+        dataset,
+        ModelKind::TransE,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     let run = |top_n: usize, max_candidates: usize| {
         discover_facts(
             model.as_ref(),
@@ -165,7 +177,13 @@ fn mrr_degrades_as_top_n_grows() {
     // Figure 8(b): admitting lower-ranked facts dilutes MRR.
     let dataset = DatasetRef::Fb15k237;
     let data = dataset.load(Scale::Mini);
-    let model = trained_model(dataset, ModelKind::TransE, Scale::Mini, &data);
+    let model = trained_model(
+        dataset,
+        ModelKind::TransE,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     let mrr_at = |top_n: usize| {
         discover_facts(
             model.as_ref(),

@@ -12,7 +12,7 @@ use kgfd_embed::models::{Distance, TransE};
 use kgfd_embed::{
     crc32, load_model, new_model, read_model_file, save_model, KgeModel, ModelKind, FORMAT_VERSION,
 };
-use kgfd_harness::{cache_dir, trained_model, trained_model_threaded, DatasetRef, Scale};
+use kgfd_harness::{cache_dir, trained_model, DatasetRef, Scale};
 use kgfd_kg::{KgError, Triple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -210,12 +210,24 @@ fn zoo_evicts_truncated_cache_entry_and_retrains_identically() {
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);
 
-    let a = trained_model(dataset, kind, Scale::Mini, &data);
+    let a = trained_model(
+        dataset,
+        kind,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     // Interrupted write: leave a prefix of the valid entry on disk.
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
 
-    let b = trained_model(dataset, kind, Scale::Mini, &data);
+    let b = trained_model(
+        dataset,
+        kind,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     let t = data.train.triples()[0];
     assert_eq!(
         a.score(t).to_bits(),
@@ -240,13 +252,25 @@ fn zoo_evicts_version_skewed_cache_entry() {
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);
 
-    let a = trained_model(dataset, kind, Scale::Mini, &data);
+    let a = trained_model(
+        dataset,
+        kind,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     // A cache entry from a hypothetical future format version.
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[4] = FORMAT_VERSION + 1;
     std::fs::write(&path, &bytes).unwrap();
 
-    let b = trained_model(dataset, kind, Scale::Mini, &data);
+    let b = trained_model(
+        dataset,
+        kind,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     let t = data.train.triples()[0];
     assert_eq!(a.score(t).to_bits(), b.score(t).to_bits());
     assert_eq!(
@@ -270,7 +294,7 @@ fn concurrent_zoo_access_yields_identical_models_and_a_valid_cache() {
     // write is atomic, so every outcome must be bit-identical.
     let models: Vec<Box<dyn KgeModel>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
-            .map(|_| s.spawn(|| trained_model_threaded(dataset, kind, Scale::Mini, &data, 1)))
+            .map(|_| s.spawn(|| trained_model(dataset, kind, Scale::Mini, &data, 1)))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -297,7 +321,13 @@ fn zoo_recovery_is_visible_in_the_jsonl_run_manifest() {
     let path = zoo_cache_path(dataset, kind, Scale::Mini);
     let _ = std::fs::remove_file(&path);
     // Populate the cache, then flip one payload byte.
-    let _ = trained_model(dataset, kind, Scale::Mini, &data);
+    let _ = trained_model(
+        dataset,
+        kind,
+        Scale::Mini,
+        &data,
+        kgfd_pool::default_threads(),
+    );
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
@@ -311,7 +341,13 @@ fn zoo_recovery_is_visible_in_the_jsonl_run_manifest() {
         let _guard = kgfd_obs::scoped(std::sync::Arc::new(
             kgfd_obs::JsonlSink::create(&jsonl).unwrap(),
         ));
-        let _model = trained_model(dataset, kind, Scale::Mini, &data);
+        let _model = trained_model(
+            dataset,
+            kind,
+            Scale::Mini,
+            &data,
+            kgfd_pool::default_threads(),
+        );
         kgfd_obs::RunManifest {
             command: "discover".to_string(),
             crate_version: "test".to_string(),
