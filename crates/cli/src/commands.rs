@@ -21,6 +21,7 @@ use kgfd_harness::{
 use kgfd_kg::{
     read_triples_tsv, write_triples_tsv, Dataset, KgError, Triple, TripleStore, Vocabulary,
 };
+use kgfd_obs::{Field, RunManifest};
 use std::error::Error;
 use std::fs::File;
 use std::io::Write;
@@ -52,10 +53,10 @@ COMMANDS:
             [--seed 0] [--threads <N>] [--checkpoint-every <N>] [--resume]
             [--deadline <SECS>]
             train an embedding model and save it; --threads splits each
-            mini-batch across N workers (results are bit-identical for
+            mini-batch across N threads (results are bit-identical for
             any N; defaults to KGFD_THREADS or the CPU count, capped at 8;
-            requests beyond the process worker pool are clamped with a
-            warning).
+            requests beyond the CPU count, or KGFD_THREADS if larger, are
+            clamped with a warning).
             --checkpoint-every N atomically writes a checksummed training
             checkpoint next to --out every N epochs; --resume restarts from
             the newest valid checkpoint (falling back past corrupt ones) and
@@ -234,10 +235,11 @@ fn dataset_shape(store: &TripleStore) -> kgfd_obs::DatasetShape {
 const SHARED_OPTIONS: &[&str] = &["metrics-out", "progress", "quiet", "trace-out", "flame-out"];
 
 /// A command: its name, its handler, and the options it reads besides
-/// [`SHARED_OPTIONS`].
+/// [`SHARED_OPTIONS`]. The handler adds what it knows to the run's
+/// manifest, which [`run`] emits.
 type Command = (
     &'static str,
-    fn(&Args) -> CmdResult,
+    fn(&Args, &mut RunManifest) -> CmdResult,
     &'static [&'static str],
 );
 
@@ -316,11 +318,12 @@ const COMMANDS: &[Command] = &[
         ],
     ),
     ("repro", cmd_repro, &["target", "scale", "threads"]),
-    ("help", |_| Ok(USAGE.to_string()), &[]),
+    ("help", |_, _| Ok(USAGE.to_string()), &[]),
 ];
 
 /// Dispatches a parsed command line. An unknown command, or an option the
-/// command does not read, is refused before any work starts.
+/// command does not read, is refused before any work starts. Every command
+/// that starts closes with its run manifest, whether it succeeds or fails.
 pub fn run(args: &Args) -> CmdResult {
     let command = args.command.as_deref().unwrap_or("help");
     let &(_, handler, options) = COMMANDS
@@ -334,8 +337,7 @@ pub fn run(args: &Args) -> CmdResult {
         return Err(unknown("option", &format!("--{key}")));
     }
     let _observer = install_observer(args)?;
-    // The phase labels the pool's per-phase utilization and `kgfd serve`'s
-    // `/healthz`.
+    // The phase is what `kgfd serve`'s `/healthz` reports.
     kgfd_obs::set_phase(command);
     let trace_out = optional_value(args, "trace-out")?;
     let flame_out = optional_value(args, "flame-out")?;
@@ -345,11 +347,13 @@ pub fn run(args: &Args) -> CmdResult {
     // One trace-only root per invocation: everything the command opens
     // (discover.total, training epochs, ...) nests under it, so trace
     // exports have a single root whose duration is the run itself.
-    let root_span = kgfd_obs::Span::with_fields_traced(
-        "cli.command",
-        vec![kgfd_obs::Field::new("command", command)],
-    );
-    let result = handler(args);
+    let root_span =
+        kgfd_obs::Span::with_fields_traced("cli.command", vec![Field::new("command", command)]);
+    let mut manifest = RunManifest::new(command);
+    let start = Instant::now();
+    let result = handler(args, &mut manifest);
+    manifest.wall_clock_s = start.elapsed().as_secs_f64();
+    manifest.emit();
     drop(root_span);
     // After the command, failed or not, so a failing run still leaves its
     // partial trace behind.
@@ -413,10 +417,14 @@ fn parse_strategy(name: &str) -> Result<StrategyKind, Box<dyn Error>> {
     StrategyKind::from_name(name).ok_or_else(|| unknown("strategy", name))
 }
 
-fn cmd_generate(args: &Args) -> CmdResult {
+fn cmd_generate(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let out = Path::new(args.required("out")?).to_path_buf();
     let profile_name = args.required("profile")?;
     let scale = args.get("scale").unwrap_or("standard");
+    manifest.config.extend([
+        Field::new("profile", profile_name),
+        Field::new("scale", scale),
+    ]);
     let dataset: Dataset = if profile_name == "toy" {
         toy_biomedical()
     } else {
@@ -443,6 +451,7 @@ fn cmd_generate(args: &Args) -> CmdResult {
         let file = File::create(out.join(name))?;
         write_triples_tsv(file, triples, &dataset.vocab)?;
     }
+    manifest.dataset = dataset_shape(&dataset.train);
     let m = dataset.metadata();
     Ok(format!(
         "wrote {} to {}\n  train {} / valid {} / test {} triples, {} entities, {} relations",
@@ -456,9 +465,10 @@ fn cmd_generate(args: &Args) -> CmdResult {
     ))
 }
 
-fn cmd_stats(args: &Args) -> CmdResult {
+fn cmd_stats(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
+    manifest.dataset = dataset_shape(&store);
     let summary = GraphSummary::compute(&store);
     let adj = UndirectedAdjacency::from_store(&store);
     let triangles = local_triangle_counts(&adj);
@@ -494,11 +504,12 @@ fn cmd_stats(args: &Args) -> CmdResult {
     ))
 }
 
-/// The `--threads` value (default [`kgfd_pool::default_threads`]) through
-/// the pool's one policy: requests beyond the pool's width are clamped with
-/// a warning event. Zero is a usage error.
-fn threads_arg(args: &Args) -> Result<usize, ArgError> {
-    let requested = args.positive_or("threads", kgfd_pool::default_threads())?;
+/// A thread-count option (`--threads`, default
+/// [`kgfd_pool::default_threads`], or serve's `--rank-threads`) through the
+/// one policy, [`kgfd_pool::resolve_threads`]: requests beyond the widest
+/// accepted count are clamped with a warning event. Zero is a usage error.
+fn threads_arg(args: &Args, key: &str, default: usize) -> Result<usize, ArgError> {
+    let requested = args.positive_or(key, default)?;
     Ok(kgfd_pool::resolve_threads(requested).expect("a positive thread count is never refused"))
 }
 
@@ -512,8 +523,7 @@ fn render_loss(loss: f64) -> String {
     }
 }
 
-fn cmd_train(args: &Args) -> CmdResult {
-    let start = Instant::now();
+fn cmd_train(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
     let kind = parse_model(args.required("model")?)?;
@@ -535,7 +545,7 @@ fn cmd_train(args: &Args) -> CmdResult {
         normalize_entities: kind == ModelKind::TransE,
         adversarial_temperature: args.parse_opt("adversarial", "number")?,
         seed: args.parse_or("seed", 0, "integer")?,
-        threads: threads_arg(args)?,
+        threads: threads_arg(args, "threads", kgfd_pool::default_threads())?,
     };
     config
         .validate()
@@ -553,6 +563,21 @@ fn cmd_train(args: &Args) -> CmdResult {
     };
     let checkpointing = checkpoint_every > 0 || resume || deadline_s.is_some();
     let out = args.required("out")?;
+    manifest.model = kind.to_string();
+    manifest.seed = config.seed;
+    manifest.dataset = dataset_shape(&store);
+    manifest.config.extend([
+        Field::new("dim", config.dim),
+        Field::new("epochs", config.epochs),
+        Field::new("batch_size", config.batch_size),
+        Field::new("negatives", config.negatives),
+        Field::new("threads", config.threads),
+    ]);
+    if checkpoint_every > 0 {
+        manifest
+            .config
+            .push(Field::new("checkpoint_every", checkpoint_every));
+    }
 
     // Checkpoint flags only add a policy and a stop signal; without them
     // this is the same session run to completion.
@@ -565,7 +590,7 @@ fn cmd_train(args: &Args) -> CmdResult {
             ResumeReport::default(),
         )
     };
-    let resumed_from = report
+    manifest.resumed_from = report
         .resumed_from
         .as_ref()
         .map(|p| p.display().to_string());
@@ -577,16 +602,10 @@ fn cmd_train(args: &Args) -> CmdResult {
         checkpoint,
     } = outcome
     {
-        emit_train_manifest(
-            kind,
-            &config,
-            &store,
-            start,
-            None,
-            resumed_from,
-            checkpoint_every,
-            Some(epochs_done),
-        );
+        manifest.config.extend([
+            Field::new("interrupted", true),
+            Field::new("epochs_done", epochs_done),
+        ]);
         return Err(Interrupted {
             epochs_done,
             checkpoint,
@@ -607,16 +626,12 @@ fn cmd_train(args: &Args) -> CmdResult {
         }
     }
 
-    emit_train_manifest(
-        kind,
-        &config,
-        &store,
-        start,
-        Some(final_loss),
-        resumed_from,
-        checkpoint_every,
-        None,
-    );
+    // NaN (zero-epoch run) is reported as text, never NaN-in-JSON.
+    manifest.config.push(if final_loss.is_finite() {
+        Field::new("final_loss", final_loss)
+    } else {
+        Field::new("final_loss", render_loss(final_loss))
+    });
 
     Ok(format!(
         "trained {kind} (dim {}, {} parameters) on {} triples\n\
@@ -627,51 +642,6 @@ fn cmd_train(args: &Args) -> CmdResult {
         render_loss(final_loss),
         config.epochs,
     ))
-}
-
-/// Emits the `train` RunManifest — shared by the completed and interrupted
-/// paths so an interrupted run still leaves a machine-readable record (with
-/// `epochs_done` showing where it stopped).
-#[allow(clippy::too_many_arguments)]
-fn emit_train_manifest(
-    kind: ModelKind,
-    config: &TrainConfig,
-    store: &TripleStore,
-    start: Instant,
-    final_loss: Option<f64>,
-    resumed_from: Option<String>,
-    checkpoint_every: usize,
-    interrupted_at: Option<usize>,
-) {
-    let mut manifest = kgfd_obs::RunManifest::new("train");
-    manifest.model = kind.to_string();
-    manifest.seed = config.seed;
-    manifest.dataset = dataset_shape(store);
-    manifest.wall_clock_s = start.elapsed().as_secs_f64();
-    manifest.resumed_from = resumed_from;
-    manifest = manifest
-        .with_config("dim", config.dim)
-        .with_config("epochs", config.epochs)
-        .with_config("batch_size", config.batch_size)
-        .with_config("negatives", config.negatives)
-        .with_config("threads", config.threads);
-    if checkpoint_every > 0 {
-        manifest = manifest.with_config("checkpoint_every", checkpoint_every);
-    }
-    if let Some(epochs_done) = interrupted_at {
-        manifest = manifest
-            .with_config("interrupted", true)
-            .with_config("epochs_done", epochs_done);
-    }
-    if let Some(loss) = final_loss {
-        // NaN (zero-epoch run) is reported as text, never NaN-in-JSON.
-        manifest = if loss.is_finite() {
-            manifest.with_config("final_loss", loss)
-        } else {
-            manifest.with_config("final_loss", render_loss(loss))
-        };
-    }
-    manifest.emit();
 }
 
 fn load_model_file(path: &str) -> Result<Box<dyn KgeModel>, Box<dyn Error>> {
@@ -698,8 +668,7 @@ fn check_model_matches(model: &dyn KgeModel, store: &TripleStore) -> Result<(), 
     Ok(())
 }
 
-fn cmd_eval(args: &Args) -> CmdResult {
-    let start = Instant::now();
+fn cmd_eval(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
     let test = load_with_vocab(args.required("test")?, &vocab)?;
@@ -709,8 +678,10 @@ fn cmd_eval(args: &Args) -> CmdResult {
     };
     let model = load_model_file(args.required("model-file")?)?;
     check_model_matches(model.as_ref(), &store)?;
+    manifest.model = model.kind().to_string();
+    manifest.dataset = dataset_shape(&store);
 
-    let threads = threads_arg(args)?;
+    let threads = threads_arg(args, "threads", kgfd_pool::default_threads())?;
     let known = kgfd_kg::KnownTriples::from_slices([store.triples(), &valid[..], &test[..]]);
     let summary = evaluate_ranking(model.as_ref(), &test, Some(&known), threads);
     let mut out = format!(
@@ -729,34 +700,30 @@ fn cmd_eval(args: &Args) -> CmdResult {
         }
     }
 
-    let mut manifest = kgfd_obs::RunManifest::new("eval");
-    manifest.model = model.kind().to_string();
-    manifest.dataset = dataset_shape(&store);
-    manifest.wall_clock_s = start.elapsed().as_secs_f64();
-    manifest
-        .with_config("test_triples", test.len())
-        .with_config("mrr", summary.mrr)
-        .with_config("embed.kernel", kgfd_embed::kernel_path())
-        .with_config(
+    manifest.config.extend([
+        Field::new("test_triples", test.len()),
+        Field::new("mrr", summary.mrr),
+        Field::new("embed.kernel", kgfd_embed::kernel_path()),
+        Field::new(
             "eval.rank.dedup_ratio",
             kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
-        )
-        .emit();
-
+        ),
+    ]);
     Ok(out)
 }
 
-fn cmd_fit(args: &Args) -> CmdResult {
+fn cmd_fit(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
+    manifest.dataset = dataset_shape(&store);
     let name = args.get("name").unwrap_or("fitted");
     let seed = args.parse_or("seed", 0, "integer")?;
+    manifest.seed = seed;
     let profile = kgfd_datasets::fit_profile(name, &store, seed);
     Ok(serde_json::to_string_pretty(&profile)?)
 }
 
-fn cmd_discover(args: &Args) -> CmdResult {
-    let start = Instant::now();
+fn cmd_discover(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
     let model = load_model_file(args.required("model-file")?)?;
@@ -776,11 +743,15 @@ fn cmd_discover(args: &Args) -> CmdResult {
         consolidate_sides: args.flag("consolidate"),
         prune_with_rules: args.flag("prune"),
         seed: args.parse_or("seed", 0, "integer")?,
-        threads: threads_arg(args)?,
+        threads: threads_arg(args, "threads", kgfd_pool::default_threads())?,
         chunk_size: args.positive_or("chunk-size", DiscoveryConfig::default().chunk_size)?,
         top_k: args.parse_opt("top-k", "integer")?,
         ..DiscoveryConfig::default()
     };
+    manifest.strategy = config.strategy.to_string();
+    manifest.model = model.kind().to_string();
+    manifest.seed = config.seed;
+    manifest.dataset = dataset_shape(&store);
     let report = try_discover_facts(model.as_ref(), &store, &config)?;
 
     let mut facts = report.facts.clone();
@@ -830,53 +801,45 @@ fn cmd_discover(args: &Args) -> CmdResult {
         }
     }
 
-    let mut manifest = kgfd_obs::RunManifest::new("discover");
-    manifest.strategy = config.strategy.to_string();
-    manifest.model = model.kind().to_string();
-    manifest.seed = config.seed;
-    manifest.dataset = dataset_shape(&store);
-    manifest.wall_clock_s = start.elapsed().as_secs_f64();
-    manifest
-        .with_config("top_n", config.top_n)
-        .with_config("max_candidates", config.max_candidates)
-        .with_config("consolidate_sides", config.consolidate_sides)
-        .with_config("prune_with_rules", config.prune_with_rules)
-        .with_config("chunk_size", config.chunk_size)
-        .with_config("top_k", config.top_k.map(|k| k as u64).unwrap_or(0))
-        .with_config("facts", report.facts.len())
-        .with_config("embed.kernel", kgfd_embed::kernel_path())
-        .with_config(
+    manifest.config.extend([
+        Field::new("top_n", config.top_n),
+        Field::new("max_candidates", config.max_candidates),
+        Field::new("consolidate_sides", config.consolidate_sides),
+        Field::new("prune_with_rules", config.prune_with_rules),
+        Field::new("chunk_size", config.chunk_size),
+        Field::new("top_k", config.top_k.map(|k| k as u64).unwrap_or(0)),
+        Field::new("facts", report.facts.len()),
+        Field::new("embed.kernel", kgfd_embed::kernel_path()),
+        Field::new(
             "eval.rank.dedup_ratio",
             kgfd_obs::gauge("eval.rank.dedup_ratio").get(),
-        )
-        .with_config(
+        ),
+        Field::new(
             "discover.stream.peak_buffer",
             kgfd_obs::gauge("discover.stream.peak_buffer").get(),
-        )
-        .with_config(
+        ),
+        Field::new(
             "discover.stream.chunks",
             kgfd_obs::counter("discover.stream.chunks").get(),
-        )
-        .with_config(
+        ),
+        Field::new(
             "discover.cache.measures_hit",
             kgfd_obs::counter("discover.cache.measures_hit").get(),
-        )
-        .with_config(
+        ),
+        Field::new(
             "discover.cache.measures_miss",
             kgfd_obs::counter("discover.cache.measures_miss").get(),
-        )
-        .emit();
-
+        ),
+    ]);
     Ok(result)
 }
 
 /// `kgfd serve` — the online serving mode: load models, answer HTTP
 /// queries until SIGTERM (or `--for-secs` expires), drain, report.
-fn cmd_serve(args: &Args) -> CmdResult {
-    let start = Instant::now();
+fn cmd_serve(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let (vocab, triples) = load_graph(args.required("train")?)?;
     let store = store_of(&vocab, triples)?;
-    let shape = dataset_shape(&store);
+    manifest.dataset = dataset_shape(&store);
     let registry = Arc::new(kgfd_serve::ModelRegistry::new(
         kgfd_serve::GraphContext::new(vocab, store),
     ));
@@ -915,7 +878,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
         max_inflight: args.positive_or("max-inflight", 64)?,
         deadline_ms: args.parse_or("deadline-ms", 10_000u64, "integer")?,
         cache_entries: args.parse_or("cache-entries", 256usize, "integer")?,
-        rank_threads: args.positive_or("rank-threads", 2)?,
+        rank_threads: threads_arg(args, "rank-threads", 2)?,
         ..kgfd_serve::ServeConfig::default()
     };
     let for_secs: Option<u64> = args.parse_opt("for-secs", "integer")?;
@@ -923,6 +886,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
     kgfd_serve::install_termination_handler();
     let server = kgfd_serve::Server::start(config.clone(), Arc::clone(&registry))
         .map_err(|e| format!("cannot serve on {}: {e}", config.addr))?;
+    let serving = Instant::now();
     // Announce the bound address, so an ephemeral port is usable. A closed
     // stderr loses the line but does not stop the server.
     if !args.flag("quiet") {
@@ -938,7 +902,7 @@ fn cmd_serve(args: &Args) -> CmdResult {
             break;
         }
         if let Some(secs) = for_secs {
-            if start.elapsed() >= Duration::from_secs(secs) {
+            if serving.elapsed() >= Duration::from_secs(secs) {
                 break;
             }
         }
@@ -946,36 +910,32 @@ fn cmd_serve(args: &Args) -> CmdResult {
     }
     let stats = server.shutdown();
 
-    let mut manifest = kgfd_obs::RunManifest::new("serve");
-    manifest.dataset = shape;
-    manifest.wall_clock_s = start.elapsed().as_secs_f64();
-    manifest
-        .with_config("serve.workers", config.workers)
-        .with_config("serve.max_inflight", config.max_inflight)
-        .with_config("serve.deadline_ms", config.deadline_ms)
-        .with_config("serve.cache_entries", config.cache_entries)
-        .with_config("serve.rank_threads", config.rank_threads)
-        .with_config("serve.models", registry.len())
-        .with_config("serve.requests", stats.requests)
-        .with_config("serve.responses_2xx", stats.responses_2xx)
-        .with_config("serve.responses_4xx", stats.responses_4xx)
-        .with_config("serve.responses_5xx", stats.responses_5xx)
-        .with_config("serve.shed", stats.shed)
-        .with_config("serve.deadline_expired", stats.deadline_expired)
-        .with_config("serve.cache_hits", stats.cache_hits)
-        .with_config("serve.cache_misses", stats.cache_misses)
-        .with_config("serve.worker_panics", stats.worker_panics)
-        .with_config("serve.workers_spawned", stats.workers_spawned)
-        .with_config("serve.workers_joined", stats.workers_joined)
-        .with_config("embed.kernel", kgfd_embed::kernel_path())
-        .emit();
-
+    manifest.config.extend([
+        Field::new("serve.workers", config.workers),
+        Field::new("serve.max_inflight", config.max_inflight),
+        Field::new("serve.deadline_ms", config.deadline_ms),
+        Field::new("serve.cache_entries", config.cache_entries),
+        Field::new("serve.rank_threads", config.rank_threads),
+        Field::new("serve.models", registry.len()),
+        Field::new("serve.requests", stats.requests),
+        Field::new("serve.responses_2xx", stats.responses_2xx),
+        Field::new("serve.responses_4xx", stats.responses_4xx),
+        Field::new("serve.responses_5xx", stats.responses_5xx),
+        Field::new("serve.shed", stats.shed),
+        Field::new("serve.deadline_expired", stats.deadline_expired),
+        Field::new("serve.cache_hits", stats.cache_hits),
+        Field::new("serve.cache_misses", stats.cache_misses),
+        Field::new("serve.worker_panics", stats.worker_panics),
+        Field::new("serve.workers_spawned", stats.workers_spawned),
+        Field::new("serve.workers_joined", stats.workers_joined),
+        Field::new("embed.kernel", kgfd_embed::kernel_path()),
+    ]);
     Ok(format!(
         "served {} requests in {:.2?} ({} 2xx, {} 4xx, {} 5xx; {} shed, {} deadline-expired)\n\
          cache: {} hits, {} misses\n\
          drained cleanly: {}/{} workers joined, {} handler panics",
         stats.requests,
-        start.elapsed(),
+        serving.elapsed(),
         stats.responses_2xx,
         stats.responses_4xx,
         stats.responses_5xx,
@@ -991,14 +951,20 @@ fn cmd_serve(args: &Args) -> CmdResult {
 
 /// `kgfd repro` — regenerates the paper's tables and figures (DESIGN.md
 /// §4): each section of the `--target` closes with a rule of `=`.
-fn cmd_repro(args: &Args) -> CmdResult {
+fn cmd_repro(args: &Args, manifest: &mut RunManifest) -> CmdResult {
     let target = args.get("target").unwrap_or("all");
-    let scale = match args.get("scale").unwrap_or("mini") {
+    let scale_name = args.get("scale").unwrap_or("mini");
+    let scale = match scale_name {
         "mini" => Scale::Mini,
         "standard" => Scale::Standard,
         other => return Err(unknown("scale", other)),
     };
-    let threads = threads_arg(args)?;
+    let threads = threads_arg(args, "threads", kgfd_pool::default_threads())?;
+    manifest.config.extend([
+        Field::new("target", target),
+        Field::new("scale", scale_name),
+        Field::new("threads", threads),
+    ]);
     let want = |name: &str| target == "all" || target == name;
     // The figures drawn from one shared grid or sweep run; the targets
     // `grid` and `sweep` select all of a runner's figures.

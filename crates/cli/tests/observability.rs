@@ -157,6 +157,30 @@ fn ranking_manifests_name_the_kernel_codegen() {
 }
 
 #[test]
+fn every_command_closes_its_metrics_file_with_a_manifest() {
+    let _serial = OBSERVER_LOCK.lock().unwrap();
+    let dir = tempdir("every-command");
+    let d = dir.display();
+    for (command, options) in [
+        ("generate", format!("--profile toy --out {d}")),
+        ("stats", format!("--train {d}/train.tsv")),
+        ("repro", "--target table1 --scale mini".to_string()),
+    ] {
+        let metrics = dir.join(format!("{command}.jsonl"));
+        run(&args(&format!(
+            "{command} {options} --metrics-out {}",
+            metrics.display()
+        )))
+        .unwrap();
+        let events = read_events(&metrics);
+        match &events.last().expect("a metrics line").payload {
+            kgfd_obs::Payload::Manifest(m) => assert_eq!(m.command, command),
+            other => panic!("kgfd {command}: expected a closing manifest, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn train_metrics_out_has_per_epoch_loss_events() {
     let _serial = OBSERVER_LOCK.lock().unwrap();
     let dir = tempdir("train");

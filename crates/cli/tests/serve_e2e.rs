@@ -37,14 +37,11 @@ fn request(addr: &str, method: &str, path: &str, body: &str) -> String {
     response
 }
 
-#[test]
-fn serve_boots_answers_and_drains_on_sigterm() {
-    let dir = tempdir("drain");
+/// The toy dataset's training graph and a small model trained on it, in
+/// `dir`, written through the same library code the CLI uses.
+fn toy_fixture(dir: &std::path::Path) -> (PathBuf, PathBuf, kgfd_kg::Dataset) {
     let train_tsv = dir.join("train.tsv");
     let model_file = dir.join("toy.kgm");
-
-    // Fixture: the toy dataset and a small model trained on it, written
-    // through the same library code the CLI uses.
     let data = kgfd_datasets::toy_biomedical();
     let tsv = std::fs::File::create(&train_tsv).unwrap();
     kgfd_kg::write_triples_tsv(tsv, data.train.triples(), &data.vocab).unwrap();
@@ -59,6 +56,13 @@ fn serve_boots_answers_and_drains_on_sigterm() {
         },
     );
     kgfd_embed::write_model_file(&model_file, model.as_ref()).unwrap();
+    (train_tsv, model_file, data)
+}
+
+#[test]
+fn serve_boots_answers_and_drains_on_sigterm() {
+    let dir = tempdir("drain");
+    let (train_tsv, model_file, data) = toy_fixture(&dir);
 
     let mut child = kgfd()
         .args([
@@ -140,4 +144,52 @@ fn serve_boots_answers_and_drains_on_sigterm() {
         stdout.contains("drained cleanly: 2/2 workers joined, 0 handler panics"),
         "closing report must show a clean drain, got: {stdout}"
     );
+}
+
+/// `--rank-threads` goes through the one thread-count policy: a request
+/// beyond the widest accepted count (the CPU count, or `KGFD_THREADS` if
+/// larger) is clamped with a warning, and the manifest records the clamped
+/// width. `--for-secs 0` sends no request, so no fan-out starts a thread.
+#[test]
+fn rank_threads_beyond_the_cpu_count_are_clamped() {
+    let dir = tempdir("clamp");
+    let (train_tsv, model_file, _) = toy_fixture(&dir);
+    let metrics = dir.join("serve.jsonl");
+    let out = kgfd()
+        .args(["serve", "--train", train_tsv.to_str().unwrap()])
+        .args(["--model-file", model_file.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0", "--rank-threads", "100000"])
+        .args(["--for-secs", "0", "--metrics-out"])
+        .arg(&metrics)
+        .output()
+        .expect("kgfd serve runs");
+    assert!(out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let clamped: u64 = stderr
+        .lines()
+        .find_map(|line| line.split("clamping to ").nth(1))
+        .unwrap_or_else(|| panic!("no clamp warning on stderr: {stderr}"))
+        .trim()
+        .parse()
+        .expect("the clamped width");
+    let env_threads = std::env::var("KGFD_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .unwrap_or(1);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    assert_eq!(clamped, cores.max(env_threads), "{stderr}");
+
+    let last = std::fs::read_to_string(&metrics).unwrap();
+    let last = last.lines().last().expect("a metrics line");
+    let event: kgfd_obs::Event = serde_json::from_str(last).unwrap();
+    let kgfd_obs::Payload::Manifest(manifest) = event.payload else {
+        panic!("the last line is not a manifest: {last}");
+    };
+    let field = |key: &str| {
+        let field = manifest.config.iter().find(|f| f.key == key);
+        field.map(|f| f.value.clone())
+    };
+    let uint = |n| Some(kgfd_obs::FieldValue::UInt(n));
+    assert_eq!(field("serve.requests"), uint(0));
+    assert_eq!(field("serve.rank_threads"), uint(clamped));
 }

@@ -181,7 +181,7 @@ pub fn try_discover_facts(
     // the report byte-identical to a serial run at any thread count, and
     // every job runs under `discover.total`. Ranking gets the thread budget
     // only when there is a single relation; otherwise the relation fan-out
-    // owns it (a nested ranking fan-out would run inline on the pool worker
+    // owns it (a nested ranking fan-out would run inline in its chunk
     // anyway).
     let rank_threads = if relations.len() > 1 {
         1

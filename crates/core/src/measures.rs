@@ -11,19 +11,18 @@
 //!
 //! Discovery builds the square-clustering table across its thread budget:
 //! each node's coefficient is independent, so the nodes are cut into
-//! contiguous ranges of about equal estimated work, one pool job per range,
-//! and the values are concatenated in node order. The table is bit-identical
+//! contiguous ranges of about equal estimated work, one fan-out chunk per
+//! range, and the values are concatenated in node order. The table is bit-identical
 //! at every thread count. Every other table, and every build through
 //! [`cached_measures`] or [`Measures::compute`], runs on the calling thread.
 //!
-//! Two invariants keep the threaded build safe and out of the way:
+//! Two rules keep the threaded build where it helps:
 //!
-//! - No pool job looks up measures. The thread that wins the store's
-//!   `OnceLock` waits for its own jobs on the pool's queues; a job queued
-//!   ahead of them that waited on the same `OnceLock` would never finish.
+//! - No fan-out chunk looks up measures: a fan-out inside a chunk runs
+//!   inline, so a build started there would run on one thread.
 //! - `kgfd serve` builds a missing table on one detached thread (through
-//!   [`cached_measures`]), never on the pool: a multi-second build would sit
-//!   in front of request ranking jobs on the workers' FIFO queues.
+//!   [`cached_measures`]), so a request waiting for a multi-second build
+//!   still answers at its deadline.
 
 use crate::StrategyKind;
 use kgfd_graph_stats::{
@@ -81,8 +80,8 @@ pub fn cached_measures(strategy: StrategyKind, store: &TripleStore) -> Arc<Measu
 }
 
 /// [`cached_measures`] for discovery: a square-clustering build spreads
-/// over `threads` pool jobs (see the module docs). Must not be called from
-/// a pool job.
+/// over `threads` fan-out chunks (see the module docs). Not called from
+/// inside a chunk.
 pub(crate) fn lookup(strategy: StrategyKind, store: &TripleStore, threads: usize) -> Arc<Measures> {
     let Some(measure) = strategy.node_measure() else {
         return Arc::new(Measures::PoolLocal);

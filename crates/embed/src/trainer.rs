@@ -370,8 +370,8 @@ impl<'a> TrainerCore<'a> {
         // (not the worker id) keys each shard's RNG stream.
         let mut next_stream = 0u64;
         for batch in triples.chunks(config.batch_size) {
-            // Shard spans opened on pool workers nest under this span too:
-            // the fan-out runs every job under the caller's current span.
+            // Shard spans opened on the fan-out's threads nest under this
+            // span too: every chunk runs under the caller's current span.
             let _batch_span = kgfd_obs::span_traced!("embed.train.batch");
             let shards: Vec<&[Triple]> = batch.chunks(SHARD_SIZE).collect();
             while outputs.len() < shards.len() {

@@ -31,8 +31,9 @@
 //! score rows and exclusion lists.
 //!
 //! **Scratch reuse.** Score rows live in a per-thread scratch buffer that
-//! persists across calls (pool workers are process-wide, so after warm-up
-//! no ranking pass allocates kernel buffers at all).
+//! persists across calls on that thread. The calling thread runs chunk 0
+//! of every fan-out, so its buffer is reused from pass to pass; a thread
+//! the fan-out starts allocates one buffer for the pass it runs.
 //!
 //! Scores from the batched kernels are bit-identical to the single-query
 //! kernels (see `kgfd_embed::batch`: the vector runs across a tile's
@@ -58,7 +59,7 @@ const WORKER_TILE: usize = 16;
 
 thread_local! {
     /// Per-thread score-row scratch, reused across kernel tiles *and*
-    /// across ranking passes (pool workers persist for the process).
+    /// across the ranking passes a thread runs.
     static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -213,7 +214,7 @@ fn exclusions(known: Option<&KnownTriples>, key: (u32, u32), object_side: bool) 
 /// Scores a contiguous range of query groups (in tiles of [`WORKER_TILE`])
 /// and resolves every dependent rank from the shared rows. `starts` carries
 /// the groups' absolute CSR offsets into the full `dependents` slice. Runs
-/// on pool workers; score rows come from the thread's persistent scratch.
+/// as one chunk of a fan-out; score rows come from the thread's scratch.
 fn rank_groups(
     model: &dyn KgeModel,
     keys: &[(u32, u32)],

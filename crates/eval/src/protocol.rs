@@ -8,7 +8,7 @@ use kgfd_kg::{KnownTriples, Triple};
 /// Evaluates `model` on `triples` (typically a test split).
 ///
 /// `known` should cover train+valid+test for the standard filtered setting.
-/// Work is split across `threads` workers on the persistent `kgfd-pool`;
+/// Work is split across `threads` threads by `kgfd-pool`'s fan-out;
 /// results are deterministic regardless of thread count.
 pub fn evaluate_ranking(
     model: &dyn KgeModel,

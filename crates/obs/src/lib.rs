@@ -53,7 +53,7 @@ pub use event::{Event, Field, FieldValue, Level, Payload};
 pub use export::{
     chrome_trace, flamegraph_collapsed, top_spans_json, TraceNode, TraceSummary, TraceTree,
 };
-pub use manifest::{DatasetShape, PoolPhase, PoolSummary, RunManifest};
+pub use manifest::{DatasetShape, PoolSummary, RunManifest};
 pub use metrics::{
     counter, gauge, histogram, prometheus_text, registry, Counter, Gauge, Histogram,
     HistogramSummary, MetricsSnapshot, Registry,
@@ -66,6 +66,6 @@ pub use observer::{
 pub use span::{emit_span_aggregate, Span};
 pub use trace::{
     collector, current_span, current_span_handle, disable as disable_tracing,
-    enable as enable_tracing, finish as finish_tracing, record_manual, thread_id, EnteredSpan,
-    SpanHandle, SpanId, SpanRecord, TraceCollector,
+    enable as enable_tracing, finish as finish_tracing, new_thread_id, record_manual,
+    set_thread_id, thread_id, EnteredSpan, SpanHandle, SpanId, SpanRecord, TraceCollector,
 };

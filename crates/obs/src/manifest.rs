@@ -13,56 +13,32 @@ pub struct DatasetShape {
     pub triples: u64,
 }
 
-/// Utilization of the worker pool during one phase of a run: the fraction
-/// of `pool_size × phase wall-clock` the workers spent busy (0.0–1.0).
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
-pub struct PoolPhase {
-    /// Phase label the jobs ran under (e.g. `train`, `discover`).
-    pub phase: String,
-    /// Busy fraction for that phase.
-    pub utilization: f64,
-}
-
-/// Activity of the process-wide worker pool over the run. Populated at
+/// Activity of the fan-out (`kgfd-pool`) over the run. Populated at
 /// [`RunManifest::emit`] time from this registry's `pool.*` metrics (the
 /// pool crate publishes them by name; obs never depends on the pool).
 #[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
 pub struct PoolSummary {
-    /// Jobs executed on pool workers (inline fallbacks excluded).
+    /// Chunks run by fan-outs that started threads (inline chunks excluded).
     pub jobs: u64,
-    /// Median time a job waited in a worker's queue, in microseconds.
+    /// Median time from a fan-out's dispatch to a chunk's start, in
+    /// microseconds.
     pub queue_wait_us_p50: Option<f64>,
-    /// 95th-percentile queue wait, in microseconds.
+    /// 95th-percentile dispatch-to-start wait, in microseconds.
     pub queue_wait_us_p95: Option<f64>,
-    /// Busy fraction per phase, in phase-name order.
-    pub utilization: Vec<PoolPhase>,
 }
 
-/// Reads the pool's activity out of the metrics registry; `None` when no
-/// pool job ran (e.g. a single-threaded run).
+/// Reads the fan-out's activity out of the metrics registry; `None` when no
+/// fan-out started a thread (e.g. a single-threaded run).
 fn pool_summary() -> Option<PoolSummary> {
     let jobs = crate::counter("pool.jobs").get();
     if jobs == 0 {
         return None;
     }
     let wait = crate::histogram("pool.queue_wait_us");
-    let utilization = crate::registry()
-        .snapshot()
-        .gauges
-        .into_iter()
-        .filter_map(|(name, value)| {
-            let phase = name.strip_prefix("pool.utilization.")?;
-            Some(PoolPhase {
-                phase: phase.to_string(),
-                utilization: value,
-            })
-        })
-        .collect();
     Some(PoolSummary {
         jobs,
         queue_wait_us_p50: wait.quantile(0.5),
         queue_wait_us_p95: wait.quantile(0.95),
-        utilization,
     })
 }
 
@@ -99,9 +75,9 @@ pub struct RunManifest {
     /// [`RunManifest::emit`] time from the process collector (without
     /// draining it — exports still see the full tree).
     pub trace: Option<crate::export::TraceSummary>,
-    /// Worker-pool activity (job count, queue-wait quantiles, per-phase
-    /// utilization); `null` when no pool job ran. Populated at
-    /// [`RunManifest::emit`] time from this registry's `pool.*` metrics.
+    /// Fan-out activity (job count, queue-wait quantiles); `null` when no
+    /// fan-out started a thread. Populated at [`RunManifest::emit`] time
+    /// from this registry's `pool.*` metrics.
     pub pool: Option<PoolSummary>,
 }
 

@@ -16,7 +16,7 @@
 //! span costs one atomic load and never touches the lock.
 
 use crate::event::Field;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -111,14 +111,35 @@ pub(crate) fn pop_current(id: SpanId) {
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    /// The calling thread's trace id; 0 until first use or [`set_thread_id`].
+    static THREAD_ID: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A small dense id for the calling thread, assigned on first use (the
-/// process's first tracing thread is 1). Used as the `tid` of Chrome trace
-/// events; `std::thread::ThreadId` has no stable integer form.
+/// process's first tracing thread is 1) unless [`set_thread_id`] gave it
+/// one. Used as the `tid` of Chrome trace events; `std::thread::ThreadId`
+/// has no stable integer form.
 pub fn thread_id() -> u64 {
-    THREAD_ID.with(|id| *id)
+    THREAD_ID.with(|id| {
+        if id.get() == 0 {
+            id.set(new_thread_id());
+        }
+        id.get()
+    })
+}
+
+/// Allocates a fresh dense thread id from the sequence [`thread_id`] draws
+/// from. `kgfd-pool` allocates one per lane of its fan-out and hands it to
+/// each short-lived thread that runs the lane, so a trace shows one track
+/// per lane instead of one per thread.
+pub fn new_thread_id() -> u64 {
+    NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Makes `id` (from [`new_thread_id`]) the calling thread's trace id. Only
+/// one thread at a time may hold an id, or the spans of a track overlap.
+pub fn set_thread_id(id: u64) {
+    THREAD_ID.with(|c| c.set(id));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,14 @@
-//! `kgfd-pool` — the process-wide deterministic worker pool.
+//! `kgfd-pool` — the workspace's one deterministic fan-out.
 //!
 //! Every parallel hot path in this workspace (training shards, discovery's
-//! relations, both sides of batched ranking) goes through one fan-out:
-//! [`fan_out`], or [`fan_out_mut`] for mutable chunks. It splits a slice
-//! into at most `threads` contiguous chunks, runs a closure on each, and
-//! returns the results in chunk order. A scoped-thread fan-out
-//! (`std::thread::scope`) would pay OS-thread spawn/join costs on *every
-//! call*: once per mini-batch in training, once per ranking pass, once per
-//! discovery run. The pool here is spawned **once** for the whole process
-//! and hands out persistent workers instead.
+//! relations, the square-clustering build, both sides of batched ranking)
+//! goes through one fan-out: [`fan_out`], or [`fan_out_mut`] for mutable
+//! chunks. It splits a slice into at most `threads` contiguous chunks, runs
+//! a closure on each, and returns the results in chunk order. Chunk 0 runs
+//! on the calling thread and every other chunk on a thread of its own
+//! (`std::thread::scope`); all of them are joined before the call returns.
+//! No thread outlives the call that started it, so chunks borrow the
+//! caller's data without any `unsafe`.
 //!
 //! # Determinism contract
 //!
@@ -20,60 +20,60 @@
 //!    one, earlier chunks taking the remainder. Callers keep their results
 //!    independent of the cut (index-derived RNG streams, per-item output
 //!    slots), so the cut only decides which thread does the work.
-//! 2. **Fixed job assignment, no stealing.** Chunk `k` always goes to
-//!    worker `k mod pool_size`, and every worker drains its own FIFO queue.
-//!    A job's result depends only on its closure and chunk, never on the
-//!    executing thread.
-//! 3. **Ordered results.** Results come back in chunk order, whichever job
-//!    finishes first, so callers reduce them in a fixed order.
+//! 2. **Fixed assignment, no stealing.** Chunk 0 runs on the caller and
+//!    chunk `k` on the `k`-th thread the call starts. A chunk's result
+//!    depends only on its closure and its items, never on the executing
+//!    thread.
+//! 3. **Ordered results.** Results come back in chunk order, whichever
+//!    chunk finishes first, so callers reduce them in a fixed order.
 //!
 //! The reference is serial execution: at `threads = 1` the one chunk runs
-//! inline on the calling thread and never touches the pool. The
-//! differential suites compare it against 4 and 8 threads and assert
-//! bit-identical embeddings, ranks, and discovered facts.
+//! inline on the calling thread and no thread is started. The differential
+//! suites compare it against 4 and 8 threads and assert bit-identical
+//! embeddings, ranks, and discovered facts.
 //!
-//! # Scopes and panics
+//! # Panics
 //!
-//! Each fan-out call is a dispatch scope: jobs borrow the caller's data,
-//! and the call joins every job it sent before it returns or unwinds. A
-//! panicking job is caught on its worker while the other jobs run to
-//! completion; the call then returns [`PoolError::WorkerPanic`] carrying
-//! the first panic's message in chunk order. Chunks that run inline are
-//! plain calls, so their panics unwind through the caller as in serial
+//! A panicking chunk, chunk 0 included, is caught while the other chunks run
+//! to completion; the call then returns [`PoolError::WorkerPanic`] carrying
+//! the first panic's message in chunk order. Chunks of an inline fan-out
+//! are plain calls, so their panics unwind through the caller as in serial
 //! code.
 //!
 //! # Nested use
 //!
-//! A job that fans out again (e.g. ranking inside a discovery worker) must
-//! not wait on queue slots behind itself — that could deadlock. A fan-out
-//! called on a pool worker therefore runs its chunks **inline**, in order,
-//! on that worker. Results are unchanged (a chunk's output does not depend
-//! on where it runs); only scheduling differs.
+//! A fan-out called from inside a chunk (e.g. ranking inside a discovery
+//! relation) runs its chunks **inline**, in order, on the current thread:
+//! the outer fan-out already spends the thread budget. That holds for
+//! chunk 0 on the caller too. Results are unchanged (a chunk's output does
+//! not depend on where it runs); only scheduling differs.
 //!
 //! # Observability
 //!
-//! Jobs run under the caller's current span, so the spans they open nest
-//! in the caller's trace tree. Persistent workers record `pool.jobs`
-//! (counter), `pool.queue_wait_us` (histogram: enqueue → pick-up latency),
-//! `pool.jobs.inline` (chunks of nested fan-outs), and per-phase busy time
-//! that is folded into `pool.utilization.<phase>` gauges (busy worker-time
-//! divided by `pool_size ×` the phase's wall-clock span). The end-of-run
-//! [`kgfd_obs::RunManifest`] surfaces these as its `pool` summary.
+//! Chunks run under the caller's current span, so the spans they open nest
+//! in the caller's trace tree. Each started thread takes the trace `tid` of
+//! its *lane*: one per (dispatching thread, chunk index), reused by every
+//! fan-out from that thread, so a trace shows one track per lane instead of
+//! one per short-lived thread. A fan-out that starts threads records
+//! `pool.jobs` (counter, one per chunk) and `pool.queue_wait_us`
+//! (histogram: dispatch → chunk start); a nested one counts its chunks in
+//! `pool.jobs.inline`. The end-of-run [`kgfd_obs::RunManifest`] surfaces
+//! these as its `pool` summary.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::cell::Cell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Errors surfaced by the pool's fallible APIs.
+/// Errors surfaced by the fan-out's fallible APIs.
 #[derive(Debug)]
 pub enum PoolError {
-    /// A worker panicked while running a job; the payload rendered as text.
+    /// A chunk panicked; the payload rendered as text.
     WorkerPanic(String),
     /// A thread count of 0 was requested ([`resolve_threads`]).
     ZeroThreads,
@@ -82,7 +82,7 @@ pub enum PoolError {
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PoolError::WorkerPanic(msg) => write!(f, "pool worker panicked: {msg}"),
+            PoolError::WorkerPanic(msg) => write!(f, "fan-out chunk panicked: {msg}"),
             PoolError::ZeroThreads => f.write_str("thread count must be at least 1"),
         }
     }
@@ -91,26 +91,10 @@ impl std::fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 thread_local! {
-    static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// `true` when the current thread is one of the pool's persistent workers —
-/// the condition under which a nested fan-out runs inline.
-fn on_pool_worker() -> bool {
-    IN_POOL_WORKER.with(|f| f.get())
-}
-
-/// Number of persistent workers: `KGFD_POOL_SIZE` when set to a positive
-/// integer, otherwise the larger of the machine's available parallelism and
-/// `KGFD_THREADS` (so CI legs that pin a thread count above the core count
-/// still get one worker per requested thread). Fixed for the process
-/// lifetime; always at least 1.
-pub fn pool_size() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        positive_env("KGFD_POOL_SIZE")
-            .unwrap_or_else(|| cores().max(positive_env("KGFD_THREADS").unwrap_or(1)))
-    })
+    /// Set while this thread runs a chunk of a fan-out that started threads.
+    static IN_CHUNK: Cell<bool> = const { Cell::new(false) };
+    /// The trace tids of this thread's lanes: chunk `k` runs as `LANES[k - 1]`.
+    static LANES: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The default thread count wherever a caller sets none (training,
@@ -142,22 +126,31 @@ fn cores() -> usize {
     })
 }
 
+/// The widest accepted thread count: the larger of the machine's available
+/// parallelism and `KGFD_THREADS`, so CI legs that pin a thread count above
+/// the core count still run that many threads.
+fn max_threads() -> usize {
+    cores().max(positive_env("KGFD_THREADS").unwrap_or(1))
+}
+
 /// The one thread-count policy for the whole workspace: rejects `0` with a
-/// typed error and clamps requests beyond [`pool_size`] to the pool's width
-/// (recording a warning event and bumping `pool.threads_clamped`). Used by
-/// the CLI (`kgfd repro` included) and the harness grid/sweep; results are
-/// identical at any accepted value — clamping only changes scheduling.
+/// typed error and clamps requests beyond the larger of the available
+/// parallelism and `KGFD_THREADS` (recording a warning event and bumping
+/// `pool.threads_clamped`). Used by the CLI (`kgfd repro` and `kgfd serve
+/// --rank-threads` included) and the harness grid/sweep; results are
+/// identical at any accepted value — clamping only bounds how many threads
+/// a fan-out starts.
 pub fn resolve_threads(requested: usize) -> Result<usize, PoolError> {
     if requested == 0 {
         return Err(PoolError::ZeroThreads);
     }
-    let size = pool_size();
-    if requested > size {
+    let max = max_threads();
+    if requested > max {
         kgfd_obs::warn(format!(
-            "requested {requested} threads but the pool has {size} workers; clamping to {size}"
+            "requested {requested} threads but at most {max} are used; clamping to {max}"
         ));
         kgfd_obs::counter("pool.threads_clamped").inc();
-        Ok(size)
+        Ok(max)
     } else {
         Ok(requested)
     }
@@ -170,109 +163,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "worker panicked (non-string payload)".to_string()
+        "chunk panicked (non-string payload)".to_string()
     }
 }
-
-// ---------------------------------------------------------------------------
-// The persistent pool
-// ---------------------------------------------------------------------------
-
-struct Job {
-    run: Box<dyn FnOnce() + Send>,
-    enqueued: Instant,
-}
-
-struct Pool {
-    queues: Vec<mpsc::Sender<Job>>,
-}
-
-impl Pool {
-    /// Queues `run` on worker `k mod pool_size` (fixed assignment, no
-    /// stealing).
-    fn dispatch(&self, k: usize, run: Box<dyn FnOnce() + Send>) {
-        let job = Job {
-            run,
-            enqueued: Instant::now(),
-        };
-        // A worker's queue closes only if the worker died outside a job. The
-        // job is then dropped unrun, and `Completions::join` reports it.
-        let _ = self.queues[k % self.queues.len()].send(job);
-    }
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let queues = (0..pool_size())
-            .map(|w| {
-                let (tx, rx) = mpsc::channel::<Job>();
-                std::thread::Builder::new()
-                    .name(format!("kgfd-pool-{w}"))
-                    .spawn(move || worker_loop(rx))
-                    .expect("failed to spawn pool worker");
-                tx
-            })
-            .collect();
-        Pool { queues }
-    })
-}
-
-/// Marks the process start for phase-utilization bookkeeping.
-fn clock_us() -> u64 {
-    static START: OnceLock<Instant> = OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_micros() as u64
-}
-
-#[derive(Default)]
-struct PhaseAgg {
-    busy_us: u64,
-    first_us: u64,
-    last_us: u64,
-    seen: bool,
-}
-
-/// Folds one finished job into its phase's utilization gauge:
-/// `pool.utilization.<phase>` = busy worker-µs / (pool_size × phase wall-µs).
-fn record_phase_busy(start_us: u64, end_us: u64) {
-    static PHASES: OnceLock<Mutex<HashMap<String, PhaseAgg>>> = OnceLock::new();
-    let phase = kgfd_obs::current_phase().unwrap_or_else(|| "unphased".to_string());
-    let mut phases = PHASES
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let agg = phases.entry(phase.clone()).or_default();
-    if !agg.seen {
-        agg.first_us = start_us;
-        agg.seen = true;
-    }
-    agg.first_us = agg.first_us.min(start_us);
-    agg.last_us = agg.last_us.max(end_us);
-    agg.busy_us += end_us.saturating_sub(start_us);
-    let wall = agg.last_us.saturating_sub(agg.first_us).max(1);
-    let utilization = agg.busy_us as f64 / (pool_size() as f64 * wall as f64);
-    kgfd_obs::gauge(&format!("pool.utilization.{phase}")).set(utilization.min(1.0));
-}
-
-fn worker_loop(rx: mpsc::Receiver<Job>) {
-    IN_POOL_WORKER.with(|f| f.set(true));
-    let jobs = kgfd_obs::counter("pool.jobs");
-    let queue_wait = kgfd_obs::histogram("pool.queue_wait_us");
-    while let Ok(job) = rx.recv() {
-        queue_wait.record(job.enqueued.elapsed().as_secs_f64() * 1e6);
-        jobs.inc();
-        let start_us = clock_us();
-        // The closure owns its catch_unwind; a panicking job can never take
-        // the worker down, so the pool survives for the process lifetime.
-        (job.run)();
-        record_phase_busy(start_us, clock_us());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fan-out
-// ---------------------------------------------------------------------------
 
 /// The ranges of the `min(threads, len)` contiguous chunks that split `len`
 /// items as evenly as possible; earlier chunks take the remainder.
@@ -291,11 +184,12 @@ fn chunk_ranges(threads: usize, len: usize) -> impl Iterator<Item = Range<usize>
 /// the results in chunk order. `f` receives the index of the chunk's first
 /// item and the chunk.
 ///
-/// One chunk, or a call from a pool worker, runs inline on the calling
-/// thread. Otherwise chunk `k` runs on worker `k mod pool_size`, under the
-/// caller's current span. Every chunk finishes before this returns; if any
-/// panicked, the result is [`PoolError::WorkerPanic`] with the first
-/// panic's message in chunk order. See the module docs.
+/// One chunk, or a call from inside a chunk, runs inline on the calling
+/// thread. Otherwise chunk 0 runs on the caller and every other chunk on a
+/// thread of its own, under the caller's current span. Every chunk finishes
+/// before this returns; if any panicked, the result is
+/// [`PoolError::WorkerPanic`] with the first panic's message in chunk
+/// order. See the module docs.
 pub fn fan_out<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>, PoolError>
 where
     T: Sync,
@@ -306,7 +200,7 @@ where
     run(chunks.collect(), |(start, chunk)| f(start, chunk))
 }
 
-/// [`fan_out`] over mutable chunks: each job gets exclusive access to its
+/// [`fan_out`] over mutable chunks: each chunk gets exclusive access to its
 /// part of `items`.
 pub fn fan_out_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Result<Vec<R>, PoolError>
 where
@@ -323,45 +217,28 @@ where
     run(chunks.collect(), |(start, chunk)| f(start, chunk))
 }
 
-/// A finished job's report: its chunk index and its result or panic.
-type Done<R> = (usize, std::thread::Result<R>);
-
-/// The dispatcher's end of one fan-out. Jobs report through clones of
-/// `tx`. Joining or dropping this (dropping also happens while unwinding)
-/// closes `tx` and drains `rx` until every clone is gone, that is until
-/// every job has run or been dropped unrun.
-struct Completions<R> {
-    tx: Option<mpsc::Sender<Done<R>>>,
-    rx: mpsc::Receiver<Done<R>>,
-}
-
-impl<R> Completions<R> {
-    fn new() -> Self {
-        let (tx, rx) = mpsc::channel();
-        Completions { tx: Some(tx), rx }
-    }
-
-    fn sender(&self) -> mpsc::Sender<Done<R>> {
-        self.tx.clone().expect("sender lives until join")
-    }
-
-    /// Waits for every job; one entry per job in chunk order, `None` for a
-    /// job that was dropped unrun.
-    fn join(mut self, jobs: usize) -> Vec<Option<std::thread::Result<R>>> {
-        self.tx = None;
-        let mut results: Vec<_> = (0..jobs).map(|_| None).collect();
-        for (k, result) in self.rx.iter() {
-            results[k] = Some(result);
+/// The trace tids of this thread's first `n` lanes, allocated on first use
+/// and reused by every later fan-out from this thread.
+fn lanes(n: usize) -> Vec<u64> {
+    LANES.with(|lanes| {
+        let mut lanes = lanes.borrow_mut();
+        while lanes.len() < n {
+            lanes.push(kgfd_obs::new_thread_id());
         }
-        results
-    }
+        lanes[..n].to_vec()
+    })
 }
 
-impl<R> Drop for Completions<R> {
-    fn drop(&mut self) {
-        self.tx = None;
-        for _ in self.rx.iter() {}
-    }
+/// Runs one chunk of a fan-out that started threads: counts it, records its
+/// wait since `dispatched`, and marks the thread as inside a chunk while
+/// `f` runs, so a nested fan-out runs inline. A panic comes back as `Err`.
+fn run_chunk<R>(dispatched: Instant, f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    kgfd_obs::histogram("pool.queue_wait_us").record(dispatched.elapsed().as_secs_f64() * 1e6);
+    kgfd_obs::counter("pool.jobs").inc();
+    IN_CHUNK.with(|c| c.set(true));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    IN_CHUNK.with(|c| c.set(false));
+    result
 }
 
 /// The one implementation behind [`fan_out`] and [`fan_out_mut`]: runs `f`
@@ -373,48 +250,43 @@ where
     F: Fn(C) -> R + Sync,
 {
     let jobs = chunks.len();
-    if jobs <= 1 || on_pool_worker() {
+    if jobs <= 1 || IN_CHUNK.with(Cell::get) {
         if jobs > 1 {
             kgfd_obs::counter("pool.jobs.inline").add(jobs as u64);
         }
         return Ok(chunks.into_iter().map(f).collect());
     }
-    let pool = pool();
     let parent = kgfd_obs::current_span_handle();
+    let lanes = lanes(jobs - 1);
     let f = &f;
-    let completions = Completions::new();
-    for (k, chunk) in chunks.into_iter().enumerate() {
-        let done = completions.sender();
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            let _attach = parent.map(|p| p.enter());
-            let result = catch_unwind(AssertUnwindSafe(|| f(chunk)));
-            let _ = done.send((k, result));
-        });
-        // SAFETY: only the lifetime is erased; the vtable and layout are
-        // unchanged. The job borrows `f` and `chunk`, which outlive this
-        // call. The call neither returns nor unwinds before `completions`
-        // is joined or dropped, and both block until every job's `done`
-        // sender is gone. A job drops its sender after its last use of a
-        // borrow, and a job dropped unrun drops its sender with it. So no
-        // job touches a borrow after this call ends.
-        let job: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(job) };
-        pool.dispatch(k, job);
-    }
-    completions
-        .join(jobs)
+    let mut chunks = chunks.into_iter();
+    let first = chunks.next().expect("two or more chunks");
+    let dispatched = Instant::now();
+    let results: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
+        let started: Vec<_> = chunks
+            .zip(lanes)
+            .map(|(chunk, lane)| {
+                scope.spawn(move || {
+                    kgfd_obs::set_thread_id(lane);
+                    let _attach = parent.map(|p| p.enter());
+                    run_chunk(dispatched, || f(chunk))
+                })
+            })
+            .collect();
+        let first = run_chunk(dispatched, || f(first));
+        std::iter::once(first)
+            .chain(started.into_iter().map(|t| t.join().and_then(|r| r)))
+            .collect()
+    });
+    results
         .into_iter()
-        .map(|done| match done {
-            Some(Ok(value)) => Ok(value),
-            Some(Err(payload)) => Err(PoolError::WorkerPanic(panic_message(payload.as_ref()))),
-            None => Err(PoolError::WorkerPanic(
-                "a pool worker exited before running its job".into(),
-            )),
-        })
+        .map(|r| r.map_err(|payload| PoolError::WorkerPanic(panic_message(payload.as_ref()))))
         .collect()
 }
 
-/// Pool scheduling stats for the end-of-run manifest: jobs executed so far
-/// and queue-wait quantiles. (`None` quantiles = no jobs yet.)
+/// Fan-out stats for the end-of-run manifest: chunks run so far by fan-outs
+/// that started threads, and their dispatch-to-start wait quantiles.
+/// (`None` quantiles = no such chunk yet.)
 pub fn queue_wait_summary() -> (u64, Option<f64>, Option<f64>) {
     let h = kgfd_obs::histogram("pool.queue_wait_us");
     (
@@ -427,8 +299,8 @@ pub fn queue_wait_summary() -> (u64, Option<f64>, Option<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::MutexGuard;
+    use std::collections::HashSet;
+    use std::sync::{mpsc, Mutex, MutexGuard};
 
     /// Tests that dispatch hold this lock, so one test's jobs never show up
     /// in another test's `pool.jobs` reading.
@@ -501,6 +373,17 @@ mod tests {
     }
 
     #[test]
+    fn chunk_zero_runs_on_the_caller_and_the_rest_on_threads_of_their_own() {
+        let _serial = exclusive();
+        let caller = std::thread::current().id();
+        let ids = fan_out(4, &[0u8; 4], |_, _| std::thread::current().id()).unwrap();
+        assert_eq!(ids[0], caller, "chunk 0 left the calling thread");
+        let others: HashSet<_> = ids[1..].iter().collect();
+        assert_eq!(others.len(), 3, "chunks 1-3 shared a thread: {ids:?}");
+        assert!(!others.contains(&caller), "a later chunk ran on the caller");
+    }
+
+    #[test]
     fn try_join_types_a_worker_panic() {
         let _serial = exclusive();
         let items = [0u8, 1];
@@ -514,40 +397,6 @@ mod tests {
             PoolError::WorkerPanic(msg) => assert!(msg.contains("boom 42"), "{msg}"),
             other => panic!("expected WorkerPanic, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn panicking_scope_body_waits_for_borrowing_jobs() {
-        // `Completions` is what keeps a fan-out from unwinding past its
-        // borrows. Here the dispatching side panics while a job that
-        // borrows `written` still holds its sender; the job stores ~50 ms
-        // after the body has begun to unwind, and the unwind must not get
-        // past the guard before that.
-        let written = AtomicU64::new(0);
-        std::thread::scope(|threads| {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                let completions = Completions::<()>::new();
-                let done = completions.sender();
-                let (_unwinding, unwound) = mpsc::channel::<()>();
-                let slot = &written;
-                threads.spawn(move || {
-                    // Errs only once the body's sender is dropped, i.e.
-                    // while the body unwinds.
-                    let _ = unwound.recv();
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                    slot.store(42, Ordering::SeqCst);
-                    drop(done);
-                });
-                panic!("scope body");
-            }));
-            let payload = result.unwrap_err();
-            assert_eq!(
-                written.load(Ordering::SeqCst),
-                42,
-                "the job did not finish before the unwind"
-            );
-            assert_eq!(panic_message(payload.as_ref()), "scope body");
-        });
     }
 
     #[test]
@@ -611,9 +460,9 @@ mod tests {
     fn resolve_threads_rejects_zero_and_clamps() {
         assert!(matches!(resolve_threads(0), Err(PoolError::ZeroThreads)));
         assert_eq!(resolve_threads(1).unwrap(), 1);
-        let size = pool_size();
-        assert_eq!(resolve_threads(size).unwrap(), size);
-        assert_eq!(resolve_threads(size + 100).unwrap(), size);
+        let max = max_threads();
+        assert_eq!(resolve_threads(max).unwrap(), max);
+        assert_eq!(resolve_threads(max + 100).unwrap(), max);
     }
 
     #[test]
@@ -622,8 +471,8 @@ mod tests {
         let before = kgfd_obs::counter("pool.jobs").get();
         let items = [0u8; 4];
         drop(fan_out(4, &items, |start, _| start));
-        // Four chunks from this (non-worker) thread dispatch at any pool
-        // size, and a worker counts each job before running it.
+        // Four chunks from this thread (not inside a chunk) start threads,
+        // and each chunk counts as a job before it runs.
         assert!(kgfd_obs::counter("pool.jobs").get() >= before + 4);
     }
 }

@@ -151,8 +151,8 @@ pub fn handle_score(
 }
 
 /// `POST /v1/rank` — filtered two-sided ranks through the batched,
-/// query-deduplicated [`BatchRanker`] (shared deterministic kernels on the
-/// persistent worker pool).
+/// query-deduplicated [`BatchRanker`] (shared deterministic kernels, fanned
+/// out across `rank_threads`).
 pub fn handle_rank(
     graph: &GraphContext,
     entry: &ModelEntry,

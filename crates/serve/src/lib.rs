@@ -6,7 +6,7 @@
 //! files at startup, requests arrive as JSON over plain HTTP/1.1, and
 //! answers are computed by the same deterministic kernels the CLI uses —
 //! [`kgfd_eval::BatchRanker`] for ranking, streaming discovery for
-//! Algorithm 1 — on the process-wide persistent `kgfd-pool`.
+//! Algorithm 1 — fanned out through `kgfd-pool` across `--rank-threads`.
 //!
 //! Endpoints:
 //!

@@ -28,8 +28,8 @@
 //!
 //! **Workers.** A fixed pool of `workers` threads pops requests, finishes
 //! the body read, and dispatches to the handlers in [`crate::api`]. Model
-//! work (ranking, discovery) runs through the process-wide `kgfd-pool`, so
-//! concurrent requests share the same deterministic batched kernels.
+//! work (ranking, discovery) fans out through `kgfd-pool` across
+//! `rank_threads`, on the same deterministic batched kernels as the CLI.
 //! Handler panics are caught per request (`500`, `serve.worker_panics`
 //! counter) — a worker thread itself never dies non-gracefully.
 //!

@@ -153,10 +153,6 @@ fn run_manifest_event_schema_is_stable() {
             jobs: 48,
             queue_wait_us_p50: Some(12.5),
             queue_wait_us_p95: Some(85.0),
-            utilization: vec![kgfd_obs::PoolPhase {
-                phase: "discover".to_string(),
-                utilization: 0.82,
-            }],
         }),
     }
     .with_config("top_n", 500usize)

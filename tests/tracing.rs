@@ -173,8 +173,18 @@ fn training_shard_spans_nest_under_their_batch_across_threads() {
         off_thread += usize::from(batch.thread != shard.thread);
     }
     // Eight shards per batch in four chunks always dispatch, so the
-    // hand-off to pool workers is what this checks.
+    // hand-off to the fan-out's threads is what this checks.
     assert!(off_thread > 0, "no shard span ran off its batch's thread");
+    // Every batch starts three short-lived threads, but each runs as the
+    // lane of its chunk index: the trace has one track per lane, not one
+    // per thread.
+    let tracks: HashSet<u64> = records.iter().map(|r| r.thread).collect();
+    assert!(
+        tracks.len() <= config.threads,
+        "{} trace tracks for {} threads",
+        tracks.len(),
+        config.threads
+    );
 }
 
 #[test]
